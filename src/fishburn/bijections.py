@@ -19,6 +19,7 @@ recomputed afterwards; n stays small everywhere, so clarity wins.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Sequence
 
 from .errors import (
@@ -195,10 +196,12 @@ def permutation_to_table(pi: Sequence[int]) -> tuple[int, ...]:
     >>> permutation_to_table((2, 3, 1))
     (0, 0, 1)
     """
-    position = {v: idx for idx, v in enumerate(pi)}
-    out = []
-    for i in range(1, len(pi) + 1):
-        out.append(sum(1 for j in range(1, i) if position[j] < position[i]))
+    out = [0] * len(pi)
+    seen: list[int] = []                 # letters read so far, sorted
+    for v in pi:
+        smaller = bisect_left(seen, v)
+        out[v - 1] = smaller
+        seen.insert(smaller, v)
     return tuple(out)
 
 

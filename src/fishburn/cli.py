@@ -219,6 +219,8 @@ def _cmd_verify(args) -> int:
         _die("give check names or --all, not both")
     if not args.all and not args.checks:
         _die("give at least one check name, or --all")
+    if args.n_max is not None and args.n_max < 0:
+        _die("--n-max must be nonnegative")
     for name in args.checks:
         if name not in REGISTRY:
             _die(f"unknown check {name!r} (see `fishburn verify --list`)")

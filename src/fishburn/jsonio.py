@@ -48,8 +48,7 @@ def decode(class_name: str, data) -> object:
         if class_name == "permutation":
             return validate_permutation(data)
         if class_name == "poset":
-            n = int(data["n"])
-            return Poset.from_relations(n, data["less"])
+            return Poset.from_relations(data["n"], data["less"])
         if class_name == "matrix":
             if isinstance(data, dict):
                 data = data["rows"]

@@ -21,6 +21,7 @@ from .errors import (
     EndpointOutOfRange,
     EntryOutOfRange,
     InvalidMatrix,
+    InvalidObject,
     NegativeEntry,
     NotAPartialOrder,
     NotAPerfectMatching,
@@ -30,6 +31,11 @@ from .errors import (
 )
 
 Arc = tuple[int, int]
+
+
+def _is_int(x) -> bool:
+    """True for integers; JSON booleans are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +65,7 @@ class Matching:
         arcs = []
         for pair in pairs:
             seq = tuple(pair)
-            if len(seq) != 2 or not all(isinstance(x, int) for x in seq):
+            if len(seq) != 2 or not all(_is_int(x) for x in seq):
                 raise NotAPerfectMatching(f"not an integer pair: {pair!r}")
             a, b = seq
             if a == b:
@@ -209,7 +215,7 @@ def validate_table(entries: Iterable[int]) -> tuple[int, ...]:
     """
     w = tuple(entries)
     for i, a in enumerate(w, start=1):
-        if not isinstance(a, int) or not 0 <= a <= i - 1:
+        if not _is_int(a) or not 0 <= a <= i - 1:
             raise EntryOutOfRange(f"entry a_{i} = {a!r} outside [0, {i - 1}]")
     return w
 
@@ -273,11 +279,16 @@ class Poset:
     def from_relations(cls, n: int, pairs: Iterable[Sequence[int]]) -> "Poset":
         """Build a poset from any generating relations (closure is computed).
 
-        Raises NotAPartialOrder on reflexive pairs or cycles.
+        Raises InvalidObject when n or an element is not a nonnegative
+        integer, and NotAPartialOrder on reflexive pairs or cycles.
         """
+        if not _is_int(n) or n < 0:
+            raise InvalidObject(f"poset size {n!r} is not a nonnegative integer")
         below = [0] * (n + 1)                   # below[j]: bitmask of i <_P j
         for pair in pairs:
             i, j = pair
+            if not (_is_int(i) and _is_int(j)):
+                raise InvalidObject(f"pair ({i!r}, {j!r}) has a non-integer element")
             if i == j:
                 raise NotAPartialOrder(f"reflexive pair ({i}, {j})")
             if not (1 <= i <= n and 1 <= j <= n):
@@ -491,7 +502,7 @@ class TriangularMatrix:
             raise InvalidMatrix(f"rows do not form a {k}x{k} square")
         for i, row in enumerate(t):
             for j, v in enumerate(row):
-                if not isinstance(v, int):
+                if not _is_int(v):
                     raise InvalidMatrix(f"entry ({i + 1},{j + 1}) = {v!r} not an integer")
                 if v < 0:
                     raise NegativeEntry(f"entry ({i + 1},{j + 1}) = {v}")

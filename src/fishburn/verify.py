@@ -45,6 +45,7 @@ from .bijections import (
 )
 from .enumeration import (
     catalan,
+    distribution,
     double_factorial,
     eulerian_triangle_row,
     fishburn_numbers,
@@ -78,7 +79,7 @@ from .objects import (
     is_two_plus_two_free_by_inclusion,
     is_zero_one,
 )
-from .statistics import matching_stats, perm_stats, poset_stats, stats_for
+from .statistics import stats_for
 
 
 @dataclass
@@ -493,6 +494,11 @@ def check_nesting_criterion(n_max: int):
 # Statistics
 # ---------------------------------------------------------------------------
 
+_POSET_QUINTUPLE = ("comp", "min", "pre_n", "lev", "ip")
+_PERM_QUINTUPLE = ("comp", "lmin", "last", "dent", "inv")
+_MATCHING_QUINTUPLE = ("comp", "min", "last", "inter", "emb")
+
+
 def check_triple_statistics(n_max: int):
     """Exact object-by-object equality of the statistic quintuples along the
     correspondence table -> (poset, permutation, matching): components,
@@ -504,12 +510,9 @@ def check_triple_statistics(n_max: int):
             p = table_to_poset(w)
             m = table_to_matching(w)
             pi = table_to_permutation(w)
-            ps = poset_stats(p)
-            pes = perm_stats(pi)
-            ms = matching_stats(m)
-            t_poset = (ps["comp"], ps["min"], ps["pre_n"], ps["lev"], ps["ip"])
-            t_perm = (pes["comp"], pes["lmin"], pes["last"], pes["dent"], pes["inv"])
-            t_match = (ms["comp"], ms["min"], ms["last"], ms["inter"], ms["emb"])
+            t_poset = tuple(stats_for("factorial_posets", p, _POSET_QUINTUPLE).values())
+            t_perm = tuple(stats_for("permutations", pi, _PERM_QUINTUPLE).values())
+            t_match = tuple(stats_for("matchings", m, _MATCHING_QUINTUPLE).values())
             zeros = sum(1 for a in w if a == 0)
             co_inv = n * (n - 1) // 2 - sum(w)
             if not (t_poset == t_perm == t_match):
@@ -522,15 +525,7 @@ def check_triple_statistics(n_max: int):
     return True, None, None
 
 
-def _distribution_counter(objs, class_name, names) -> Counter:
-    out: Counter = Counter()
-    for obj in objs:
-        record = stats_for(class_name, obj)
-        out[tuple(record[name] for name in names)] += 1
-    return out
-
-
-def _first_difference(counters: Sequence[Counter]):
+def _first_difference(counters: Sequence[dict]):
     keys = sorted(set().union(*counters))
     for key in keys:
         values = [c.get(key, 0) for c in counters]
@@ -545,10 +540,10 @@ def check_mahonian(n_max: int):
     permutations."""
     for n in range(n_max + 1):
         counters = [
-            _distribution_counter(_factorial_posets(n), "factorial_posets", ("ip",)),
-            _distribution_counter(_perms(n), "permutations", ("inv",)),
-            _distribution_counter(
-                (table_to_matching(w) for w in _tables(n)), "matchings", ("emb",)),
+            distribution(_factorial_posets(n), "factorial_posets", ("ip",)).rows,
+            distribution(_perms(n), "permutations", ("inv",)).rows,
+            distribution(
+                (table_to_matching(w) for w in _tables(n)), "matchings", ("emb",)).rows,
         ]
         diff = _first_difference(counters)
         if diff:
@@ -562,22 +557,22 @@ def check_eulerian(n_max: int):
     distribution matches descents (shifted by one) and the distinct-entry
     recurrence."""
     for n in range(n_max + 1):
-        lev = _distribution_counter(_factorial_posets(n), "factorial_posets", ("lev",))
-        inter = _distribution_counter(
-            (table_to_matching(w) for w in _tables(n)), "matchings", ("inter",))
-        dent = _distribution_counter(_tables(n), "inversion_tables", ("dent",))
+        lev = distribution(_factorial_posets(n), "factorial_posets", ("lev",)).rows
+        inter = distribution(
+            (table_to_matching(w) for w in _tables(n)), "matchings", ("inter",)).rows
+        dent = distribution(_tables(n), "inversion_tables", ("dent",)).rows
         counters = [lev, inter, dent]
         diff = _first_difference(counters)
         if diff:
             return False, {"n": n, **diff}, None
         if n >= 1:
-            des = _distribution_counter(_perms(n), "permutations", ("des",))
-            shifted = Counter({(k + 1,): v for (k,), v in des.items()})
+            des = distribution(_perms(n), "permutations", ("des",)).rows
+            shifted = {(k + 1,): v for (k,), v in des.items()}
             if shifted != dent:
                 return False, {"n": n, "descents_shifted": sorted(shifted.items()),
                                "dent": sorted(dent.items())}, None
             row = eulerian_triangle_row(n)
-            expected = Counter({(k,): row[k - 1] for k in range(1, n + 1) if row[k - 1]})
+            expected = {(k,): row[k - 1] for k in range(1, n + 1) if row[k - 1]}
             if expected != dent:
                 return False, {"n": n, "recurrence_row": list(row),
                                "dent": sorted(dent.items())}, None
@@ -588,25 +583,21 @@ def check_eulerian(n_max: int):
 # Conjectured equidistributions
 # ---------------------------------------------------------------------------
 
+def _shifted(rows: dict, shift) -> dict:
+    return {tuple(v + d for v, d in zip(key, shift)): count for key, count in rows.items()}
+
+
 def _conjecture_triples(n_max, poset_names, perm_names, matching_names,
                         poset_shift=(0, 0, 0), matching_shift=(0, 0, 0),
                         start=0):
     for n in range(start, n_max + 1):
-        posets = Counter()
-        for p in _factorial_posets(n):
-            rec = poset_stats(p)
-            posets[tuple(rec[name] + d for name, d in zip(poset_names, poset_shift))] += 1
-        perms = Counter()
-        for pi in _perms(n):
-            rec = perm_stats(pi)
-            perms[tuple(rec[name] for name in perm_names)] += 1
-        matchings = Counter()
-        for m in _matchings(n):
-            if has_left_nesting(m):
-                continue
-            rec = matching_stats(m)
-            matchings[tuple(rec[name] + d for name, d in zip(matching_names, matching_shift))] += 1
-        diff = _first_difference([posets, perms, matchings])
+        posets = distribution(_factorial_posets(n), "factorial_posets", poset_names).rows
+        perms = distribution(_perms(n), "permutations", perm_names).rows
+        matchings = distribution(
+            (m for m in _matchings(n) if not has_left_nesting(m)), "matchings",
+            matching_names).rows
+        diff = _first_difference([_shifted(posets, poset_shift), perms,
+                                  _shifted(matchings, matching_shift)])
         if diff:
             return False, {"n": n, **diff}, None
     return True, None, None
@@ -815,7 +806,7 @@ def check_equidistribution(
         raise ValueError(f"statistic tuples have mixed arities: {sorted(arities)}")
     start = time.perf_counter()
     counters = [
-        _distribution_counter(stream, class_name, tuple(names))
+        distribution(stream, class_name, names).rows
         for class_name, stream, names in classes
     ]
     diff = _first_difference(counters)

@@ -85,6 +85,32 @@ def naive_interval_matrix(arcs):
     return tuple(tuple(row) for row in t)
 
 
+def naive_matrices(n):
+    """Rows of every upper triangular matrix with entry sum n and no zero
+    row or column: fill each composition of n into the upper cells, row by
+    row, and reject the bad ones.  Dimension first, then lexicographic."""
+    def compositions(total, cells):
+        if cells == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, cells - 1):
+                yield (first,) + rest
+
+    if n == 0:
+        yield ()
+        return
+    for k in range(1, n + 1):
+        cells = [(i, j) for i in range(k) for j in range(i, k)]
+        for comp in compositions(n, len(cells)):
+            rows = [[0] * k for _ in range(k)]
+            for (i, j), v in zip(cells, comp):
+                rows[i][j] = v
+            if all(any(row) for row in rows) and \
+                    all(any(row[j] for row in rows) for j in range(k)):
+                yield tuple(tuple(row) for row in rows)
+
+
 def naive_natural_posets_by_filter(n):
     """Naturally labeled posets via transitive filtering of all up-relations.
 

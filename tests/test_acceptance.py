@@ -17,6 +17,7 @@ import time
 from collections import Counter
 from functools import lru_cache
 
+import fishburn
 from fishburn import (
     arc_statistics,
     canonical_labels,
@@ -278,8 +279,12 @@ def test_criterion_11_determinism():
     start = time.perf_counter()
     cmd = [sys.executable, "-m", "fishburn.cli",
            "verify", "--all", "--n-max", "5", "--json"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    # the children import the same package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(fishburn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     ok = first.returncode == 0 and second.returncode == 0
     ok &= first.stdout == second.stdout and len(first.stdout) > 0
     for line in first.stdout.splitlines():
@@ -288,7 +293,7 @@ def test_criterion_11_determinism():
     suite_start = time.perf_counter()
     suite = subprocess.run(
         [sys.executable, "-m", "fishburn.cli", "verify", "--all"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     suite_elapsed = time.perf_counter() - suite_start
     ok &= suite.returncode == 0 and suite_elapsed < 120
     report(11, "verify --all --n-max 5 is byte-identical twice; default "

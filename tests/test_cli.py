@@ -135,6 +135,18 @@ class TestConvert:
         code, _, err = run_cli(capsys, "convert", "widget", "matching", "[]")
         assert code == 2
 
+    def test_boolean_table_entries_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "convert", "inversion_table", "matching", "[false, true]")
+        assert code == 2
+        assert "EntryOutOfRange" in err
+
+    def test_boolean_matrix_entry_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "convert", "matrix", "matching", '{"k": 1, "rows": [[true]]}')
+        assert code == 2
+        assert "InvalidMatrix" in err
+
 
 class TestStats:
     def test_pattern_count(self, capsys):
@@ -161,6 +173,27 @@ class TestStats:
         code, _, err = run_cli(
             capsys, "stats", "permutation", "[1,2]", "--stats", "lne")
         assert code == 2
+
+    def test_boolean_endpoint_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "stats", "matching", '{"arcs": [[true, 2]]}')
+        assert code == 2
+        assert "NotAPerfectMatching" in err
+
+    def test_boolean_poset_size_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "stats", "poset", '{"n": true, "less": []}')
+        assert code == 2
+        assert "InvalidObject" in err
+
+    def test_negative_poset_size_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "stats", "poset", '{"n": -3, "less": []}')
+        assert code == 2
+        assert "InvalidObject" in err and "Traceback" not in err
+
+    def test_non_integer_poset_element_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "stats", "poset", '{"n": 3, "less": [[1.5, 2]]}')
+        assert code == 2
+        assert "InvalidObject" in err
 
 
 class TestDistribution:
@@ -231,6 +264,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "checks")
         assert code == 0
         assert "conj4_lne_second_order_eulerian" in out
+
+    def test_negative_n_max_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "thm_no_left_nesting_count", "--n-max", "-2")
+        assert code == 2
+        assert out == ""
+        assert "--n-max" in err
 
     def test_requires_selection(self, capsys):
         code, _, err = run_cli(capsys, "verify")

@@ -23,7 +23,7 @@ from fishburn import (
     generate,
     second_order_eulerian,
 )
-from fishburn.objects import is_factorial
+from fishburn.objects import is_factorial, validate_matrix
 from fishburn.statistics import perm_stats
 
 from helpers import (
@@ -33,6 +33,7 @@ from helpers import (
     NO_LEFT_NESTING_N3,
     ODD_DOUBLE_FACTORIAL,
     T3_ROWS,
+    naive_matrices,
     naive_natural_posets_by_filter,
 )
 
@@ -77,6 +78,19 @@ class TestGenerators:
         ts = list(gen_matrices(n))
         assert len(ts) == FISHBURN[n]
         assert len(set(ts)) == len(ts)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matrices_match_rejection_oracle_in_order(self, n):
+        assert [t.rows for t in gen_matrices(n)] == list(naive_matrices(n))
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_pruned_matrix_counts_to_nine(self, n):
+        assert sum(1 for _ in gen_matrices(n)) == FISHBURN[n]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_matrices_revalidate(self, n):
+        for t in gen_matrices(n):
+            assert validate_matrix(t.rows) == t
 
     def test_t3_exactly(self):
         assert {t.rows for t in gen_matrices(3)} == T3_ROWS

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from fishburn import (
+    VOCABULARY,
     NotFactorial,
     Poset,
     UnknownStatistic,
@@ -15,7 +16,32 @@ from fishburn import (
     table_to_matching,
     validate_matching,
 )
-from fishburn.enumeration import gen_inversion_tables, gen_permutations
+from fishburn.enumeration import (
+    gen_factorial_posets,
+    gen_inversion_tables,
+    gen_matchings,
+    gen_permutations,
+)
+
+# every class with statistics, with a generator of valid objects for it
+STAT_CLASS_OBJECTS = {
+    "matchings": gen_matchings,
+    "permutations": gen_permutations,
+    "factorial_posets": gen_factorial_posets,
+    "natural_posets": gen_factorial_posets,
+    "inversion_tables": gen_inversion_tables,
+}
+
+# the key order of each full record, as `fishburn stats` prints it
+RECORD_KEYS = {
+    "matchings": ("comp", "min", "last", "inter", "emb",
+                  "ne", "cr", "lne", "rne", "lcr", "rcr"),
+    "permutations": ("comp", "asc", "des", "inv", "lmin", "lmax", "rmin", "rmax",
+                     "dent", "last", "p"),
+    "factorial_posets": ("comp", "min", "pre_n", "lev", "ip", "rne_poset"),
+    "natural_posets": ("comp", "min", "pre_n", "lev", "ip", "rne_poset"),
+    "inversion_tables": ("dent",),
+}
 
 
 class TestPatternP:
@@ -163,3 +189,37 @@ class TestStatsFor:
     def test_table_stats(self):
         assert table_stats((0, 1, 1)) == {"dent": 2}
         assert table_stats(()) == {"dent": 0}
+
+    def test_vocabulary_is_the_record_key_order(self):
+        assert VOCABULARY == RECORD_KEYS
+        assert set(STAT_CLASS_OBJECTS) == set(VOCABULARY)
+
+    @pytest.mark.parametrize("class_name", sorted(STAT_CLASS_OBJECTS))
+    def test_single_names_agree_with_full_record(self, class_name):
+        for n in range(6):
+            for obj in STAT_CLASS_OBJECTS[class_name](n):
+                record = stats_for(class_name, obj)
+                assert tuple(record) == VOCABULARY[class_name]
+                for name in VOCABULARY[class_name]:
+                    assert stats_for(class_name, obj, [name]) == {name: record[name]}
+
+    @pytest.mark.parametrize("class_name", sorted(STAT_CLASS_OBJECTS))
+    def test_unknown_name_in_every_class(self, class_name):
+        obj = next(iter(STAT_CLASS_OBJECTS[class_name](3)))
+        with pytest.raises(UnknownStatistic):
+            stats_for(class_name, obj, ["no_such_statistic"])
+
+    @pytest.mark.parametrize("class_name", ["factorial_posets", "natural_posets"])
+    def test_non_factorial_poset_raises_for_each_name(self, class_name):
+        p = Poset.from_relations(3, [(2, 3)])
+        for name in VOCABULARY[class_name]:
+            with pytest.raises(NotFactorial):
+                stats_for(class_name, p, [name])
+        with pytest.raises(NotFactorial):
+            stats_for(class_name, p, [])
+
+    def test_requested_order_and_repeats(self):
+        pi = (2, 4, 1, 3)
+        assert list(stats_for("permutations", pi, ["rmax", "inv", "lmin"])) == \
+            ["rmax", "inv", "lmin"]
+        assert stats_for("permutations", pi, ["inv", "inv"]) == {"inv": 3}
