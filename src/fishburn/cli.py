@@ -46,15 +46,6 @@ _MATRIX_PREIMAGES = {
     "lne0_and_rcr0": zero_one_matrix_to_matching,
 }
 
-# generator class (plural) -> statistics class
-_STAT_CLASS = {
-    "matchings": "matchings",
-    "permutations": "permutations",
-    "factorial_posets": "factorial_posets",
-    "natural_posets": "natural_posets",
-    "inversion_tables": "inversion_tables",
-}
-
 # singular CLI class -> statistics class
 _STAT_CLASS_SINGULAR = {
     "matching": "matchings",
@@ -62,18 +53,6 @@ _STAT_CLASS_SINGULAR = {
     "poset": "factorial_posets",
     "inversion_table": "inversion_tables",
 }
-
-# predicate family -> generator classes it applies to
-_PREDICATE_FAMILY = {
-    "matchings": {"matchings"},
-    "posets": {"factorial_posets", "natural_posets"},
-    "inversion_tables": {"inversion_tables"},
-    "matrices": {"matrices"},
-}
-
-
-class UsageError(Exception):
-    pass
 
 
 def _die(message: str):
@@ -86,9 +65,9 @@ def _filtered_stream(class_name: str, n: int, predicates: list[str]):
     for name in predicates:
         if name not in PREDICATES:
             _die(f"unknown predicate {name!r}")
-        family = PREDICATES[name][0]
-        if class_name not in _PREDICATE_FAMILY[family]:
-            _die(f"predicate {name!r} applies to {family}, not {class_name}")
+        classes = PREDICATES[name][0]
+        if class_name not in classes:
+            _die(f"predicate {name!r} applies to {' and '.join(classes)}, not {class_name}")
         stream = filter_class(stream, name)
     return stream
 
@@ -116,11 +95,9 @@ def _convert_to_table(class_name: str, obj, via: str):
         return permutation_to_table(obj)
     if class_name == "poset":
         return poset_to_table(obj)
-    if class_name == "matching":
-        if via == "no_left_crossing":
-            return crossfree_matching_to_table(obj)
-        return matching_to_table(obj)
-    raise UsageError(f"cannot convert from {class_name!r}")
+    if via == "no_left_crossing":                # a matching
+        return crossfree_matching_to_table(obj)
+    return matching_to_table(obj)
 
 
 def _convert_from_table(class_name: str, w, via: str):
@@ -130,11 +107,9 @@ def _convert_from_table(class_name: str, w, via: str):
         return table_to_permutation(w)
     if class_name == "poset":
         return table_to_poset(w)
-    if class_name == "matching":
-        if via == "no_left_crossing":
-            return table_to_crossfree_matching(w)
-        return table_to_matching(w)
-    raise UsageError(f"cannot convert to {class_name!r}")
+    if via == "no_left_crossing":                # a matching
+        return table_to_crossfree_matching(w)
+    return table_to_matching(w)
 
 
 def _cmd_convert(args) -> int:
@@ -166,8 +141,6 @@ def _cmd_convert(args) -> int:
         else:
             w = _convert_to_table(args.src, obj, args.via)
             result = _convert_from_table(args.dst, w, args.via)
-    except UsageError as exc:
-        _die(str(exc))
     except FishburnError as exc:
         _die(f"{type(exc).__name__}: {exc}")
     print(json.dumps(jsonio.encode(args.dst, result)))
@@ -193,21 +166,21 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    if args.object_class not in _STAT_CLASS:
-        _die(f"classes with statistics: {', '.join(sorted(_STAT_CLASS))}")
+    if args.object_class not in VOCABULARY:
+        _die(f"classes with statistics: {', '.join(sorted(VOCABULARY))}")
     if args.n < 0:
         _die("n must be nonnegative")
     names = [s for s in args.stats.split(",") if s]
     if not names:
         _die("--stats requires at least one statistic name")
-    stat_class = _STAT_CLASS[args.object_class]
+    vocabulary = VOCABULARY[args.object_class]
     for name in names:
-        if name not in VOCABULARY[stat_class]:
-            _die(f"{name!r} is not a {stat_class} statistic "
-                 f"(available: {', '.join(VOCABULARY[stat_class])})")
+        if name not in vocabulary:
+            _die(f"{name!r} is not a {args.object_class} statistic "
+                 f"(available: {', '.join(vocabulary)})")
     stream = _filtered_stream(args.object_class, args.n, args.filter)
     try:
-        table = distribution(stream, stat_class, names)
+        table = distribution(stream, args.object_class, names)
     except FishburnError as exc:
         _die(f"{type(exc).__name__}: {exc}")
     sys.stdout.write(table.to_csv())

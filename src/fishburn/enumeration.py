@@ -186,39 +186,42 @@ def generate(class_name: str, n: int) -> Iterator:
 # Class filters
 # ---------------------------------------------------------------------------
 
-# predicate name -> (object class, membership test)
+_MATCHINGS = ("matchings",)
+_POSETS = ("factorial_posets", "natural_posets")
+
+# predicate name -> (generator classes it applies to, membership test)
 PREDICATES = {
-    "no_left_nesting": ("matchings", lambda m: not objects.has_left_nesting(m)),
-    "no_right_nesting": ("matchings", lambda m: not objects.has_right_nesting(m)),
-    "no_left_crossing": ("matchings", lambda m: not objects.has_left_crossing(m)),
-    "no_right_crossing": ("matchings", lambda m: not objects.has_right_crossing(m)),
+    "no_left_nesting": (_MATCHINGS, lambda m: not objects.has_left_nesting(m)),
+    "no_right_nesting": (_MATCHINGS, lambda m: not objects.has_right_nesting(m)),
+    "no_left_crossing": (_MATCHINGS, lambda m: not objects.has_left_crossing(m)),
+    "no_right_crossing": (_MATCHINGS, lambda m: not objects.has_right_crossing(m)),
     "no_neighbor_nesting": (
-        "matchings",
+        _MATCHINGS,
         lambda m: not (objects.has_left_nesting(m) or objects.has_right_nesting(m)),
     ),
     "no_neighbor_crossing": (
-        "matchings",
+        _MATCHINGS,
         lambda m: not (objects.has_left_crossing(m) or objects.has_right_crossing(m)),
     ),
-    "no_nesting": ("matchings", lambda m: not objects.has_nesting(m)),
-    "no_crossing": ("matchings", lambda m: not objects.has_crossing(m)),
-    "no_2_left_nesting": ("matchings", lambda m: objects.count_gap_nestings(m, 2) == 0),
+    "no_nesting": (_MATCHINGS, lambda m: not objects.has_nesting(m)),
+    "no_crossing": (_MATCHINGS, lambda m: not objects.has_crossing(m)),
+    "no_2_left_nesting": (_MATCHINGS, lambda m: objects.count_gap_nestings(m, 2) == 0),
     "lne0_and_rcr0": (
-        "matchings",
+        _MATCHINGS,
         lambda m: not (objects.has_left_nesting(m) or objects.has_right_crossing(m)),
     ),
-    "natural": ("posets", objects.is_natural),
-    "factorial": ("posets", objects.is_factorial),
-    "dually_factorial": ("posets", objects.is_dually_factorial),
-    "two_plus_two_free": ("posets", objects.is_two_plus_two_free),
-    "three_plus_one_free": ("posets", objects.is_three_plus_one_free),
-    "condition_one": ("posets", objects.condition_one),
-    "condition_one_var": ("posets", objects.condition_one_var),
-    "descent_correcting": ("inversion_tables", objects.is_descent_correcting),
-    "ascent_correcting": ("inversion_tables", objects.is_ascent_correcting),
-    "zero_one": ("matrices", is_zero_one),
-    "nonnesting_image": ("matrices", matrix_is_nonnesting_image),
-    "noncrossing_image": ("matrices", matrix_is_noncrossing_image),
+    "natural": (_POSETS, objects.is_natural),
+    "factorial": (_POSETS, objects.is_factorial),
+    "dually_factorial": (_POSETS, objects.is_dually_factorial),
+    "two_plus_two_free": (_POSETS, objects.is_two_plus_two_free),
+    "three_plus_one_free": (_POSETS, objects.is_three_plus_one_free),
+    "condition_one": (_POSETS, objects.condition_one),
+    "condition_one_var": (_POSETS, objects.condition_one_var),
+    "descent_correcting": (("inversion_tables",), objects.is_descent_correcting),
+    "ascent_correcting": (("inversion_tables",), objects.is_ascent_correcting),
+    "zero_one": (("matrices",), is_zero_one),
+    "nonnesting_image": (("matrices",), matrix_is_nonnesting_image),
+    "noncrossing_image": (("matrices",), matrix_is_noncrossing_image),
 }
 
 

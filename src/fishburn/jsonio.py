@@ -16,6 +16,7 @@ from .objects import (
     Matching,
     Poset,
     TriangularMatrix,
+    _is_int,
     validate_matching,
     validate_permutation,
     validate_table,
@@ -25,9 +26,7 @@ from .objects import (
 def encode(class_name: str, obj) -> object:
     if class_name == "matching":
         return {"n": obj.n, "arcs": [list(arc) for arc in obj.arcs]}
-    if class_name == "inversion_table" or class_name == "ascent_sequence":
-        return list(obj)
-    if class_name == "permutation":
+    if class_name in ("inversion_table", "ascent_sequence", "permutation"):
         return list(obj)
     if class_name == "poset":
         return {"n": obj.n, "less": [list(pair) for pair in sorted(obj.less)]}
@@ -36,12 +35,21 @@ def encode(class_name: str, obj) -> object:
     raise ValueError(f"no JSON encoding for class {class_name!r}")
 
 
+def _sized(data: dict, size_key: str, items_key: str) -> list:
+    """The items of a dict encoding; its size field, if given, must count them."""
+    items = data[items_key]
+    size = data.get(size_key, len(items))
+    if not _is_int(size) or size != len(items):
+        raise InvalidObject(f"{size_key!r} is {size!r} but there are {len(items)} {items_key}")
+    return items
+
+
 def decode(class_name: str, data) -> object:
     """Parse and re-validate; input is never trusted to be well formed."""
     try:
         if class_name == "matching":
             if isinstance(data, dict):
-                data = data["arcs"]
+                data = _sized(data, "n", "arcs")
             return validate_matching(data)
         if class_name == "inversion_table":
             return validate_table(data)
@@ -51,7 +59,7 @@ def decode(class_name: str, data) -> object:
             return Poset.from_relations(data["n"], data["less"])
         if class_name == "matrix":
             if isinstance(data, dict):
-                data = data["rows"]
+                data = _sized(data, "k", "rows")
             return TriangularMatrix.from_rows(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidObject(f"malformed {class_name} JSON: {exc}") from exc

@@ -223,7 +223,7 @@ def validate_table(entries: Iterable[int]) -> tuple[int, ...]:
 def validate_permutation(values: Iterable[int]) -> tuple[int, ...]:
     """Validate a permutation of 1..n in one-line notation."""
     pi = tuple(values)
-    if sorted(pi) != list(range(1, len(pi) + 1)):
+    if not all(_is_int(v) for v in pi) or sorted(pi) != list(range(1, len(pi) + 1)):
         raise NotAPermutation(f"not a rearrangement of 1..{len(pi)}: {pi!r}")
     return pi
 

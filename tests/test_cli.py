@@ -147,6 +147,27 @@ class TestConvert:
         assert code == 2
         assert "InvalidMatrix" in err
 
+    def test_boolean_permutation_entry_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "convert", "permutation", "inversion_table", "[2, true, 3]")
+        assert code == 2
+        assert out == ""
+        assert "NotAPermutation" in err
+
+    def test_float_permutation_entry_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "convert", "permutation", "matching", "[1.0, 2]")
+        assert code == 2
+        assert out == ""
+        assert "NotAPermutation" in err and "Traceback" not in err
+
+    def test_matrix_size_field_must_match_rows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "convert", "matrix", "matching", '{"k": 5, "rows": [[1]]}')
+        assert code == 2
+        assert out == ""
+        assert "InvalidObject" in err
+
 
 class TestStats:
     def test_pattern_count(self, capsys):
@@ -188,6 +209,31 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", "poset", '{"n": -3, "less": []}')
         assert code == 2
         assert "InvalidObject" in err and "Traceback" not in err
+
+    def test_boolean_permutation_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "stats", "permutation", "[true]")
+        assert code == 2
+        assert out == ""
+        assert "NotAPermutation" in err
+
+    def test_matching_size_field_must_match_arcs(self, capsys):
+        code, out, err = run_cli(
+            capsys, "stats", "matching", '{"n": 3, "arcs": [[1, 2]]}')
+        assert code == 2
+        assert out == ""
+        assert "InvalidObject" in err
+
+    def test_boolean_matching_size_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "stats", "matching", '{"n": true, "arcs": [[1, 2]]}')
+        assert code == 2
+        assert out == ""
+        assert "InvalidObject" in err
+
+    def test_matching_size_field_accepted_when_it_counts_arcs(self, capsys):
+        code, out, _ = run_cli(capsys, "stats", "matching", '{"n": 1, "arcs": [[1, 2]]}')
+        assert code == 0
+        assert json.loads(out)["comp"] == 1
 
     def test_non_integer_poset_element_rejected(self, capsys):
         code, _, err = run_cli(

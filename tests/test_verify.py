@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from fishburn import (
@@ -103,11 +106,44 @@ class TestEquidistribution:
             ])
 
 
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+
+
+class TestGoldenReports:
+    def test_default_reports_match_golden(self):
+        # every check at its pinned default size prints the recorded line
+        lines = json.loads(GOLDEN.read_text())["verify_default"]
+        assert len(lines) == len(REGISTRY)
+        for line in lines:
+            expected = json.loads(line)
+            report = run_check(expected["check"], expected["n_max"])
+            assert json.dumps(report.to_json()) == line
+
+
 class TestFailureWitnesses:
+    def test_broken_nesting_scanners_give_recorded_witnesses(self, monkeypatch):
+        # class filters go through PREDICATES, so breaking the two nesting
+        # scanners must break exactly the checks that filter by them
+        monkeypatch.setattr("fishburn.objects.has_right_nesting", lambda m: False)
+        monkeypatch.setattr("fishburn.objects.has_nesting", lambda m: False)
+        failures = {r.check: r.witness for r in run_all(4) if r.verdict == "fail"}
+        assert failures == {
+            "thm_matrix_map_no_neighbor_nesting": {
+                "n": 3, "counted": "matchings with no neighbor nesting",
+                "expected": 5, "actual": 6},
+            "cor_catalan_matrix_images": {"n": 4, "image_sets_match_predicates": False},
+            "prop_descent_correcting_fishburn": {"n": 3, "table": [0, 1, 0]},
+            "prop_factorial_dually_factorial_catalan": {
+                "n": 3, "class": "poset", "object": {"n": 3, "less": [[1, 2]]}},
+            "cor_fishburn_class_agreement": {
+                "n": 3, "counted": "no_neighbor_nesting_matchings",
+                "expected": 5, "actual": 6},
+            "cor_catalan_class_agreement": {
+                "n": 2, "counted": "non_nesting_matchings", "expected": 2, "actual": 3},
+        }
+
     def test_witness_is_minimal_and_serializable(self):
         # break a check by comparing against a deliberately wrong oracle
-        import json
-
         from fishburn.verify import _first_difference
         from collections import Counter
 
