@@ -2,24 +2,25 @@
 upper triangular matrices.
 
 The inversion-table side is the hub.  An inversion table (a_1, ..., a_n) has
-0 <= a_i <= i - 1; there are n! of them.  The two matching constructions
-insert arcs one at a time, always giving the new arc the largest closer:
+0 <= a_i <= i - 1; there are n! of them.  Both matching constructions insert
+arcs one at a time by one rule: arc i gets the largest closer so far, and
+its opener goes into the gap after the a_i-th closer (the gap before the
+first closer when a_i = 0).
 
-* :func:`table_to_matching` puts the new opener immediately to the left of
-  the (a_i + 1)st closer (or of its own closer when a_i = i - 1).  The image
-  is exactly the matchings with no left-nesting.
-* :func:`table_to_crossfree_matching` puts it immediately to the right of
-  the a_i-th closer (extreme left when a_i = 0).  The image is exactly the
-  matchings with no left-crossing.
+* :func:`table_to_matching` puts the opener last in that gap.  The image is
+  exactly the matchings with no left-nesting.
+* :func:`table_to_crossfree_matching` puts it first in that gap.  The image
+  is exactly the matchings with no left-crossing.
 
-Insertion works by index arithmetic on the endpoint sequence, with labels
-recomputed afterwards; n stays small everywhere, so clarity wins.
+Either way a_i counts the closers left of arc i's opener, so both inverses
+read the table back the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -33,39 +34,36 @@ from .objects import (
     Matching,
     Poset,
     TriangularMatrix,
-    first_left_crossing,
-    first_left_nesting,
+    first_neighbor_pair,
     is_factorial,
     is_two_plus_two_free,
     is_zero_one,
 )
 
-_OPENER, _CLOSER = 0, 1
+
+def _insert(w: Sequence[int], last: bool) -> Matching:
+    """Insert arcs 1..n by the table rule; opener last or first in its gap."""
+    gaps: list[list[int]] = [[]]        # gaps[j]: openers between closers j, j+1
+    for i, a in enumerate(w):
+        gaps[a].append(i)               # arrival order; read reversed for "first"
+        gaps.append([])
+    openers = [0] * len(w)
+    arcs = []
+    pos = 0
+    for i, gap in enumerate(gaps[:-1]):
+        for arc in gap if last else reversed(gap):
+            pos += 1
+            openers[arc] = pos
+        pos += 1
+        # arc i's opener sits in gaps[a_i] with a_i <= i, so it is placed
+        arcs.append((openers[i], pos))
+    # arcs come in closer order, so the tuple is already canonical
+    return Matching(tuple(arcs))
 
 
-def _assemble(seq: list[tuple[int, int]], n: int) -> Matching:
-    """Turn a sequence of (arc id, endpoint kind) marks into a Matching."""
-    opener_pos = [0] * (n + 1)
-    closer_pos = [0] * (n + 1)
-    for pos, (arc, kind) in enumerate(seq, start=1):
-        if kind == _CLOSER:
-            closer_pos[arc] = pos
-        else:
-            opener_pos[arc] = pos
-    # arcs were created in closer order, so this tuple is already canonical
-    return Matching(tuple((opener_pos[i], closer_pos[i]) for i in range(1, n + 1)))
-
-
-def _insert_before_closer(seq, arc, target):
-    """Insert an opener mark immediately left of the target-th closer."""
-    count = 0
-    for pos, (_, kind) in enumerate(seq):
-        if kind == _CLOSER:
-            count += 1
-            if count == target:
-                seq.insert(pos, (arc, _OPENER))
-                return
-    raise AssertionError("closer index out of range")
+def _read_table(m: Matching) -> tuple[int, ...]:
+    closers = m.closers
+    return tuple(bisect_left(closers, o) for o, _ in m.arcs)
 
 
 def table_to_matching(w: Sequence[int]) -> Matching:
@@ -74,14 +72,7 @@ def table_to_matching(w: Sequence[int]) -> Matching:
     >>> table_to_matching((0, 1, 0, 1)).arcs
     ((1, 3), (4, 6), (2, 7), (5, 8))
     """
-    seq: list[tuple[int, int]] = []
-    for i, a in enumerate(w, start=1):
-        if a == i - 1:
-            seq.append((i, _OPENER))
-        else:
-            _insert_before_closer(seq, i, a + 1)
-        seq.append((i, _CLOSER))
-    return _assemble(seq, len(w))
+    return _insert(w, last=True)
 
 
 def matching_to_table(m: Matching) -> tuple[int, ...]:
@@ -90,7 +81,7 @@ def matching_to_table(m: Matching) -> tuple[int, ...]:
 
     Raises HasLeftNesting if the matching is outside the bijection's range.
     """
-    bad = first_left_nesting(m)
+    bad = first_neighbor_pair(m, left=True, nesting=True)
     if bad is not None:
         raise HasLeftNesting(bad)
     return _read_table(m)
@@ -102,41 +93,15 @@ def table_to_crossfree_matching(w: Sequence[int]) -> Matching:
     >>> table_to_crossfree_matching((0, 0, 0)).arcs
     ((3, 4), (2, 5), (1, 6))
     """
-    seq: list[tuple[int, int]] = []
-    for i, a in enumerate(w, start=1):
-        if a == 0:
-            seq.insert(0, (i, _OPENER))
-        else:
-            count = 0
-            for pos, (_, kind) in enumerate(seq):
-                if kind == _CLOSER:
-                    count += 1
-                    if count == a:
-                        seq.insert(pos + 1, (i, _OPENER))
-                        break
-        seq.append((i, _CLOSER))
-    return _assemble(seq, len(w))
+    return _insert(w, last=False)
 
 
 def crossfree_matching_to_table(m: Matching) -> tuple[int, ...]:
     """Inverse of :func:`table_to_crossfree_matching`; raises HasLeftCrossing."""
-    bad = first_left_crossing(m)
+    bad = first_neighbor_pair(m, left=True, nesting=False)
     if bad is not None:
         raise HasLeftCrossing(bad)
     return _read_table(m)
-
-
-def _read_table(m: Matching) -> tuple[int, ...]:
-    closers = m.closers
-    out = []
-    for o, _ in m.arcs:
-        count = 0
-        for c in closers:
-            if c > o:
-                break
-            count += 1
-        out.append(count)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +136,7 @@ def matching_to_poset(m: Matching) -> Poset:
 
     This reads the matching as an interval representation of the poset.
     """
-    bad = first_left_nesting(m)
+    bad = first_neighbor_pair(m, left=True, nesting=True)
     if bad is not None:
         raise HasLeftNesting(bad)
     arcs = m.arcs
@@ -255,116 +220,53 @@ def matching_to_matrix(m: Matching) -> TriangularMatrix:
     return TriangularMatrix.from_rows(t)
 
 
-def _interval_layout(t: TriangularMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Opener and closer interval positions forced by the row/column sums.
+def _preimage(t: TriangularMatrix, openers_cross: bool, closers_cross: bool) -> Matching:
+    """The unique preimage of ``t`` whose arcs with adjacent openers cross
+    (``openers_cross``) or nest, and whose arcs with adjacent closers cross
+    (``closers_cross``) or nest.
 
-    Layout is O_1, C_1, O_2, C_2, ... with |O_i| = row sum i and
-    |C_i| = column sum i.
+    The layout is O_1, C_1, O_2, C_2, ... with |O_i| = row sum i and
+    |C_j| = column sum j.  Crossing openers serve their columns in ascending
+    order and nesting openers in descending order; crossing closers serve
+    their rows in ascending order and nesting closers in descending order.
+    Inside a block the arcs pair crosswise when both rules cross and nested
+    when both nest.  Under mixed rules a block holds at most one arc, so the
+    matrix must be 0-1; raises NotZeroOne otherwise.
     """
-    opener_ints, closer_ints = [], []
+    if openers_cross != closers_cross and not is_zero_one(t):
+        raise NotZeroOne(f"matrix has an entry larger than 1: {t.rows}")
+    k, rows = t.k, t.rows
+    openers, closers = {}, {}
     pos = 1
-    for r, c in zip(t.row_sums(), t.col_sums()):
-        opener_ints.append(list(range(pos, pos + r)))
-        pos += r
-        closer_ints.append(list(range(pos, pos + c)))
-        pos += c
-    return opener_ints, closer_ints
+    for a in range(k):
+        for j in range(a, k) if openers_cross else range(k - 1, a - 1, -1):
+            openers[a, j] = range(pos, pos + rows[a][j])
+            pos += rows[a][j]
+        for i in range(a + 1) if closers_cross else range(a, -1, -1):
+            closers[i, a] = range(pos, pos + rows[i][a])
+            pos += rows[i][a]
+    arcs = [
+        arc
+        for block, xs in openers.items()
+        for arc in zip(xs, closers[block] if openers_cross else reversed(closers[block]))
+    ]
+    return Matching(tuple(sorted(arcs, key=itemgetter(1))))
 
 
 def matrix_to_matching_no_neighbor_nesting(t: TriangularMatrix) -> Matching:
-    """The unique preimage of ``t`` with no left- and no right-nestings.
-
-    Arcs out of one opener interval must pairwise cross, and so must arcs
-    into one closer interval; that forces which openers serve which columns
-    (ascending), which closers serve which rows (ascending), and a parallel
-    pairing inside each block.
-    """
-    k = t.k
-    opener_ints, closer_ints = _interval_layout(t)
-    arcs = []
-    x_groups = _split(opener_ints, t, by_row=True, ascending=True)
-    y_groups = _split(closer_ints, t, by_row=False, ascending=True)
-    for i in range(k):
-        for j in range(i, k):
-            if t.rows[i][j]:
-                arcs.extend(zip(x_groups[i][j], y_groups[i][j]))
-    return Matching.from_pairs(arcs)
+    """The unique preimage of ``t`` with no left- and no right-nestings."""
+    return _preimage(t, openers_cross=True, closers_cross=True)
 
 
 def matrix_to_matching_no_neighbor_crossing(t: TriangularMatrix) -> Matching:
-    """The unique preimage of ``t`` with no left- and no right-crossings.
-
-    Here arcs sharing an opener or closer interval must pairwise nest, which
-    reverses the column order of openers, the row order of closers, and the
-    pairing inside each block.
-    """
-    k = t.k
-    opener_ints, closer_ints = _interval_layout(t)
-    arcs = []
-    x_groups = _split(opener_ints, t, by_row=True, ascending=False)
-    y_groups = _split(closer_ints, t, by_row=False, ascending=False)
-    for i in range(k):
-        for j in range(i, k):
-            if t.rows[i][j]:
-                arcs.extend(zip(x_groups[i][j], reversed(y_groups[i][j])))
-    return Matching.from_pairs(arcs)
-
-
-def _split(intervals, t, by_row, ascending):
-    """Partition each interval into consecutive per-block groups.
-
-    For opener interval i the group sizes are row i of the matrix taken in
-    ascending or descending column order; for closer interval j, column j in
-    ascending or descending row order.  Returns groups[i][j] = positions.
-    """
-    k = t.k
-    groups = [[None] * k for _ in range(k)]
-    for a in range(k):
-        if by_row:
-            others = range(a, k) if ascending else range(k - 1, a - 1, -1)
-        else:
-            others = range(0, a + 1) if ascending else range(a, -1, -1)
-        idx = 0
-        for b in others:
-            i, j = (a, b) if by_row else (b, a)
-            size = t.rows[i][j]
-            groups[i][j] = intervals[a][idx:idx + size]
-            idx += size
-    return groups
+    """The unique preimage of ``t`` with no left- and no right-crossings."""
+    return _preimage(t, openers_cross=False, closers_cross=False)
 
 
 def zero_one_matrix_to_matching(t: TriangularMatrix) -> Matching:
     """The unique preimage of a 0-1 matrix with no left-nesting and no
-    right-crossing.
-
-    Each block holds at most one arc.  Openers of an interval serve their
-    columns in ascending order (arcs from one opener interval must cross),
-    closers serve their rows in descending order (arcs into one closer
-    interval must nest).
-    """
-    if not is_zero_one(t):
-        raise NotZeroOne(f"matrix has an entry larger than 1: {t.rows}")
-    k = t.k
-    opener_ints, closer_ints = _interval_layout(t)
-    opener_of = {}
-    closer_of = {}
-    for i in range(k):
-        cols = [j for j in range(i, k) if t.rows[i][j]]
-        for pos, j in zip(opener_ints[i], cols):
-            opener_of[i, j] = pos
-    for j in range(k):
-        rows = [i for i in range(j + 1) if t.rows[i][j]]
-        for pos, i in zip(closer_ints[j], reversed(rows)):
-            closer_of[i, j] = pos
-    arcs = [
-        (opener_of[i, j], closer_of[i, j])
-        for i in range(k)
-        for j in range(i, k)
-        if t.rows[i][j]
-    ]
-    # the two assignment rules are forced independently; from_pairs verifies
-    # they combine into a perfect matching (every position used exactly once)
-    return Matching.from_pairs(arcs)
+    right-crossing; raises NotZeroOne on a larger entry."""
+    return _preimage(t, openers_cross=True, closers_cross=False)
 
 
 def matrix_is_nonnesting_image(t: TriangularMatrix) -> bool:

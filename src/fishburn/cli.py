@@ -17,7 +17,6 @@ from . import jsonio
 from .bijections import (
     crossfree_matching_to_table,
     matching_to_matrix,
-    matching_to_poset,
     matching_to_table,
     matrix_to_matching_no_neighbor_crossing,
     matrix_to_matching_no_neighbor_nesting,
@@ -132,12 +131,8 @@ def _cmd_convert(args) -> int:
                 result = matching_to_matrix(_convert_from_table("matching", w, args.via))
         elif args.src == "matrix":
             m = _MATRIX_PREIMAGES[args.preimage](obj)
-            if args.dst == "matching":
-                result = m
-            elif args.dst == "poset":
-                result = matching_to_poset(m)
-            else:
-                result = _convert_from_table(args.dst, matching_to_table(m), args.via)
+            result = m if args.dst == "matching" else _convert_from_table(
+                args.dst, _convert_to_table("matching", m, args.via), args.via)
         else:
             w = _convert_to_table(args.src, obj, args.via)
             result = _convert_from_table(args.dst, w, args.via)

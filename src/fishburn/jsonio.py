@@ -7,6 +7,10 @@ Formats (class name -> shape):
   permutation      [v1, ..., vn]
   poset            {"n": N, "less": [[i, j], ...]}   closed, lexicographic
   matrix           {"k": K, "rows": [[...], ...]}
+
+A decoded poset's n and a decoded matrix's entry sum (the size of the
+matchings it encodes) may not exceed MAX_DECODED_SIZE: both cost memory and
+time in that size, not in the length of the JSON text.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ from .objects import (
     validate_permutation,
     validate_table,
 )
+
+# a 1,000-element chain decodes in about half a second on a 2-CPU x86 host;
+# the objects the tests, demos and benchmark decode have n <= 50
+MAX_DECODED_SIZE = 1000
 
 
 def encode(class_name: str, obj) -> object:
@@ -56,11 +64,17 @@ def decode(class_name: str, data) -> object:
         if class_name == "permutation":
             return validate_permutation(data)
         if class_name == "poset":
-            return Poset.from_relations(data["n"], data["less"])
+            n = data["n"]
+            if _is_int(n) and n > MAX_DECODED_SIZE:
+                raise InvalidObject(f"poset size {n} exceeds {MAX_DECODED_SIZE}")
+            return Poset.from_relations(n, data["less"])
         if class_name == "matrix":
             if isinstance(data, dict):
                 data = _sized(data, "k", "rows")
-            return TriangularMatrix.from_rows(data)
+            t = TriangularMatrix.from_rows(data)
+            if t.total > MAX_DECODED_SIZE:
+                raise InvalidObject(f"matrix entry sum {t.total} exceeds {MAX_DECODED_SIZE}")
+            return t
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidObject(f"malformed {class_name} JSON: {exc}") from exc
     raise ValueError(f"no JSON decoding for class {class_name!r}")

@@ -159,42 +159,36 @@ def count_gap_nestings(m: Matching, gap: int) -> int:
     return count
 
 
-def first_left_nesting(m: Matching) -> tuple[Arc, Arc] | None:
-    """First arc pair forming a left-nesting, as ((i, l), (i+1, k)), or None."""
+def first_neighbor_pair(m: Matching, left: bool, nesting: bool) -> tuple[Arc, Arc] | None:
+    """First neighbour pair of the given kind in ``m``, or None.
+
+    A neighbour pair is two arcs whose openers (``left``) or closers (not
+    ``left``) sit at adjacent positions x and x + 1.  Such arcs always nest
+    or cross: with p the partner map, they nest exactly when p[x] > p[x + 1],
+    on either side.  Pairs are scanned by x and returned as two
+    (opener, closer) arcs, the one at x first.
+    """
     p = m.partner
-    for o in m.openers:
-        if o + 1 in p and p[o + 1] > o + 1 and p[o] > p[o + 1]:
-            return ((o, p[o]), (o + 1, p[o + 1]))
+    for x in m.openers if left else m.closers:
+        y = p.get(x + 1)
+        if y is not None and (y > x) == left and (p[x] > y) == nesting:
+            if left:
+                return ((x, p[x]), (x + 1, y))
+            return ((p[x], x), (y, x + 1))
     return None
 
-
-def first_left_crossing(m: Matching) -> tuple[Arc, Arc] | None:
-    """First arc pair forming a left-crossing, or None."""
-    p = m.partner
-    for o in m.openers:
-        if o + 1 in p and p[o + 1] > o + 1 and o + 1 < p[o] < p[o + 1]:
-            return ((o, p[o]), (o + 1, p[o + 1]))
-    return None
-
-
-# cheap membership tests used by the class filters; each avoids the
-# full pair scan where an adjacent-endpoint scan suffices
 
 def has_left_nesting(m: Matching) -> bool:
-    return first_left_nesting(m) is not None
+    return first_neighbor_pair(m, left=True, nesting=True) is not None
 
 def has_left_crossing(m: Matching) -> bool:
-    return first_left_crossing(m) is not None
+    return first_neighbor_pair(m, left=True, nesting=False) is not None
 
 def has_right_nesting(m: Matching) -> bool:
-    p = m.partner
-    return any(c + 1 in p and p[c + 1] < c + 1 and p[c + 1] < p[c]
-               for c in m.closers)
+    return first_neighbor_pair(m, left=False, nesting=True) is not None
 
 def has_right_crossing(m: Matching) -> bool:
-    p = m.partner
-    return any(c + 1 in p and p[c + 1] < c + 1 and p[c] < p[c + 1] < c
-               for c in m.closers)
+    return first_neighbor_pair(m, left=False, nesting=False) is not None
 
 def has_nesting(m: Matching) -> bool:
     return arc_statistics(m).ne > 0

@@ -47,7 +47,13 @@ from fishburn.objects import (
     is_zero_one,
 )
 
-from helpers import PREIMAGE_FAMILY, naive_interval_matrix
+from helpers import (
+    PREIMAGE_FAMILY,
+    naive_counts,
+    naive_interval_matrix,
+    naive_matchings,
+    naive_matrices,
+)
 
 
 def arcset(m):
@@ -271,6 +277,78 @@ class TestMatrixPreimages:
                 rec = arc_statistics(m)
                 assert rec.lne == 0 and rec.rcr == 0
                 assert matching_to_matrix(m) == t
+
+
+def raw_table(arcs):
+    """a_i = closers left of the i-th arc's opener, arcs taken by closer."""
+    closers = sorted(c for _, c in arcs)
+    return tuple(sum(c < o for c in closers) for o, _ in sorted(arcs, key=lambda a: a[1]))
+
+
+def first_raw_left_pair(arcs, kind):
+    """First arc pair with adjacent openers of the given kind, by opener."""
+    by_opener = sorted(arcs)
+    for a, b in zip(by_opener, by_opener[1:]):
+        if b[0] == a[0] + 1 and (a[1] > b[1]) == (kind == "nest"):
+            return (a, b)
+    return None
+
+
+class TestAgainstRawArcOracles:
+    """Pin which bijection each map is, from raw arcs and brute force."""
+
+    @pytest.mark.parametrize("forward,count", [
+        (table_to_matching, "lne"),
+        (table_to_crossfree_matching, "lcr"),
+    ])
+    @pytest.mark.parametrize("n", range(7))
+    def test_insertion_is_the_unique_table_preimage(self, forward, count, n):
+        by_table = {}
+        for arcs in naive_matchings(n):
+            if naive_counts(arcs)[count] == 0:
+                w = raw_table(arcs)
+                assert w not in by_table
+                by_table[w] = arcs
+        assert len(by_table) == math.factorial(n)
+        for w in gen_inversion_tables(n):
+            assert arcset(forward(w)) == by_table[w]
+
+    @pytest.mark.parametrize("inverse,error,kind", [
+        (matching_to_table, HasLeftNesting, "nest"),
+        (crossfree_matching_to_table, HasLeftCrossing, "cross"),
+    ])
+    @pytest.mark.parametrize("n", range(7))
+    def test_rejection_names_first_pair_by_opener(self, inverse, error, kind, n):
+        for arcs in naive_matchings(n):
+            bad = first_raw_left_pair(arcs, kind)
+            m = validate_matching(arcs)
+            if bad is None:
+                assert inverse(m) == raw_table(arcs)
+            else:
+                with pytest.raises(error) as info:
+                    inverse(m)
+                assert info.value.arcs == bad
+
+    @pytest.mark.parametrize("preimage,counts", [
+        (matrix_to_matching_no_neighbor_nesting, ("lne", "rne")),
+        (matrix_to_matching_no_neighbor_crossing, ("lcr", "rcr")),
+        (zero_one_matrix_to_matching, ("lne", "rcr")),
+    ])
+    @pytest.mark.parametrize("n", range(6))
+    def test_preimage_is_the_unique_restricted_matching(self, preimage, counts, n):
+        by_matrix = {}
+        for arcs in naive_matchings(n):
+            record = naive_counts(arcs)
+            if all(record[name] == 0 for name in counts):
+                by_matrix.setdefault(naive_interval_matrix(arcs), []).append(arcs)
+        for rows in naive_matrices(n):
+            t = validate_matrix(rows)
+            if preimage is zero_one_matrix_to_matching and not is_zero_one(t):
+                assert rows not in by_matrix
+                with pytest.raises(NotZeroOne):
+                    preimage(t)
+            else:
+                assert by_matrix[rows] == [arcset(preimage(t))]
 
 
 class TestMatrixImagePredicates:

@@ -169,6 +169,41 @@ class TestConvert:
         assert "InvalidObject" in err
 
 
+    def test_matrix_source_follows_via(self, capsys):
+        matrix = '{"k": 1, "rows": [[2]]}'
+        options = ("--via", "no_left_crossing", "--preimage", "no_neighbor_crossing")
+        code, out, _ = run_cli(capsys, "convert", "matrix", "inversion_table", matrix, *options)
+        assert code == 0
+        assert json.loads(out) == [0, 0]
+        code, out, _ = run_cli(
+            capsys, "convert", "inversion_table", "matrix", "[0,0]", "--via", "no_left_crossing")
+        assert code == 0
+        assert json.loads(out) == {"k": 1, "rows": [[2]]}
+
+    @pytest.mark.parametrize("dst", ["permutation", "poset"])
+    def test_matrix_source_equals_two_step_route(self, capsys, dst):
+        matrix = '{"k": 1, "rows": [[2]]}'
+        code, matching, _ = run_cli(
+            capsys, "convert", "matrix", "matching", matrix,
+            "--preimage", "no_neighbor_crossing")
+        assert code == 0
+        code, two_step, _ = run_cli(
+            capsys, "convert", "matching", dst, matching.strip(), "--via", "no_left_crossing")
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "convert", "matrix", dst, matrix,
+            "--via", "no_left_crossing", "--preimage", "no_neighbor_crossing")
+        assert code == 0
+        assert out == two_step
+
+    def test_oversized_matrix_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "convert", "matrix", "matching", '{"k": 1, "rows": [[1001]]}')
+        assert code == 2
+        assert out == ""
+        assert "InvalidObject" in err
+
+
 class TestStats:
     def test_pattern_count(self, capsys):
         code, out, _ = run_cli(
@@ -239,6 +274,13 @@ class TestStats:
         code, _, err = run_cli(
             capsys, "stats", "poset", '{"n": 3, "less": [[1.5, 2]]}')
         assert code == 2
+        assert "InvalidObject" in err
+
+
+    def test_oversized_poset_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "stats", "poset", '{"n": 1001, "less": []}')
+        assert code == 2
+        assert out == ""
         assert "InvalidObject" in err
 
 

@@ -8,7 +8,7 @@ from fishburn.enumeration import (
     gen_matrices,
     gen_permutations,
 )
-from fishburn.jsonio import SINGULAR, decode, encode
+from fishburn.jsonio import MAX_DECODED_SIZE, SINGULAR, decode, encode
 
 
 class TestRoundTrips:
@@ -50,6 +50,19 @@ class TestMalformedInput:
     def test_raises_invalid_object(self, class_name, data):
         with pytest.raises(InvalidObject):
             decode(class_name, data)
+
+    @pytest.mark.parametrize("class_name,data", [
+        ("poset", {"n": 1001, "less": []}),
+        ("matrix", {"k": 1, "rows": [[1001]]}),
+        ("matrix", [[500, 1], [0, 500]]),
+    ])
+    def test_size_above_limit_rejected(self, class_name, data):
+        with pytest.raises(InvalidObject, match="exceeds 1000"):
+            decode(class_name, data)
+
+    def test_matrix_at_limit_accepted(self):
+        assert MAX_DECODED_SIZE == 1000
+        assert decode("matrix", [[1000]]).total == MAX_DECODED_SIZE
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):

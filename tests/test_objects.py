@@ -27,6 +27,10 @@ from fishburn import (
 from fishburn.objects import (
     condition_one,
     condition_one_var,
+    has_left_crossing,
+    has_left_nesting,
+    has_right_crossing,
+    has_right_nesting,
     is_factorial,
     is_two_plus_two_free,
     is_two_plus_two_free_by_inclusion,
@@ -101,6 +105,18 @@ class TestArcStatistics:
                 if c1 < o2
             )
             assert rec.ne + rec.cr + align == n * (n - 1) // 2
+
+
+class TestNeighbourScanners:
+    @pytest.mark.parametrize("n", range(7))
+    def test_against_naive_oracle(self, n):
+        scanners = {"lne": has_left_nesting, "lcr": has_left_crossing,
+                    "rne": has_right_nesting, "rcr": has_right_crossing}
+        for arcs in naive_matchings(n):
+            m = validate_matching(arcs)
+            expected = naive_counts(arcs)
+            for name, scanner in scanners.items():
+                assert scanner(m) == (expected[name] > 0), (arcs, name)
 
 
 class TestGapNestings:
