@@ -32,7 +32,6 @@ from .enumeration import (
     GENERATORS,
     PREDICATES,
     distribution,
-    filter_class,
     generate,
 )
 from .errors import FishburnError
@@ -60,15 +59,13 @@ def _die(message: str):
 
 
 def _filtered_stream(class_name: str, n: int, predicates: list[str]):
-    stream = generate(class_name, n)
     for name in predicates:
         if name not in PREDICATES:
             _die(f"unknown predicate {name!r}")
         classes = PREDICATES[name][0]
         if class_name not in classes:
             _die(f"predicate {name!r} applies to {' and '.join(classes)}, not {class_name}")
-        stream = filter_class(stream, name)
-    return stream
+    return generate(class_name, n, predicates)
 
 
 def _cmd_enumerate(args) -> int:

@@ -2,11 +2,21 @@
 
 Generators are deterministic: two runs yield identical streams, and the
 order is lexicographic on the canonical encoding of each object, so a
-failure reported by index is reproducible.  Class membership is always
-decided by predicates on fully generated objects; the counting sequences
-(factorials, Catalan, the Fishburn series, the second-order Eulerian rows)
-are computed by formula or recurrence, independent of the generators, so
-count agreement is evidence rather than restatement.
+failure reported by index is reproducible.
+
+Class membership is decided by the named predicates in ``PREDICATES``.
+Matching classes are also cut out while they are generated:
+``gen_matchings`` is a depth-first search in closer order, and the rule
+table ``MATCHING_RULES`` gives each matching predicate the local rules that
+prune the search to exactly its class.  ``generate`` still applies the
+predicates to every object it yields, so they are the post-check of every
+pruned stream, and over the unpruned stream they are the oracle the tests
+hold the rules to.
+
+The counting sequences (factorials, Catalan, the Fishburn series, the
+second-order Eulerian rows) are computed by formula or recurrence,
+independent of the generators, so count agreement is evidence rather than
+restatement.
 """
 
 from __future__ import annotations
@@ -32,26 +42,114 @@ from .statistics import VOCABULARY, stats_for
 # Generators
 # ---------------------------------------------------------------------------
 
-def gen_matchings(n: int) -> Iterator[Matching]:
-    """All perfect matchings of [2n] in lexicographic order of their
-    canonical (closer-sorted) arc tuples.  There are 1*3*...*(2n-1) of them.
-    """
-    def pair_up(points):
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        for idx in range(1, len(points)):
-            rest = points[1:idx] + points[idx + 1:]
-            for sub in pair_up(rest):
-                yield ((first, points[idx]),) + sub
+# Local rules of the matching search.  Each forbids one pattern of two arcs
+# and is decided when an arc (o, c) is placed, with p the partner map of the
+# arcs placed before it; a position below c still unused then is an opener
+# that closes after c.
+#   lne, lcr  arcs with adjacent openers x, x + 1 that nest, cross (they nest
+#             exactly when p[x] > p[x + 1]): o - 1, o + 1 is still open
+#   rne, rcr  the same on adjacent closers: c - 1 closed an arc opened after,
+#             before o
+#   gap2      arcs with openers x, x + 2 that nest: o - 2 is still open
+#   ne, cr    any nesting, crossing: an opener before o, between o and c is
+#             still open, so only the earliest, latest open opener may close
+RULE_NAMES = ("lne", "lcr", "rne", "rcr", "gap2", "ne", "cr")
 
-    all_arcsets = []
-    for arcset in pair_up(tuple(range(1, 2 * n + 1))):
-        all_arcsets.append(tuple(sorted(arcset, key=lambda arc: arc[1])))
-    all_arcsets.sort()
-    for arcs in all_arcsets:
-        yield Matching(arcs)
+# matching predicate -> the rules that cut out its class
+MATCHING_RULES = {
+    "no_left_nesting": frozenset({"lne"}),
+    "no_right_nesting": frozenset({"rne"}),
+    "no_left_crossing": frozenset({"lcr"}),
+    "no_right_crossing": frozenset({"rcr"}),
+    "no_neighbor_nesting": frozenset({"lne", "rne"}),
+    "no_neighbor_crossing": frozenset({"lcr", "rcr"}),
+    "no_nesting": frozenset({"ne"}),
+    "no_crossing": frozenset({"cr"}),
+    "no_2_left_nesting": frozenset({"lne", "gap2"}),
+    "lne0_and_rcr0": frozenset({"lne", "rcr"}),
+}
+
+
+def _closer_order(n: int, rules: frozenset) -> Iterator[tuple[tuple, int]]:
+    """Depth-first search over the matchings of [2n] that break none of the
+    rules, yielding (canonical arc tuple, number of left-nestings) for each.
+
+    Arc k takes the lexicographically next (opener, closer) pair whose
+    closer follows the closer of arc k - 1; the unused positions below that
+    closer are the openers still open.  At most n openers come before the
+    k-th closer, so it is at most n + k, and without rules every branch
+    within that bound completes; the arc tuples come in lexicographic order
+    with no sort.  A closer adds a left-nesting when the position just
+    before its opener is still open.
+    """
+    if n <= 1:              # no two arcs, so no rule applies
+        yield ((1, 2),) * n, 0
+        return
+    top = 2 * n
+    total = top * (top + 1) // 2        # the sum of all positions
+    p = [0] * (top + 1)                 # partner of each position, 0 if unused
+    lne, lcr, rne, rcr, gap2, ne, cr = (rule in rules for rule in RULE_NAMES)
+
+    def breaks(o: int, c: int) -> bool:
+        # whether the arc (o, c), placed next, breaks a rule
+        q = p[c - 1]
+        return bool((lne and o > 1 and not p[o - 1])
+                    or (lcr and o + 1 < c and not p[o + 1])
+                    or (gap2 and o > 2 and not p[o - 2])
+                    or (q and q < c - 1 and (rne if q > o else rcr))
+                    or (ne and not all(p[1:o])) or (cr and not all(p[o + 1:c])))
+
+    def place(k: int, last: int, used: int, arcs: tuple, left_nestings: int):
+        # arcs 1..k-1 are placed, the last closing at ``last``; ``used`` is
+        # the sum of their ends
+        for o in range(1, n + k):
+            if p[o]:
+                continue
+            lnes = left_nestings + (o > 1 and not p[o - 1])
+            for c in range(max(o, last) + 1, n + k + 1):
+                if rules and breaks(o, c):
+                    continue
+                p[o] = c
+                p[c] = o
+                if k < n - 1:
+                    yield from place(k + 1, c, used + o + c, arcs + ((o, c),), lnes)
+                else:
+                    # arc n joins the one position left to top, and nothing
+                    # is open below it, so it adds no left-nesting
+                    u = total - used - o - c - top
+                    if not (rules and breaks(u, top)):
+                        yield arcs + ((o, c), (u, top)), lnes
+                p[o] = p[c] = 0
+
+    yield from place(1, 0, 0, (), 0)
+
+
+def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
+    """All perfect matchings of [2n] in lexicographic order of their
+    canonical (closer-sorted) arc tuples; there are 1*3*...*(2n-1) of them.
+    With ``rules`` (names from ``MATCHING_RULES``), only the matchings that
+    break none of them, in the same order.
+
+    >>> [m.arcs for m in gen_matchings(2)]
+    [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((2, 3), (1, 4))]
+    >>> [m.arcs for m in gen_matchings(2, {"ne"})]
+    [((1, 2), (3, 4)), ((1, 3), (2, 4))]
+    """
+    rules = frozenset(rules)
+    if not rules <= set(RULE_NAMES):
+        raise ValueError(f"unknown matching rules {sorted(rules - set(RULE_NAMES))}")
+    build = Matching.from_canonical
+    return (build(arcs) for arcs, _ in _closer_order(n, rules))
+
+
+def left_nesting_tally(n: int) -> Counter:
+    """How many matchings of [2n] have each number of left-nestings,
+    tallied inside the search without building the matchings.
+
+    >>> sorted(left_nesting_tally(3).items())
+    [(0, 6), (1, 8), (2, 1)]
+    """
+    return Counter(lnes for _, lnes in _closer_order(n, frozenset()))
 
 
 def gen_inversion_tables(n: int) -> Iterator[tuple[int, ...]]:
@@ -176,10 +274,20 @@ GENERATORS = {
 }
 
 
-def generate(class_name: str, n: int) -> Iterator:
+def generate(class_name: str, n: int, predicates: Sequence[str] = ()) -> Iterator:
+    """The class at size n, filtered by the named predicates, in generation
+    order.  Matching predicates also prune the search through their
+    ``MATCHING_RULES``; every object is still checked by every predicate."""
     if class_name not in GENERATORS:
         raise UnknownClass(f"unknown object class {class_name!r}")
-    return GENERATORS[class_name](n)
+    if class_name == "matchings":
+        stream = gen_matchings(n, frozenset().union(
+            *(MATCHING_RULES.get(name, ()) for name in predicates)))
+    else:
+        stream = GENERATORS[class_name](n)
+    for name in predicates:
+        stream = filter_class(stream, name)
+    return stream
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,20 @@ class Matching:
         arcs.sort(key=lambda arc: arc[1])
         return cls(tuple(arcs))
 
+    @classmethod
+    def from_canonical(cls, arcs: tuple[Arc, ...]) -> "Matching":
+        """The matching of an arc tuple already valid and sorted by closer,
+        unchecked, with its openers, closers and partner map filled in at
+        once rather than on first use."""
+        openers, closers = zip(*arcs) if arcs else ((), ())
+        partner = dict(arcs)
+        partner.update(zip(closers, openers))
+        m = object.__new__(cls)
+        object.__setattr__(m, "__dict__", {
+            "arcs": arcs, "openers": tuple(sorted(openers)),
+            "closers": closers, "partner": partner})
+        return m
+
     @cached_property
     def openers(self) -> tuple[int, ...]:
         """Openers in increasing order."""

@@ -11,7 +11,8 @@ serialized so it can be fed back through the CLI.
 
 A check is a ``REGISTRY`` row of per-n *facts*, each mapping n to a witness
 or to None when it holds; ``_facts`` runs n on the outside and the facts on
-the inside.  Filters are named ``PREDICATES`` entries; streams are cached.
+the inside.  Filters are named ``PREDICATES`` entries; streams are cached,
+and a matching class is cached as the search pruned by its rules yields it.
 
 Conjecture checks are flagged ``conjecture`` even when they pass: passing
 at small n is evidence, not proof.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -53,11 +53,11 @@ from .enumeration import (
     eulerian_triangle_row,
     fishburn_numbers,
     generate,
+    left_nesting_tally,
     second_order_eulerian,
 )
 from .errors import UnknownCheck
 from .objects import (
-    arc_statistics,
     condition_one,
     condition_one_var,
     is_ascent_correcting,
@@ -99,12 +99,16 @@ class CheckReport:
 
 # the cached object streams; everything downstream treats these as immutable
 @lru_cache(maxsize=None)
-def _objects(class_name: str, n: int) -> tuple:
-    return tuple(generate(class_name, n))
+def _objects(class_name: str, n: int, predicates: tuple[str, ...] = ()) -> tuple:
+    return tuple(generate(class_name, n, predicates))
 
 
 def _members(class_name: str, n: int, predicates: Sequence[str] = ()) -> Sequence:
-    """The cached stream of a class, filtered by named predicates in order."""
+    """A class filtered by named predicates in order.  A matching class is
+    pruned in the search and cached as it is; any other class is filtered
+    from its one cached stream."""
+    if class_name == "matchings":
+        return _objects(class_name, n, tuple(predicates))
     members = _objects(class_name, n)
     for name in predicates:
         test = PREDICATES[name][1]
@@ -266,7 +270,7 @@ def _unique_labeling(n: int):
 
 
 def _surjective(n: int):
-    image = {matching_to_matrix(m) for m in _objects("matchings", n)}
+    image = {matching_to_matrix(m) for m in generate("matchings", n)}
     targets = set(_objects("matrices", n))
     if image != targets:
         missing = sorted(t.rows for t in targets - image)
@@ -338,7 +342,7 @@ def check_lne_second_order_eulerian(n_max: int):
         if sum(row) != double_factorial(2 * n - 1):
             return False, {"n": n, "row": list(row), "expected_sum":
                            double_factorial(2 * n - 1)}, None
-        dist = Counter(arc_statistics(m).lne for m in _objects("matchings", n))
+        dist = left_nesting_tally(n)
         counts = [dist.get(k, 0) for k in range(max(n, 1))]
         if sorted(counts) != sorted(row):
             return False, {"n": n, "lne_counts": counts, "row": list(row)}, None

@@ -7,6 +7,8 @@ the package is evidence.
 
 import itertools
 
+from fishburn.objects import Matching
+
 # first values of the counting sequences the classes must follow
 FISHBURN = [1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
@@ -30,6 +32,15 @@ def naive_matchings(n):
 
     for arcs in rec(points):
         yield frozenset(arcs)
+
+
+def naive_sorted_matchings(n):
+    """Every matching of [2n] as a Matching, in lexicographic order of the
+    canonical (closer-sorted) arc tuples: all of them are built first, then
+    sorted.  This was the library's generator before its closer-order search."""
+    arcsets = sorted(tuple(sorted(arcs, key=lambda arc: arc[1]))
+                     for arcs in naive_matchings(n))
+    return [Matching(arcs) for arcs in arcsets]
 
 
 def classify_pair(a, b):

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import select
+import subprocess
+import sys
 
 import pytest
 
+import fishburn
 from fishburn.cli import main
 
 
@@ -58,6 +64,29 @@ class TestEnumerate:
             capsys, "enumerate", "matchings", "2", "--filter", "factorial")
         assert code == 2
         assert "applies to" in err
+
+    def test_streams_first_line_at_once(self):
+        # there are 13.7 billion matchings of [22]; the first line must come
+        # out while the rest are still ungenerated.  The child's address
+        # space is capped, so a generator that builds the whole class first
+        # dies of MemoryError instead of taking the host's memory.
+        package_root = os.path.dirname(os.path.dirname(fishburn.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        cap = 1 << 30
+        child = subprocess.Popen(
+            [sys.executable, "-m", "fishburn.cli", "enumerate", "matchings", "11"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        try:
+            ready, _, _ = select.select([child.stdout], [], [], 60)
+            line = child.stdout.readline().decode() if ready else ""
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+        arcs = [[2 * i + 1, 2 * i + 2] for i in range(11)]
+        assert line == json.dumps({"n": 11, "arcs": arcs}) + "\n"
 
     def test_byte_identical_runs(self, capsys):
         first = run_cli(capsys, "enumerate", "matchings", "3")

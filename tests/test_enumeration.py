@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 
@@ -23,7 +24,8 @@ from fishburn import (
     generate,
     second_order_eulerian,
 )
-from fishburn.objects import is_factorial, validate_matrix
+from fishburn.enumeration import MATCHING_RULES, PREDICATES, left_nesting_tally
+from fishburn.objects import Matching, arc_statistics, is_factorial, validate_matrix
 from fishburn.statistics import perm_stats
 
 from helpers import (
@@ -35,7 +37,17 @@ from helpers import (
     T3_ROWS,
     naive_matrices,
     naive_natural_posets_by_filter,
+    naive_sorted_matchings,
 )
+
+MATCHING_PREDICATES = [name for name, (classes, _) in PREDICATES.items()
+                       if "matchings" in classes]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """naive_sorted_matchings(n), each n built once for the whole module."""
+    return functools.lru_cache(maxsize=None)(naive_sorted_matchings)
 
 
 class TestGenerators:
@@ -117,6 +129,53 @@ class TestGenerators:
     def test_unknown_class(self):
         with pytest.raises(UnknownClass):
             generate("widgets", 3)
+
+
+class TestCloserOrderSearch:
+    @pytest.mark.parametrize("n", range(8))
+    def test_rule_free_stream_equals_oracle_in_order(self, oracle, n):
+        assert [m.arcs for m in gen_matchings(n)] == [m.arcs for m in oracle(n)]
+
+    def test_rule_table_covers_the_matching_predicates(self):
+        assert set(MATCHING_RULES) == set(MATCHING_PREDICATES)
+        assert all(MATCHING_RULES.values())
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("name", MATCHING_PREDICATES)
+    def test_pruned_stream_equals_filter_in_order(self, oracle, name, n):
+        expected = [m.arcs for m in filter_class(oracle(n), name)]
+        # the rules alone, and the stream that re-checks them by predicate
+        assert [m.arcs for m in gen_matchings(n, MATCHING_RULES[name])] == expected
+        assert [m.arcs for m in generate("matchings", n, [name])] == expected
+
+    @pytest.mark.parametrize("name", ["no_left_nesting", "no_2_left_nesting"])
+    def test_pruned_stream_equals_filter_in_order_n7(self, oracle, name):
+        expected = [m.arcs for m in filter_class(oracle(7), name)]
+        assert [m.arcs for m in gen_matchings(7, MATCHING_RULES[name])] == expected
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_predicates_combine_like_filters(self, oracle, n):
+        names = ["no_left_nesting", "no_right_crossing", "no_2_left_nesting"]
+        expected = oracle(n)
+        for name in names:
+            expected = list(filter_class(expected, name))
+        assert list(generate("matchings", n, names)) == expected
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_left_nesting_tally_equals_arc_statistics(self, oracle, n):
+        assert left_nesting_tally(n) == Counter(arc_statistics(m).lne for m in oracle(n))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_prefilled_fields_equal_lazy_ones(self, n):
+        for m in gen_matchings(n, MATCHING_RULES["no_left_nesting"] if n % 2 else ()):
+            fresh = Matching(m.arcs)
+            assert m == fresh and hash(m) == hash(fresh)
+            assert (m.partner, m.openers, m.closers) == (
+                fresh.partner, fresh.openers, fresh.closers)
+
+    def test_unknown_rule(self):
+        with pytest.raises(ValueError):
+            gen_matchings(3, {"lnee"})
 
 
 class TestFilters:

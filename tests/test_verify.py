@@ -11,9 +11,11 @@ from fishburn import (
     run_check,
 )
 from fishburn.enumeration import (
+    MATCHING_RULES,
     gen_factorial_posets,
     gen_permutations,
 )
+from fishburn.verify import _objects
 
 
 class TestRegistry:
@@ -122,11 +124,19 @@ class TestGoldenReports:
 
 class TestFailureWitnesses:
     def test_broken_nesting_scanners_give_recorded_witnesses(self, monkeypatch):
-        # class filters go through PREDICATES, so breaking the two nesting
-        # scanners must break exactly the checks that filter by them
+        # class filters go through PREDICATES, and matching classes are also
+        # pruned by their rules, so breaking the two nesting scanners and
+        # dropping the same two patterns from the rule table must break
+        # exactly the checks that filter by them
         monkeypatch.setattr("fishburn.objects.has_right_nesting", lambda m: False)
         monkeypatch.setattr("fishburn.objects.has_nesting", lambda m: False)
-        failures = {r.check: r.witness for r in run_all(4) if r.verdict == "fail"}
+        for name, rules in MATCHING_RULES.items():
+            monkeypatch.setitem(MATCHING_RULES, name, rules - {"rne", "ne"})
+        _objects.cache_clear()
+        try:
+            failures = {r.check: r.witness for r in run_all(4) if r.verdict == "fail"}
+        finally:
+            _objects.cache_clear()
         assert failures == {
             "thm_matrix_map_no_neighbor_nesting": {
                 "n": 3, "counted": "matchings with no neighbor nesting",
