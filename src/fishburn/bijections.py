@@ -26,6 +26,7 @@ from typing import Sequence
 from .errors import (
     HasLeftCrossing,
     HasLeftNesting,
+    NotAPermutation,
     NotFactorial,
     NotTwoPlusTwoFree,
     NotZeroOne,
@@ -34,10 +35,12 @@ from .objects import (
     Matching,
     Poset,
     TriangularMatrix,
+    _bits,
     first_neighbor_pair,
     is_factorial,
-    is_two_plus_two_free,
+    is_two_plus_two_free_by_inclusion,
     is_zero_one,
+    validate_permutation,
 )
 
 
@@ -120,9 +123,7 @@ def table_to_poset(w: Sequence[int]) -> Poset:
 
     The relation is already transitively closed because a_i <= i - 1.
     """
-    n = len(w)
-    rel = frozenset((i, k) for k, a in enumerate(w, start=1) for i in range(1, a + 1))
-    return Poset(n, rel)
+    return Poset.from_pre_masks(tuple((1 << a) - 1 for a in w))
 
 
 def poset_to_matching(p: Poset) -> Matching:
@@ -139,13 +140,9 @@ def matching_to_poset(m: Matching) -> Poset:
     bad = first_neighbor_pair(m, left=True, nesting=True)
     if bad is not None:
         raise HasLeftNesting(bad)
-    arcs = m.arcs
-    rel = frozenset(
-        (i, j)
-        for i, j in itertools.permutations(range(1, m.n + 1), 2)
-        if arcs[i - 1][1] < arcs[j - 1][0]
-    )
-    return Poset(m.n, rel)
+    closers = m.closers
+    return Poset.from_pre_masks(tuple(
+        sum(1 << i for i, c in enumerate(closers) if c < o) for o, _ in m.arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +297,20 @@ def matrix_is_noncrossing_image(t: TriangularMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 def relabel_poset(p: Poset, sigma: Sequence[int]) -> Poset:
-    """Apply a relabeling permutation: element x becomes sigma[x-1]."""
-    return Poset(p.n, frozenset((sigma[i - 1], sigma[j - 1]) for i, j in p.less))
+    """Apply a relabeling permutation: element x becomes sigma[x-1].
+
+    Raises NotAPermutation unless sigma is a permutation of 1..n.
+    """
+    sigma = validate_permutation(sigma)
+    if len(sigma) != p.n:
+        raise NotAPermutation(f"relabeling of length {len(sigma)} for a poset on [{p.n}]")
+    masks = [0] * p.n
+    for j, mask in enumerate(p.pre_masks):
+        new = 0
+        for i in _bits(mask):
+            new |= 1 << (sigma[i] - 1)
+        masks[sigma[j] - 1] = new
+    return Poset.from_pre_masks(tuple(masks))
 
 
 def canonical_labels(p: Poset) -> tuple[int, ...]:
@@ -309,10 +318,12 @@ def canonical_labels(p: Poset) -> tuple[int, ...]:
 
     Elements are ordered by successor count descending, then predecessor
     count ascending; ties are broken by ascending input label, which is
-    harmless because tied elements are indistinguishable.  Raises
-    NotTwoPlusTwoFree outside the domain.
+    harmless because tied elements are indistinguishable.  The domain is
+    checked by the inclusion-chain criterion (a poset is two-plus-two-free
+    exactly when its predecessor sets are linearly ordered by inclusion);
+    raises NotTwoPlusTwoFree outside it.
     """
-    if not is_two_plus_two_free(p):
+    if not is_two_plus_two_free_by_inclusion(p):
         raise NotTwoPlusTwoFree(f"poset on [{p.n}] contains an induced two-plus-two")
     order = sorted(range(1, p.n + 1), key=lambda x: (-p.suc(x), p.pre(x), x))
     sigma = [0] * p.n

@@ -193,13 +193,7 @@ def gen_natural_posets(n: int) -> Iterator[Poset]:
                 yield from extend(masks + (s,))
 
     for masks in extend(()):
-        rel = frozenset(
-            (i, j)
-            for j, mask in enumerate(masks, start=1)
-            for i in range(1, j)
-            if mask >> (i - 1) & 1
-        )
-        yield Poset(n, rel)
+        yield Poset.from_pre_masks(masks)
 
 
 def gen_matrices(n: int) -> Iterator[TriangularMatrix]:

@@ -20,6 +20,7 @@ from .objects import (
     Matching,
     Poset,
     TriangularMatrix,
+    _bits,
     _is_int,
     validate_matching,
     validate_permutation,
@@ -37,7 +38,9 @@ def encode(class_name: str, obj) -> object:
     if class_name in ("inversion_table", "ascent_sequence", "permutation"):
         return list(obj)
     if class_name == "poset":
-        return {"n": obj.n, "less": [list(pair) for pair in sorted(obj.less)]}
+        # read in order, the successor masks give the pairs sorted lexicographically
+        return {"n": obj.n, "less": [[i + 1, j + 1] for i, mask in enumerate(obj.suc_masks)
+                                     for j in _bits(mask)]}
     if class_name == "matrix":
         return {"k": obj.k, "rows": [list(row) for row in obj.rows]}
     raise ValueError(f"no JSON encoding for class {class_name!r}")

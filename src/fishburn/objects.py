@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEndpoint,
@@ -271,17 +271,39 @@ def sequence_predicates(w: Sequence[int]) -> dict[str, bool]:
 # Posets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poset:
-    """Strict partial order on {1, ..., n}, stored as its full relation.
+    """Strict partial order on {1, ..., n}, stored as predecessor bitmasks.
 
-    ``less`` holds every ordered pair (i, j) with i below j, transitively
-    closed.  Storing the closure makes every predicate O(1) per pair; the
-    cover relation is a derived view.
+    Bit i-1 of ``pre_masks[j-1]`` is set exactly when i is below j; the masks
+    are transitively closed, and they alone are compared and hashed.  The
+    relation ``less``, the successor masks and the cover relation are views
+    derived from them on first use.
+
+    >>> Poset(3, {(1, 2), (2, 3), (1, 3)}).pre_masks
+    (0, 1, 3)
     """
 
-    n: int
-    less: frozenset[tuple[int, int]]
+    pre_masks: tuple[int, ...]
+
+    def __init__(self, n: int, less: Iterable[tuple[int, int]]):
+        """The poset on [n] of a transitively closed relation, unchecked;
+        :meth:`from_relations` validates and closes raw pairs."""
+        masks = [0] * n
+        for i, j in less:
+            masks[j - 1] |= 1 << (i - 1)
+        object.__setattr__(self, "pre_masks", tuple(masks))
+
+    @classmethod
+    def from_pre_masks(cls, masks: tuple[int, ...]) -> "Poset":
+        """The poset of predecessor masks already closed and valid, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "pre_masks", masks)
+        return p
+
+    @property
+    def n(self) -> int:
+        return len(self.pre_masks)
 
     @classmethod
     def from_relations(cls, n: int, pairs: Iterable[Sequence[int]]) -> "Poset":
@@ -307,49 +329,31 @@ class Poset:
         while changed:
             changed = False
             for j in range(1, n + 1):
-                mask = below[j]
-                acc = mask
-                k = mask
-                while k:
-                    low = k & -k
-                    acc |= below[low.bit_length()]
-                    k ^= low
+                acc = below[j]
+                for i in _bits(below[j]):
+                    acc |= below[i + 1]
                 if acc != below[j]:
                     below[j] = acc
                     changed = True
         for j in range(1, n + 1):
             if below[j] >> (j - 1) & 1:
                 raise NotAPartialOrder(f"cycle through element {j}")
-        rel = frozenset(
-            (i, j)
-            for j in range(1, n + 1)
-            for i in range(1, n + 1)
-            if below[j] >> (i - 1) & 1
-        )
-        return cls(n, rel)
+        return cls.from_pre_masks(tuple(below[1:]))
 
     @cached_property
-    def pre_masks(self) -> tuple[int, ...]:
-        """Predecessor bitmask per element; bit i-1 set iff i is below."""
-        masks = [0] * self.n
-        for i, j in self.less:
-            masks[j - 1] |= 1 << (i - 1)
-        return tuple(masks)
+    def less(self) -> frozenset[tuple[int, int]]:
+        """Every pair (i, j) with i below j."""
+        return frozenset(
+            (i + 1, j + 1) for j, mask in enumerate(self.pre_masks) for i in _bits(mask))
 
     @cached_property
     def suc_masks(self) -> tuple[int, ...]:
+        """Successor bitmask per element; bit j-1 set iff j is above."""
         masks = [0] * self.n
-        for i, j in self.less:
-            masks[i - 1] |= 1 << (j - 1)
+        for j, mask in enumerate(self.pre_masks):
+            for i in _bits(mask):
+                masks[i] |= 1 << j
         return tuple(masks)
-
-    def pre_set(self, j: int) -> set[int]:
-        """Elements strictly below j."""
-        return {i for i in range(1, self.n + 1) if self.pre_masks[j - 1] >> (i - 1) & 1}
-
-    def suc_set(self, j: int) -> set[int]:
-        """Elements strictly above j."""
-        return {i for i in range(1, self.n + 1) if self.suc_masks[j - 1] >> (i - 1) & 1}
 
     def pre(self, j: int) -> int:
         return self.pre_masks[j - 1].bit_count()
@@ -372,9 +376,17 @@ class Poset:
         return tuple(out)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def is_natural(p: Poset) -> bool:
     """Labels respect integer order: i below j implies i < j."""
-    return all(i < j for i, j in p.less)
+    return all(mask >> j == 0 for j, mask in enumerate(p.pre_masks))
 
 
 def is_factorial(p: Poset) -> bool:
@@ -386,12 +398,12 @@ def is_factorial(p: Poset) -> bool:
 
 
 def is_dually_factorial(p: Poset) -> bool:
-    """i > j above k implies i above k (the mirrored closure condition)."""
-    for k, j in p.less:                          # j above k
-        need = ((1 << p.n) - 1) ^ ((1 << j) - 1)  # integers > j
-        if need & ~p.suc_masks[k - 1]:
-            return False
-    return True
+    """i > j above k implies i above k (the mirrored closure condition).
+
+    Equivalent to: every successor set is a final segment {m, ..., n}.
+    """
+    full = (1 << p.n) - 1
+    return all(mask == full ^ full >> mask.bit_count() for mask in p.suc_masks)
 
 
 def is_two_plus_two_free(p: Poset) -> bool:
@@ -415,23 +427,22 @@ def is_two_plus_two_free_by_inclusion(p: Poset) -> bool:
 
 def is_three_plus_one_free(p: Poset) -> bool:
     """No induced 3-chain plus one element incomparable to all of it."""
-    chains = [
-        (x, y, z)
-        for x, y in sorted(p.less)
-        for z in sorted(p.suc_set(y))
-    ]
-    for x, y, z in chains:
-        for w in range(1, p.n + 1):
-            if w in (x, y, z):
-                continue
-            if _incomparable(p, w, x) and _incomparable(p, w, y) \
-                    and _incomparable(p, w, z):
-                return False
+    pre, suc = p.pre_masks, p.suc_masks
+    comparable = [pre[v] | suc[v] for v in range(p.n)]
+    full = (1 << p.n) - 1
+    for y in range(p.n):
+        for x in _bits(pre[y]):
+            for z in _bits(suc[y]):
+                # x < y < z: the chain itself, and whatever is comparable to
+                # y, is comparable to x or to z
+                if full & ~(comparable[x] | comparable[z]):
+                    return False
     return True
 
 
 def _incomparable(p: Poset, a: int, b: int) -> bool:
-    return (a, b) not in p.less and (b, a) not in p.less
+    pre = p.pre_masks
+    return not (pre[b - 1] >> (a - 1) & 1 or pre[a - 1] >> (b - 1) & 1)
 
 
 def condition_one(p: Poset) -> bool:

@@ -140,7 +140,7 @@ def _poset_lev(p: Poset) -> tuple[int]:
 
 
 def _poset_ip(p: Poset) -> tuple[int]:
-    return (p.n * (p.n - 1) // 2 - len(p.less),)
+    return (p.n * (p.n - 1) // 2 - sum(p.pre_vector),)
 
 
 def _poset_rne(p: Poset) -> tuple[int]:

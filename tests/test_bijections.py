@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from fishburn import (
     HasLeftCrossing,
     HasLeftNesting,
+    NotAPermutation,
     NotFactorial,
     NotTwoPlusTwoFree,
     NotZeroOne,
@@ -36,6 +38,7 @@ from fishburn.enumeration import (
     gen_inversion_tables,
     gen_matchings,
     gen_matrices,
+    gen_natural_posets,
     gen_permutations,
 )
 from fishburn.objects import (
@@ -44,6 +47,7 @@ from fishburn.objects import (
     has_left_crossing,
     has_left_nesting,
     is_factorial,
+    is_two_plus_two_free,
     is_zero_one,
 )
 
@@ -415,3 +419,30 @@ class TestCanonicalLabeling:
         for p in targets:
             for sigma in itertools.permutations(range(1, n + 1)):
                 assert canonical_labeling(relabel_poset(p, sigma)) == p
+
+    @pytest.mark.parametrize("sigma", [[2, 2, 3], [1, 5, 2], [1, 2], [1, 2, 3, 4]])
+    def test_relabel_rejects_non_permutations(self, sigma):
+        # [2, 2, 3] used to give the reflexive pair (2, 2), and [1, 5, 2]
+        # the pair (1, 5) on n = 3
+        with pytest.raises(NotAPermutation):
+            relabel_poset(Poset.from_relations(3, [(1, 2)]), sigma)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_domain_check_agrees_with_brute_force(self, n):
+        for p in gen_natural_posets(n):
+            for sigma in itertools.permutations(range(1, n + 1)):
+                q = relabel_poset(p, sigma)
+                if is_two_plus_two_free(q):
+                    canonical_labels(q)
+                else:
+                    with pytest.raises(NotTwoPlusTwoFree):
+                        canonical_labels(q)
+
+    def test_random_large_relabelings_recovered(self):
+        rng = random.Random(20100)
+        for _ in range(40):
+            n = rng.randint(30, 50)
+            c = canonical_labeling(table_to_poset([rng.randint(0, i) for i in range(n)]))
+            assert is_factorial(c) and condition_one(c)
+            sigma = rng.sample(range(1, n + 1), n)
+            assert canonical_labeling(relabel_poset(c, sigma)) == c

@@ -7,6 +7,7 @@ from fishburn import (
     EndpointOutOfRange,
     EntryOutOfRange,
     InvalidMatrix,
+    InvalidObject,
     Matching,
     NegativeEntry,
     NotAPartialOrder,
@@ -19,7 +20,9 @@ from fishburn import (
     count_gap_nestings,
     is_zero_one,
     poset_predicates,
+    relabel_poset,
     sequence_predicates,
+    table_to_poset,
     validate_matching,
     validate_matrix,
     validate_table,
@@ -35,9 +38,15 @@ from fishburn.objects import (
     is_two_plus_two_free,
     is_two_plus_two_free_by_inclusion,
 )
-from fishburn.enumeration import gen_factorial_posets, gen_matchings, gen_natural_posets
+from fishburn.enumeration import (
+    gen_factorial_posets,
+    gen_inversion_tables,
+    gen_matchings,
+    gen_natural_posets,
+)
+from fishburn.jsonio import encode
 
-from helpers import naive_counts, naive_matchings
+from helpers import naive_counts, naive_matchings, naive_natural_posets_by_filter
 
 
 class TestValidateMatching:
@@ -180,8 +189,66 @@ class TestPoset:
     def test_pre_suc(self):
         p = Poset.from_relations(3, [(1, 2), (2, 3)])
         assert p.pre_vector == (0, 1, 2)
-        assert p.suc_set(1) == {2, 3}
-        assert p.pre_set(3) == {1, 2}
+        assert p.pre_masks == (0b000, 0b001, 0b011)
+        assert p.suc_masks == (0b110, 0b100, 0b000)
+        assert (p.suc(1), p.pre(3)) == (2, 2)
+
+    @pytest.mark.parametrize("n,pairs,error,message", [
+        ("three", [], InvalidObject, "poset size 'three' is not a nonnegative integer"),
+        (True, [], InvalidObject, "poset size True is not a nonnegative integer"),
+        (-3, [], InvalidObject, "poset size -3 is not a nonnegative integer"),
+        (3, [(1.5, 2)], InvalidObject, "pair (1.5, 2) has a non-integer element"),
+        (3, [(True, 2)], InvalidObject, "pair (True, 2) has a non-integer element"),
+        (2, [(1, 1)], NotAPartialOrder, "reflexive pair (1, 1)"),
+        (3, [(0, 2)], NotAPartialOrder, "element outside [1, 3] in (0, 2)"),
+        (3, [(1, 4)], NotAPartialOrder, "element outside [1, 3] in (1, 4)"),
+        (3, [(1, 2), (2, 3), (3, 1)], NotAPartialOrder, "cycle through element 1"),
+        (2, [(1, 2), (2, 1)], NotAPartialOrder, "cycle through element 1"),
+        (3, [(1, 2, 3)], ValueError, "too many values to unpack (expected 2)"),
+    ])
+    def test_bad_relations_keep_their_errors(self, n, pairs, error, message):
+        with pytest.raises(error) as info:
+            Poset.from_relations(n, pairs)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def _same_poset(p, less):
+    """The mask-built ``p`` agrees with ``Poset(n, less)`` and with views
+    computed from the relation ``less`` directly."""
+    n = p.n
+    q = Poset(n, less)
+    assert p == q and hash(p) == hash(q)
+    assert p.less == q.less == less
+    succ = tuple(sum(1 << (j - 1) for i2, j in less if i2 == i) for i in range(1, n + 1))
+    assert p.suc_masks == q.suc_masks == succ
+    covers = tuple(
+        (i, j) for i, j in sorted(less)
+        if not any((i, k) in less and (k, j) in less for k in range(1, n + 1)))
+    assert p.covers() == q.covers() == covers
+    pairs = {"n": n, "less": [list(pair) for pair in sorted(less)]}
+    assert encode("poset", p) == encode("poset", q) == pairs
+
+
+class TestPosetMasks:
+    @pytest.mark.parametrize("n", range(6))
+    def test_natural_posets_agree_with_their_relations(self, n):
+        relations = {Poset(n, rel): rel for rel in naive_natural_posets_by_filter(n)}
+        seen = 0
+        for p in gen_natural_posets(n):
+            _same_poset(p, relations[p])
+            seen += 1
+        assert seen == len(relations)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_factorial_posets_agree_with_their_relations(self, n):
+        for w in gen_inversion_tables(n):
+            less = frozenset((i, k) for k, a in enumerate(w, start=1) for i in range(1, a + 1))
+            _same_poset(table_to_poset(w), less)
+
+    def test_from_pre_masks_equals_the_relation_built_poset(self):
+        p = Poset.from_pre_masks((0, 1, 3))
+        assert p.n == 3 and p == Poset.from_relations(3, [(1, 2), (2, 3)])
+        assert Poset.from_pre_masks(()) == Poset(0, ()) and Poset(0, ()).n == 0
 
 
 class TestPosetPredicates:
@@ -254,6 +321,21 @@ class TestPosetPredicates:
 
         for p in gen_natural_posets(n):
             assert is_three_plus_one_free(p) == (not naive_has_three_plus_one(n, p.less))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_mask_predicates_on_every_labelling(self, n):
+        # every poset on [n] is a relabelling of a naturally labelled one
+        from fishburn.objects import is_dually_factorial, is_natural, is_three_plus_one_free
+        from helpers import naive_dually_factorial, naive_has_three_plus_one
+
+        for p in gen_natural_posets(n):
+            for sigma in itertools.permutations(range(1, n + 1)):
+                q = relabel_poset(p, sigma)
+                less = frozenset((sigma[i - 1], sigma[j - 1]) for i, j in p.less)
+                assert q.less == less
+                assert is_natural(q) == all(i < j for i, j in less)
+                assert is_dually_factorial(q) == naive_dually_factorial(n, less)
+                assert is_three_plus_one_free(q) == (not naive_has_three_plus_one(n, less))
 
 
 class TestTriangularMatrix:
