@@ -58,6 +58,26 @@ def _die(message: str):
     raise SystemExit(2)
 
 
+def _object_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        _die(f"object is not valid JSON: {exc}")
+
+
+def _stat_names(spec: str, stat_class: str) -> list[str]:
+    """The comma separated names of ``--stats``, each a statistic of the class."""
+    names = spec.split(",")
+    if not all(names):
+        _die("--stats takes comma separated statistic names, none of them empty")
+    vocabulary = VOCABULARY[stat_class]
+    for name in names:
+        if name not in vocabulary:
+            _die(f"{name!r} is not a {stat_class} statistic "
+                 f"(available: {', '.join(vocabulary)})")
+    return names
+
+
 def _filtered_stream(class_name: str, n: int, predicates: list[str]):
     for name in predicates:
         if name not in PREDICATES:
@@ -112,29 +132,22 @@ def _cmd_convert(args) -> int:
     known = {"matching", "inversion_table", "permutation", "poset", "matrix"}
     if args.src not in known or args.dst not in known:
         _die(f"classes must be among {', '.join(sorted(known))}")
-    try:
-        data = json.loads(args.object)
-    except json.JSONDecodeError as exc:
-        _die(f"object is not valid JSON: {exc}")
-    try:
-        obj = jsonio.decode(args.src, data)
-        if args.dst == "matrix":
-            if args.src == "matrix":
-                result = obj
-            elif args.src == "matching":
-                result = matching_to_matrix(obj)
-            else:
-                w = _convert_to_table(args.src, obj, args.via)
-                result = matching_to_matrix(_convert_from_table("matching", w, args.via))
-        elif args.src == "matrix":
-            m = _MATRIX_PREIMAGES[args.preimage](obj)
-            result = m if args.dst == "matching" else _convert_from_table(
-                args.dst, _convert_to_table("matching", m, args.via), args.via)
+    obj = jsonio.decode(args.src, _object_json(args.object))
+    if args.dst == "matrix":
+        if args.src == "matrix":
+            result = obj
+        elif args.src == "matching":
+            result = matching_to_matrix(obj)
         else:
             w = _convert_to_table(args.src, obj, args.via)
-            result = _convert_from_table(args.dst, w, args.via)
-    except FishburnError as exc:
-        _die(f"{type(exc).__name__}: {exc}")
+            result = matching_to_matrix(_convert_from_table("matching", w, args.via))
+    elif args.src == "matrix":
+        m = _MATRIX_PREIMAGES[args.preimage](obj)
+        result = m if args.dst == "matching" else _convert_from_table(
+            args.dst, _convert_to_table("matching", m, args.via), args.via)
+    else:
+        w = _convert_to_table(args.src, obj, args.via)
+        result = _convert_from_table(args.dst, w, args.via)
     print(json.dumps(jsonio.encode(args.dst, result)))
     return 0
 
@@ -142,18 +155,10 @@ def _cmd_convert(args) -> int:
 def _cmd_stats(args) -> int:
     if args.object_class not in _STAT_CLASS_SINGULAR:
         _die(f"classes with statistics: {', '.join(sorted(_STAT_CLASS_SINGULAR))}")
-    try:
-        data = json.loads(args.object)
-    except json.JSONDecodeError as exc:
-        _die(f"object is not valid JSON: {exc}")
     stat_class = _STAT_CLASS_SINGULAR[args.object_class]
-    names = args.stats.split(",") if args.stats else None
-    try:
-        obj = jsonio.decode(args.object_class, data)
-        record = stats_for(stat_class, obj, names)
-    except FishburnError as exc:
-        _die(f"{type(exc).__name__}: {exc}")
-    print(json.dumps(record))
+    obj = jsonio.decode(args.object_class, _object_json(args.object))
+    names = None if args.stats is None else _stat_names(args.stats, stat_class)
+    print(json.dumps(stats_for(stat_class, obj, names)))
     return 0
 
 
@@ -162,20 +167,9 @@ def _cmd_distribution(args) -> int:
         _die(f"classes with statistics: {', '.join(sorted(VOCABULARY))}")
     if args.n < 0:
         _die("n must be nonnegative")
-    names = [s for s in args.stats.split(",") if s]
-    if not names:
-        _die("--stats requires at least one statistic name")
-    vocabulary = VOCABULARY[args.object_class]
-    for name in names:
-        if name not in vocabulary:
-            _die(f"{name!r} is not a {args.object_class} statistic "
-                 f"(available: {', '.join(vocabulary)})")
+    names = _stat_names(args.stats, args.object_class)
     stream = _filtered_stream(args.object_class, args.n, args.filter)
-    try:
-        table = distribution(stream, args.object_class, names)
-    except FishburnError as exc:
-        _die(f"{type(exc).__name__}: {exc}")
-    sys.stdout.write(table.to_csv())
+    sys.stdout.write(distribution(stream, args.object_class, names).to_csv())
     return 0
 
 

@@ -34,7 +34,7 @@ from .bijections import (
     table_to_poset,
 )
 from .errors import UnknownClass, UnknownPredicate, UnknownStatistic
-from .objects import Matching, Poset, TriangularMatrix, is_zero_one
+from .objects import Matching, Poset, TriangularMatrix, is_zero_one, validate_size
 from .statistics import VOCABULARY, stats_for
 
 
@@ -271,9 +271,11 @@ GENERATORS = {
 def generate(class_name: str, n: int, predicates: Sequence[str] = ()) -> Iterator:
     """The class at size n, filtered by the named predicates, in generation
     order.  Matching predicates also prune the search through their
-    ``MATCHING_RULES``; every object is still checked by every predicate."""
+    ``MATCHING_RULES``; every object is still checked by every predicate.
+    Raises ValueError unless n is a nonnegative integer."""
     if class_name not in GENERATORS:
         raise UnknownClass(f"unknown object class {class_name!r}")
+    validate_size(n)
     if class_name == "matchings":
         stream = gen_matchings(n, frozenset().union(
             *(MATCHING_RULES.get(name, ()) for name in predicates)))

@@ -38,6 +38,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def validate_size(n) -> int:
+    """n itself when it is a nonnegative integer, else ValueError."""
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"size {n!r} is not a nonnegative integer")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # Matchings
 # ---------------------------------------------------------------------------
@@ -277,8 +284,8 @@ class Poset:
 
     Bit i-1 of ``pre_masks[j-1]`` is set exactly when i is below j; the masks
     are transitively closed, and they alone are compared and hashed.  The
-    relation ``less``, the successor masks and the cover relation are views
-    derived from them on first use.
+    relation ``less`` and the cover relation are views built on each read;
+    the successor masks and ``pre_vector`` are derived once and kept.
 
     >>> Poset(3, {(1, 2), (2, 3), (1, 3)}).pre_masks
     (0, 1, 3)
@@ -340,9 +347,9 @@ class Poset:
                 raise NotAPartialOrder(f"cycle through element {j}")
         return cls.from_pre_masks(tuple(below[1:]))
 
-    @cached_property
+    @property
     def less(self) -> frozenset[tuple[int, int]]:
-        """Every pair (i, j) with i below j."""
+        """Every pair (i, j) with i below j, built afresh on each read."""
         return frozenset(
             (i + 1, j + 1) for j, mask in enumerate(self.pre_masks) for i in _bits(mask))
 
@@ -408,8 +415,7 @@ def is_dually_factorial(p: Poset) -> bool:
 
 def is_two_plus_two_free(p: Poset) -> bool:
     """No induced subposet of two disjoint 2-chains (brute force over pairs)."""
-    rel = p.less
-    pairs = sorted(rel)
+    pairs = sorted(p.less)
     for (a, b), (c, d) in itertools.combinations(pairs, 2):
         if len({a, b, c, d}) < 4:
             continue

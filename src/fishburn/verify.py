@@ -11,8 +11,9 @@ serialized so it can be fed back through the CLI.
 
 A check is a ``REGISTRY`` row of per-n *facts*, each mapping n to a witness
 or to None when it holds; ``_facts`` runs n on the outside and the facts on
-the inside.  Filters are named ``PREDICATES`` entries; streams are cached,
-and a matching class is cached as the search pruned by its rules yields it.
+the inside.  Facts read their data through two caches: ``_objects`` for a
+class filtered by named ``PREDICATES`` entries, and ``_tally`` for the
+distribution of a statistic tuple over a class or a stream.
 
 Conjecture checks are flagged ``conjecture`` even when they pass: passing
 at small n is evidence, not proof.
@@ -51,6 +52,7 @@ from .enumeration import (
     distribution,
     double_factorial,
     eulerian_triangle_row,
+    filter_class,
     fishburn_numbers,
     generate,
     left_nesting_tally,
@@ -66,6 +68,7 @@ from .objects import (
     is_three_plus_one_free,
     is_two_plus_two_free,
     is_two_plus_two_free_by_inclusion,
+    validate_size,
 )
 from .statistics import stats_for
 
@@ -97,27 +100,23 @@ class CheckReport:
         return out
 
 
-# the cached object streams; everything downstream treats these as immutable
+# The two cached accessors; everything downstream treats their values as
+# immutable.  A matching class comes pruned from the search; any other class
+# is filtered once from its cached prefix, so each base class is generated
+# once per n.
 @lru_cache(maxsize=None)
-def _objects(class_name: str, n: int, predicates: tuple[str, ...] = ()) -> tuple:
-    return tuple(generate(class_name, n, predicates))
+def _objects(class_name: str, n: int, predicates: tuple[str, ...]) -> tuple:
+    if class_name == "matchings" or not predicates:
+        return tuple(generate(class_name, n, predicates))
+    return tuple(filter_class(_objects(class_name, n, predicates[:-1]), predicates[-1]))
 
 
-def _members(class_name: str, n: int, predicates: Sequence[str] = ()) -> Sequence:
-    """A class filtered by named predicates in order.  A matching class is
-    pruned in the search and cached as it is; any other class is filtered
-    from its one cached stream."""
-    if class_name == "matchings":
-        return _objects(class_name, n, tuple(predicates))
-    members = _objects(class_name, n)
-    for name in predicates:
-        test = PREDICATES[name][1]
-        members = [x for x in members if test(x)]
-    return members
-
-
-def _of(class_name: str, *predicates: str) -> Callable[[int], Sequence]:
-    return lambda n: _members(class_name, n, predicates)
+@lru_cache(maxsize=None)
+def _tally(class_name: str, n: int, source, names: tuple[str, ...]) -> dict:
+    """The tally of a statistic tuple over a source: a predicate tuple naming
+    a cached class, or a function of n giving a stream of the class."""
+    stream = _objects(class_name, n, source) if isinstance(source, tuple) else source(n)
+    return distribution(stream, class_name, names).rows
 
 
 def _obj(class_name: str, obj) -> dict:
@@ -157,7 +156,7 @@ def _counts(expected_of: Callable[[int], int], *rows):
     def fact(n):
         expected = expected_of(n)
         for what, class_name, *predicates in rows:
-            actual = len(_members(class_name, n, predicates))
+            actual = len(_objects(class_name, n, tuple(predicates)))
             if actual != expected:
                 return _count_witness(n, what, expected, actual)
     return fact
@@ -169,7 +168,7 @@ def _every(class_name: str, ok: Callable[[object], bool], *predicates: str,
     singular = jsonio.SINGULAR[class_name]
 
     def fact(n):
-        for x in _members(class_name, n, predicates):
+        for x in _objects(class_name, n, predicates):
             if not ok(x):
                 return witness(n, x) if witness else {"n": n, **_obj(singular, x)}
     return fact
@@ -183,12 +182,12 @@ def _table_bijection(class_name: str, predicate: str, forward, backward,
     singular = jsonio.SINGULAR[class_name]
 
     def fact(n):
-        filtered = _members(class_name, n, (predicate,))
+        filtered = _objects(class_name, n, (predicate,))
         expected = math.factorial(n)
         if len(filtered) != expected:
             return _count_witness(n, what, expected, len(filtered))
         images = []
-        for w in _objects("inversion_tables", n):
+        for w in _objects("inversion_tables", n, ()):
             x = forward(w)
             if not test(x) or backward(x) != w:
                 return {"n": n, "table": list(w), **_obj(singular, x)}
@@ -205,8 +204,8 @@ def _matrix_bijection(predicate: str, construct, what: str,
     test = PREDICATES[predicate][1]
 
     def fact(n):
-        targets = _members("matrices", n, matrix_predicates)
-        members = _members("matchings", n, (predicate,))
+        targets = _objects("matrices", n, matrix_predicates)
+        members = _objects("matchings", n, (predicate,))
         if len(members) != len(targets):
             return _count_witness(n, what, len(targets), len(members))
         images = [matching_to_matrix(m) for m in members]
@@ -231,24 +230,19 @@ def _first_difference(counters: Sequence[dict]):
     return None
 
 
-def _tally_difference(rows: Iterable[tuple]):
-    """Tally each row (class, stream, names[, shift]) and compare the tallies;
-    a shift is added to every statistic tuple of its row."""
-    counters = []
-    for class_name, stream, names, *shift in rows:
-        tally = distribution(stream, class_name, names).rows
-        if shift:
-            tally = {tuple(v + d for v, d in zip(key, shift[0])): count
-                     for key, count in tally.items()}
-        counters.append(tally)
-    return _first_difference(counters)
-
-
 def _equidistributed(*rows):
-    """Each row (class, stream of n, names[, shift]) tallies alike."""
+    """Each row (class, source, names[, shift]) tallies alike, where the
+    source is as in :func:`_tally` and a shift is added to every statistic
+    tuple of its row."""
     def fact(n):
-        diff = _tally_difference((class_name, stream(n), *rest)
-                                 for class_name, stream, *rest in rows)
+        counters = []
+        for class_name, source, names, *shift in rows:
+            tally = _tally(class_name, n, source, names)
+            if shift:
+                tally = {tuple(v + d for v, d in zip(key, shift[0])): count
+                         for key, count in tally.items()}
+            counters.append(tally)
+        diff = _first_difference(counters)
         return diff and {"n": n, **diff}
     return fact
 
@@ -263,7 +257,7 @@ def _unique_labeling(n: int):
     sigmas = list(permutations(range(1, n + 1)))
     if len(sigmas) > 24:
         sigmas = sigmas[::len(sigmas) // 24][:24]
-    for p in _members("factorial_posets", n, ("condition_one",)):
+    for p in _objects("factorial_posets", n, ("condition_one",)):
         for sigma in sigmas:
             if canonical_labeling(relabel_poset(p, sigma)) != p:
                 return {"n": n, "relabeling": list(sigma), **_obj("poset", p)}
@@ -271,17 +265,17 @@ def _unique_labeling(n: int):
 
 def _surjective(n: int):
     image = {matching_to_matrix(m) for m in generate("matchings", n)}
-    targets = set(_objects("matrices", n))
+    targets = set(_objects("matrices", n, ()))
     if image != targets:
         missing = sorted(t.rows for t in targets - image)
         return {"n": n, "missing_rows": [list(map(list, r)) for r in missing[:1]]}
 
 
 def _catalan_images(n: int):
-    pred_nn = set(_members("matrices", n, ("nonnesting_image",)))
-    pred_nc = set(_members("matrices", n, ("noncrossing_image",)))
-    img_nn = {matching_to_matrix(m) for m in _members("matchings", n, ("no_nesting",))}
-    img_nc = {matching_to_matrix(m) for m in _members("matchings", n, ("no_crossing",))}
+    pred_nn = set(_objects("matrices", n, ("nonnesting_image",)))
+    pred_nc = set(_objects("matrices", n, ("noncrossing_image",)))
+    img_nn = {matching_to_matrix(m) for m in _objects("matchings", n, ("no_nesting",))}
+    img_nc = {matching_to_matrix(m) for m in _objects("matchings", n, ("no_crossing",))}
     if img_nn != pred_nn or img_nc != pred_nc:
         return {"n": n, "image_sets_match_predicates": False}
 
@@ -300,7 +294,7 @@ _MATCHING_QUINTUPLE = ("comp", "min", "last", "inter", "emb")
 
 
 def _triple_statistics(n: int):
-    for w in _objects("inversion_tables", n):
+    for w in _objects("inversion_tables", n, ()):
         t_poset = tuple(stats_for("factorial_posets", table_to_poset(w), _POSET_QUINTUPLE).values())
         t_perm = tuple(stats_for("permutations", table_to_permutation(w), _PERM_QUINTUPLE).values())
         t_match = tuple(stats_for("matchings", table_to_matching(w), _MATCHING_QUINTUPLE).values())
@@ -314,14 +308,14 @@ def _triple_statistics(n: int):
 
 
 def _matchings_of_tables(n: int) -> Iterable:
-    return map(table_to_matching, _objects("inversion_tables", n))
+    return map(table_to_matching, _objects("inversion_tables", n, ()))
 
 
 def _eulerian_recurrence(n: int):
     if n == 0:
         return None
-    dent = distribution(_objects("inversion_tables", n), "inversion_tables", ("dent",)).rows
-    des = distribution(_objects("permutations", n), "permutations", ("des",)).rows
+    dent = _tally("inversion_tables", n, (), ("dent",))
+    des = _tally("permutations", n, (), ("des",))
     shifted = {(k + 1,): v for (k,), v in des.items()}
     if shifted != dent:
         return {"n": n, "descents_shifted": sorted(shifted.items()),
@@ -481,8 +475,8 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
     # with no left-nesting are both distributed like inversions on
     # permutations.
     "cor_mahonian": ("corollary", 7, _facts(_equidistributed(
-        ("factorial_posets", _of("factorial_posets"), ("ip",)),
-        ("permutations", _of("permutations"), ("inv",)),
+        ("factorial_posets", (), ("ip",)),
+        ("permutations", (), ("inv",)),
         ("matchings", _matchings_of_tables, ("emb",))))),
     # Levels of factorial posets, opener intervals of matchings with no
     # left-nesting and distinct table entries are all Eulerian: their common
@@ -490,25 +484,25 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
     # recurrence.
     "cor_eulerian": ("corollary", 7, _facts(
         _equidistributed(
-            ("factorial_posets", _of("factorial_posets"), ("lev",)),
+            ("factorial_posets", (), ("lev",)),
             ("matchings", _matchings_of_tables, ("inter",)),
-            ("inversion_tables", _of("inversion_tables"), ("dent",))),
+            ("inversion_tables", (), ("dent",))),
         _eulerian_recurrence)),
     # Conjectured: neighbor violations, components and minima on factorial
     # posets; pattern occurrences, components and left-to-right minima on
     # permutations; right-nestings, components and minima on matchings with
     # no left-nesting: all three triples equidistributed.
     "conj1_equidistribution": ("conjecture", 6, _facts(_equidistributed(
-        ("factorial_posets", _of("factorial_posets"), ("rne_poset", "comp", "min")),
-        ("permutations", _of("permutations"), ("p", "comp", "lmin")),
-        ("matchings", _of("matchings", "no_left_nesting"), ("rne", "comp", "min"))))),
+        ("factorial_posets", (), ("rne_poset", "comp", "min")),
+        ("permutations", (), ("p", "comp", "lmin")),
+        ("matchings", ("no_left_nesting",), ("rne", "comp", "min"))))),
     # Conjectured second triple: neighbor violations, minima and levels less
     # one; pattern occurrences, left-to-right maxima and descents;
     # right-nestings, minima and opener intervals less one (n >= 1).
     "conj2_equidistribution": ("conjecture", 6, _facts(_equidistributed(
-        ("factorial_posets", _of("factorial_posets"), ("rne_poset", "min", "lev"), (0, 0, -1)),
-        ("permutations", _of("permutations"), ("p", "lmax", "des")),
-        ("matchings", _of("matchings", "no_left_nesting"), ("rne", "min", "inter"),
+        ("factorial_posets", (), ("rne_poset", "min", "lev"), (0, 0, -1)),
+        ("permutations", (), ("p", "lmax", "des")),
+        ("matchings", ("no_left_nesting",), ("rne", "min", "inter"),
          (0, 0, -1))), start=1)),
     # Conjectured: matchings with no nesting whose openers are 1 or 2 apart
     # are counted by the Fishburn numbers.
@@ -539,11 +533,12 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
 
 
 def run_check(name: str, n_max: int | None = None) -> CheckReport:
-    """Execute one registered check for all n up to n_max (or its default)."""
+    """Execute one registered check for all n up to n_max (or its default);
+    ValueError unless n_max is None or a nonnegative integer."""
     if name not in REGISTRY:
         raise UnknownCheck(f"unknown check {name!r}")
     kind, default_n, fn = REGISTRY[name]
-    limit = default_n if n_max is None else n_max
+    limit = validate_size(default_n if n_max is None else n_max)
     start = time.perf_counter()
     ok, witness, detail = fn(limit)
     elapsed = time.perf_counter() - start
@@ -578,7 +573,8 @@ def check_equidistribution(
     if len(arities) != 1:
         raise ValueError(f"statistic tuples have mixed arities: {sorted(arities)}")
     start = time.perf_counter()
-    diff = _tally_difference(classes)
+    diff = _first_difference([distribution(stream, class_name, names).rows
+                              for class_name, stream, names in classes])
     elapsed = time.perf_counter() - start
     return CheckReport(
         check="equidistribution",

@@ -4,8 +4,7 @@ Every comparison is an exact integer equality; the time limits assume an
 ordinary laptop.  Run with `pytest tests/test_acceptance.py -s` to see the
 per-criterion lines as they complete.
 
-Criterion 8 checks the conjectured equidistributions for n <= 6 by default;
-set FISHBURN_ACCEPTANCE_EXTENDED=1 to push them to n = 7 (takes minutes).
+Criterion 8 checks the conjectured equidistributions for n <= 7.
 """
 
 import json
@@ -243,11 +242,10 @@ def test_criterion_07_mahonian_eulerian():
 
 def test_criterion_08_conjectured_equidistributions():
     start = time.perf_counter()
-    n_max = 7 if os.environ.get("FISHBURN_ACCEPTANCE_EXTENDED") else 6
-    r1 = run_check("conj1_equidistribution", n_max)
-    r2 = run_check("conj2_equidistribution", n_max)
+    r1 = run_check("conj1_equidistribution", 7)
+    r2 = run_check("conj2_equidistribution", 7)
     ok = r1.verdict == "pass" and r2.verdict == "pass"
-    report(8, f"conjectured triple equidistributions hold for n <= {n_max}",
+    report(8, "conjectured triple equidistributions hold for n <= 7",
            ok, time.perf_counter() - start, 600)
 
 

@@ -313,6 +313,32 @@ class TestStats:
         assert "InvalidObject" in err
 
 
+class TestStatNames:
+    # stats and distribution read --stats with one parser
+    MATCHING = '{"n": 2, "arcs": [[1, 2], [3, 4]]}'
+    EMPTY_NAME = "--stats takes comma separated statistic names, none of them empty"
+
+    @pytest.mark.parametrize("argv", [
+        ("stats", "matching", MATCHING, "--stats", "comp,,min"),
+        ("distribution", "matchings", "2", "--stats", "comp,,min"),
+        ("stats", "matching", MATCHING, "--stats", ""),
+        ("distribution", "matchings", "2", "--stats", ""),
+    ])
+    def test_empty_name_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {self.EMPTY_NAME}\n"
+
+    def test_unknown_name_refused_alike(self, capsys):
+        _, _, stats_err = run_cli(
+            capsys, "stats", "matching", self.MATCHING, "--stats", "comp,inv")
+        _, _, distribution_err = run_cli(
+            capsys, "distribution", "matchings", "2", "--stats", "comp,inv")
+        assert stats_err == distribution_err
+        assert stats_err.startswith("error: 'inv' is not a matchings statistic")
+
+
 class TestDistribution:
     def test_csv(self, capsys):
         code, out, _ = run_cli(

@@ -130,6 +130,14 @@ class TestGenerators:
         with pytest.raises(UnknownClass):
             generate("widgets", 3)
 
+    @pytest.mark.parametrize("name, n", [
+        ("natural_posets", -1), ("permutations", -1), ("matchings", -2),
+        ("inversion_tables", True), ("matrices", 2.0)])
+    def test_size_must_be_a_nonnegative_integer(self, name, n):
+        # refused when called, before any object is generated
+        with pytest.raises(ValueError):
+            generate(name, n)
+
 
 class TestCloserOrderSearch:
     @pytest.mark.parametrize("n", range(8))

@@ -1,4 +1,6 @@
 import json
+import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,13 +11,16 @@ from fishburn import (
     check_equidistribution,
     run_all,
     run_check,
+    table_to_poset,
 )
+from fishburn import enumeration, verify
 from fishburn.enumeration import (
     MATCHING_RULES,
     gen_factorial_posets,
     gen_permutations,
+    generate,
 )
-from fishburn.verify import _objects
+from fishburn.verify import _objects, _tally
 
 
 class TestRegistry:
@@ -34,6 +39,15 @@ class TestRegistry:
     def test_unknown_check(self):
         with pytest.raises(UnknownCheck):
             run_check("thm_flat_earth")
+
+    @pytest.mark.parametrize("n_max", [-3, True, 2.0, "2"])
+    def test_size_must_be_a_nonnegative_integer(self, n_max):
+        with pytest.raises(ValueError):
+            run_check("conj3_no_2_left_nestings", n_max)
+
+    def test_run_all_refuses_a_negative_size(self):
+        with pytest.raises(ValueError):
+            run_all(-1)
 
 
 class TestRunCheck:
@@ -160,3 +174,52 @@ class TestFailureWitnesses:
         diff = _first_difference([Counter({(0,): 1, (2,): 3}), Counter({(0,): 1, (2,): 4})])
         assert diff == {"tuple": [2], "counts": [3, 4]}
         json.dumps(diff)
+
+
+class TestDataLayer:
+    def test_cached_classes_equal_generated_streams(self, monkeypatch):
+        # every (class, predicates) the registry reads, prefixes included
+        read = set()
+        cached = verify._objects
+
+        def recording(class_name, n, predicates):
+            read.add((class_name, predicates))
+            return cached(class_name, n, predicates)
+
+        monkeypatch.setattr(verify, "_objects", recording)
+        _tally.cache_clear()                # so the tallied classes are read too
+        run_all(2)
+        monkeypatch.undo()
+        assert ("permutations", ()) in read
+        assert ("natural_posets", ("factorial", "condition_one")) in read
+        assert ("natural_posets", ("factorial",)) in read
+        assert ("matchings", ("no_left_nesting",)) in read
+        for class_name, predicates in sorted(read):
+            for n in range(6):
+                assert _objects(class_name, n, predicates) == \
+                    tuple(generate(class_name, n, predicates)), (class_name, predicates, n)
+
+    def test_eulerian_tallies_each_table_once(self, monkeypatch):
+        calls = Counter()
+        stats_for = enumeration.stats_for
+
+        def counting(class_name, obj, names=None):
+            if class_name == "inversion_tables":
+                calls[len(obj)] += 1
+            return stats_for(class_name, obj, names)
+
+        monkeypatch.setattr(enumeration, "stats_for", counting)
+        _objects.cache_clear()
+        _tally.cache_clear()
+        try:
+            report = run_check("cor_eulerian", 6)
+        finally:
+            _objects.cache_clear()
+            _tally.cache_clear()
+        assert report.verdict == "pass"
+        assert calls == {n: math.factorial(n) for n in range(7)}
+
+    def test_poset_relation_is_not_kept(self):
+        p = table_to_poset((0, 1, 0, 2))
+        assert p.less == frozenset({(1, 2), (1, 4), (2, 4)})
+        assert "less" not in vars(p)
