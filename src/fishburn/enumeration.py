@@ -21,6 +21,7 @@ restatement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -70,20 +71,28 @@ MATCHING_RULES = {
 }
 
 
-def _closer_order(n: int, rules: frozenset) -> Iterator[tuple[tuple, int]]:
+def _sized(gen):
+    """``gen`` with its size checked by ``validate_size`` when it is called,
+    so a bad size raises ValueError before anything is generated."""
+    @functools.wraps(gen)
+    def checked(n, *args, **kwargs):
+        return gen(validate_size(n), *args, **kwargs)
+    return checked
+
+
+def _closer_order(n: int, rules: frozenset) -> Iterator[tuple]:
     """Depth-first search over the matchings of [2n] that break none of the
-    rules, yielding (canonical arc tuple, number of left-nestings) for each.
+    rules, yielding the canonical arc tuple of each.
 
     Arc k takes the lexicographically next (opener, closer) pair whose
     closer follows the closer of arc k - 1; the unused positions below that
     closer are the openers still open.  At most n openers come before the
     k-th closer, so it is at most n + k, and without rules every branch
     within that bound completes; the arc tuples come in lexicographic order
-    with no sort.  A closer adds a left-nesting when the position just
-    before its opener is still open.
+    with no sort.
     """
     if n <= 1:              # no two arcs, so no rule applies
-        yield ((1, 2),) * n, 0
+        yield ((1, 2),) * n
         return
     top = 2 * n
     total = top * (top + 1) // 2        # the sum of all positions
@@ -99,31 +108,30 @@ def _closer_order(n: int, rules: frozenset) -> Iterator[tuple[tuple, int]]:
                     or (q and q < c - 1 and (rne if q > o else rcr))
                     or (ne and not all(p[1:o])) or (cr and not all(p[o + 1:c])))
 
-    def place(k: int, last: int, used: int, arcs: tuple, left_nestings: int):
+    def place(k: int, last: int, used: int, arcs: tuple):
         # arcs 1..k-1 are placed, the last closing at ``last``; ``used`` is
         # the sum of their ends
         for o in range(1, n + k):
             if p[o]:
                 continue
-            lnes = left_nestings + (o > 1 and not p[o - 1])
             for c in range(max(o, last) + 1, n + k + 1):
                 if rules and breaks(o, c):
                     continue
                 p[o] = c
                 p[c] = o
                 if k < n - 1:
-                    yield from place(k + 1, c, used + o + c, arcs + ((o, c),), lnes)
+                    yield from place(k + 1, c, used + o + c, arcs + ((o, c),))
                 else:
-                    # arc n joins the one position left to top, and nothing
-                    # is open below it, so it adds no left-nesting
+                    # arc n joins the one position left to top
                     u = total - used - o - c - top
                     if not (rules and breaks(u, top)):
-                        yield arcs + ((o, c), (u, top)), lnes
+                        yield arcs + ((o, c), (u, top))
                 p[o] = p[c] = 0
 
-    yield from place(1, 0, 0, (), 0)
+    yield from place(1, 0, 0, ())
 
 
+@_sized
 def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
     """All perfect matchings of [2n] in lexicographic order of their
     canonical (closer-sorted) arc tuples; there are 1*3*...*(2n-1) of them.
@@ -138,36 +146,74 @@ def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
     rules = frozenset(rules)
     if not rules <= set(RULE_NAMES):
         raise ValueError(f"unknown matching rules {sorted(rules - set(RULE_NAMES))}")
-    build = Matching.from_canonical
-    return (build(arcs) for arcs, _ in _closer_order(n, rules))
+    return map(Matching.from_canonical, _closer_order(n, rules))
 
 
+@_sized
 def left_nesting_tally(n: int) -> Counter:
-    """How many matchings of [2n] have each number of left-nestings,
-    tallied inside the search without building the matchings.
+    """How many matchings of [2n] have each number of left-nestings, by the
+    closer-order search of ``gen_matchings`` with equivalent states merged;
+    no matching is built.
+
+    When a closer is placed, the unused positions below it are the open
+    openers, and it adds a left-nesting exactly when the position just
+    before its opener is still open.  So what a partial matching can still
+    gain depends only on the multiset of lengths of the maximal runs of
+    consecutive open openers, and on ``free``, the number of positions above
+    its last closer.  The next closer comes after r new openers, which form
+    a run of their own, the last closer separating it from the older runs.
+    It then closes element j (from 0) of some run of length L, adding a
+    left-nesting iff j > 0 and splitting the run into runs of lengths j and
+    L - j - 1; equal runs give equal states, so one is counted with the
+    number of them.  The open openers must still find closers above, so
+    ``free`` never falls below their number, and the search ends with
+    ``free`` 0 and nothing open.
 
     >>> sorted(left_nesting_tally(3).items())
     [(0, 6), (1, 8), (2, 1)]
     """
-    return Counter(lnes for _, lnes in _closer_order(n, frozenset()))
+    @functools.cache
+    def future(runs: tuple[int, ...], free: int) -> tuple[int, ...]:
+        # entry k: the completions that add k more left-nestings
+        if not free:
+            return (1,)
+        out = [0] * (n + 1)         # at most n - 1 more, plus one here
+        for r in range((free - sum(runs)) // 2 + 1):
+            pool = tuple(sorted(runs + (r,))) if r else runs
+            for length, copies in Counter(pool).items():
+                i = pool.index(length)
+                rest = pool[:i] + pool[i + 1:]
+                for j in range(length):
+                    split = tuple(sorted(rest + tuple(x for x in (j, length - j - 1) if x)))
+                    for lnes, count in enumerate(future(split, free - r - 1), j > 0):
+                        out[lnes] += copies * count
+        while not out[-1]:          # every state here has a completion
+            out.pop()
+        return tuple(out)
+
+    return Counter({lnes: count for lnes, count in enumerate(future((), 2 * n)) if count})
 
 
+@_sized
 def gen_inversion_tables(n: int) -> Iterator[tuple[int, ...]]:
     """All inversion tables of length n, lexicographically; n! of them."""
     return itertools.product(*(range(i + 1) for i in range(n)))
 
 
+@_sized
 def gen_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """All permutations of 1..n in lexicographic one-line order."""
     return itertools.permutations(range(1, n + 1))
 
 
+@_sized
 def gen_factorial_posets(n: int) -> Iterator[Poset]:
     """All factorial posets on [n], via the inversion-table encoding."""
     for w in gen_inversion_tables(n):
         yield table_to_poset(w)
 
 
+@_sized
 def gen_natural_posets(n: int) -> Iterator[Poset]:
     """All naturally labeled posets on [n], independently of any bijection.
 
@@ -196,6 +242,7 @@ def gen_natural_posets(n: int) -> Iterator[Poset]:
         yield Poset.from_pre_masks(masks)
 
 
+@_sized
 def gen_matrices(n: int) -> Iterator[TriangularMatrix]:
     """All upper triangular matrices with entry sum n and no zero row or
     column, by dimension then lexicographically by the upper cells.
@@ -241,6 +288,7 @@ def gen_matrices(n: int) -> Iterator[TriangularMatrix]:
         yield from fill(0, 0, n)
 
 
+@_sized
 def gen_ascent_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """All sequences with x_1 = 0 and 0 <= x_i <= 1 + #ascents so far."""
     if n == 0:
@@ -275,7 +323,6 @@ def generate(class_name: str, n: int, predicates: Sequence[str] = ()) -> Iterato
     Raises ValueError unless n is a nonnegative integer."""
     if class_name not in GENERATORS:
         raise UnknownClass(f"unknown object class {class_name!r}")
-    validate_size(n)
     if class_name == "matchings":
         stream = gen_matchings(n, frozenset().union(
             *(MATCHING_RULES.get(name, ()) for name in predicates)))

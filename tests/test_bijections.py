@@ -355,6 +355,42 @@ class TestAgainstRawArcOracles:
                 assert by_matrix[rows] == [arcset(preimage(t))]
 
 
+def random_tables(seed, count=25):
+    """Seeded inversion tables of lengths 20 to 60."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(0, i) for i in range(rng.randint(20, 60)))
+            for _ in range(count)]
+
+
+class TestLargeRandomTables:
+    """Sizes beyond exhaustion, judged object by object by the raw-arc oracles."""
+
+    @pytest.mark.parametrize("forward,backward,count", [
+        (table_to_matching, matching_to_table, "lne"),
+        (table_to_crossfree_matching, crossfree_matching_to_table, "lcr"),
+    ])
+    def test_insertions_round_trip_into_their_class(self, forward, backward, count):
+        for w in random_tables(20101):
+            m = forward(w)
+            assert naive_counts(m.arcs)[count] == 0
+            assert raw_table(m.arcs) == w
+            assert backward(m) == w
+
+    @pytest.mark.parametrize("preimage,counts", [
+        (matrix_to_matching_no_neighbor_nesting, ("lne", "rne")),
+        (matrix_to_matching_no_neighbor_crossing, ("lcr", "rcr")),
+    ])
+    def test_interval_matrices_round_trip(self, preimage, counts):
+        for w in random_tables(20102):
+            for m in (table_to_matching(w), table_to_crossfree_matching(w)):
+                t = matching_to_matrix(m)
+                assert t.rows == naive_interval_matrix(m.arcs)
+                back = preimage(t)
+                record = naive_counts(back.arcs)
+                assert all(record[name] == 0 for name in counts)
+                assert matching_to_matrix(back) == t
+
+
 class TestMatrixImagePredicates:
     def test_small_examples(self):
         assert matrix_is_nonnesting_image(validate_matrix([[1, 1], [0, 1]]))

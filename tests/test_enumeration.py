@@ -22,6 +22,7 @@ from fishburn import (
     gen_natural_posets,
     gen_permutations,
     generate,
+    run_check,
     second_order_eulerian,
 )
 from fishburn.enumeration import MATCHING_RULES, PREDICATES, left_nesting_tally
@@ -138,6 +139,17 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate(name, n)
 
+    @pytest.mark.parametrize("gen, n", [
+        (gen_permutations, -1), (gen_inversion_tables, -1),
+        (gen_factorial_posets, -1), (gen_matchings, -2), (gen_matchings, True),
+        (gen_natural_posets, -1), (gen_ascent_sequences, -1), (gen_matrices, -1),
+        (left_nesting_tally, -1)])
+    def test_generators_refuse_bad_sizes_when_called(self, gen, n):
+        # these once yielded an empty object, ((1, 2),) for True, or died
+        # in RecursionError
+        with pytest.raises(ValueError):
+            gen(n)
+
 
 class TestCloserOrderSearch:
     @pytest.mark.parametrize("n", range(8))
@@ -172,6 +184,20 @@ class TestCloserOrderSearch:
     @pytest.mark.parametrize("n", range(8))
     def test_left_nesting_tally_equals_arc_statistics(self, oracle, n):
         assert left_nesting_tally(n) == Counter(arc_statistics(m).lne for m in oracle(n))
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_left_nesting_tally_sums_to_all_matchings(self, n):
+        tally = left_nesting_tally(n)
+        assert sum(tally.values()) == double_factorial(2 * n - 1)
+        assert 0 not in tally.values()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_left_nesting_tally_of_at_most_one_arc(self, n):
+        assert left_nesting_tally(n) == {0: 1}
+
+    def test_conj4_passes_at_twelve_reversed(self):
+        report = run_check("conj4_lne_second_order_eulerian", 12)
+        assert (report.verdict, report.detail) == ("pass", "orientation: reversed")
 
     @pytest.mark.parametrize("n", range(6))
     def test_prefilled_fields_equal_lazy_ones(self, n):
