@@ -83,6 +83,7 @@ from .statistics import (
     matching_stats,
     perm_stats,
     poset_stats,
+    stat_tuple,
     stats_for,
     table_stats,
 )

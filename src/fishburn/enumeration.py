@@ -34,9 +34,9 @@ from .bijections import (
     matrix_is_nonnesting_image,
     table_to_poset,
 )
-from .errors import UnknownClass, UnknownPredicate, UnknownStatistic
+from .errors import UnknownClass, UnknownPredicate
 from .objects import Matching, Poset, TriangularMatrix, is_zero_one, validate_size
-from .statistics import VOCABULARY, stats_for
+from .statistics import stat_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,19 @@ def left_nesting_tally(n: int) -> Counter:
     closer-order search of ``gen_matchings`` with equivalent states merged;
     no matching is built.
 
+    >>> sorted(left_nesting_tally(3).items())
+    [(0, 6), (1, 8), (2, 1)]
+    """
+    *_, tally = left_nesting_tallies(n)
+    return tally
+
+
+@_sized
+def left_nesting_tallies(n_max: int) -> Iterator[Counter]:
+    """``left_nesting_tally(n)`` for n = 0, 1, ..., n_max in turn, from one
+    memo: a state's completions do not depend on n, and the search for n
+    passes through the start state of every smaller n.
+
     When a closer is placed, the unused positions below it are the open
     openers, and it adds a left-nesting exactly when the position just
     before its opener is still open.  So what a partial matching can still
@@ -168,17 +181,16 @@ def left_nesting_tally(n: int) -> Counter:
     number of them.  The open openers must still find closers above, so
     ``free`` never falls below their number, and the search ends with
     ``free`` 0 and nothing open.
-
-    >>> sorted(left_nesting_tally(3).items())
-    [(0, 6), (1, 8), (2, 1)]
     """
     @functools.cache
     def future(runs: tuple[int, ...], free: int) -> tuple[int, ...]:
         # entry k: the completions that add k more left-nestings
         if not free:
             return (1,)
-        out = [0] * (n + 1)         # at most n - 1 more, plus one here
-        for r in range((free - sum(runs)) // 2 + 1):
+        open_ = sum(runs)
+        # (free + open_) / 2 closers are left, each adding at most one
+        out = [0] * ((free + open_) // 2 + 1)
+        for r in range((free - open_) // 2 + 1):
             pool = tuple(sorted(runs + (r,))) if r else runs
             for length, copies in Counter(pool).items():
                 i = pool.index(length)
@@ -191,7 +203,8 @@ def left_nesting_tally(n: int) -> Counter:
             out.pop()
         return tuple(out)
 
-    return Counter({lnes: count for lnes, count in enumerate(future((), 2 * n)) if count})
+    for n in range(n_max + 1):
+        yield Counter({lnes: count for lnes, count in enumerate(future((), 2 * n)) if count})
 
 
 @_sized
@@ -496,11 +509,4 @@ def distribution(stream: Iterable, class_name: str,
                  stat_names: Sequence[str]) -> DistributionTable:
     """Tally the named statistic tuple over every object in the stream."""
     names = tuple(stat_names)
-    for name in names:
-        if name not in VOCABULARY.get(class_name, ()):
-            raise UnknownStatistic(f"{name!r} is not a {class_name} statistic")
-    counter: Counter = Counter()
-    for obj in stream:
-        record = stats_for(class_name, obj, names)
-        counter[tuple(record[name] for name in names)] += 1
-    return DistributionTable(names, dict(counter))
+    return DistributionTable(names, dict(Counter(map(stat_tuple(class_name, names), stream))))

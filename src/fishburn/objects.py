@@ -474,11 +474,18 @@ def rne_poset(p: Poset) -> int:
     """Count of x with pre(x) > pre(x+1) and equal successor sets.
 
     These are exactly the violations of the rule in :func:`condition_one`.
+    Elements x and x + 1 have equal successor sets exactly when no
+    predecessor mask differs in bits x - 1 and x, that is when bit x - 1 of
+    the OR of every mask ^ mask >> 1 is 0.
     """
+    masks = p.pre_masks
+    differ = 0
+    for mask in masks:
+        differ |= mask ^ mask >> 1
     return sum(
         1
         for x in range(1, p.n)
-        if p.pre(x) > p.pre(x + 1) and p.suc_masks[x - 1] == p.suc_masks[x]
+        if not differ >> (x - 1) & 1 and masks[x - 1].bit_count() > masks[x].bit_count()
     )
 
 

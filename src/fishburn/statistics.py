@@ -9,12 +9,23 @@ object kind; it is computed by a greedy left-to-right cut: cut after a
 prefix that is closed under the relevant structure (poset: all earlier
 elements below all later ones; permutation: prefix is {1..k}; matching:
 prefix endpoints are {1..2k}).
+
+``stat_tuple`` compiles a requested tuple once per (class, names) into one
+function that runs the class check and each pass it needs once per object.
+Four passes are linear kernels; their pairwise definitions are test oracles:
+
+- ``inv``: each letter meets the smaller letters before it in a sorted prefix.
+- ``emb``: c_k - 2k arcs are open across the k-th closer c_k.
+- neighbour counts: neighbour arcs sit at adjacent positions, so one scan.
+- ``rne_poset``: one OR of every mask ^ mask >> 1 compares all successor sets.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterable, Sequence
+import functools
+from bisect import bisect, bisect_left
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .bijections import permutation_to_table
 from .errors import NotFactorial, UnknownStatistic
@@ -59,7 +70,13 @@ def _perm_asc_des(pi: Sequence[int]) -> tuple[int, int]:
 
 
 def _perm_inv(pi: Sequence[int]) -> tuple[int]:
-    return (sum(a > b for i, a in enumerate(pi, start=1) for b in pi[i:]),)
+    inv = len(pi) * (len(pi) - 1) // 2
+    seen: list[int] = []
+    for v in pi:
+        i = bisect(seen, v)
+        inv -= i
+        seen.insert(i, v)
+    return (inv,)
 
 
 def _records(values: Iterable[int], n: int) -> tuple[int, int]:
@@ -110,9 +127,10 @@ def perm_stats(pi: Sequence[int]) -> dict[str, int]:
 # Factorial posets
 # ---------------------------------------------------------------------------
 
-def _require_factorial(p: Poset) -> None:
+def _require_factorial(p: Poset) -> tuple[()]:
     if not is_factorial(p):
         raise NotFactorial(f"poset on [{p.n}] is not factorial")
+    return ()
 
 
 def _poset_comp(p: Poset) -> tuple[int]:
@@ -183,12 +201,34 @@ def _matching_inter(m: Matching) -> tuple[int]:
 
 
 def _matching_emb(m: Matching) -> tuple[int]:
-    return (sum(1 for c in m.closers for o2, c2 in m.arcs if o2 < c < c2),)
+    # before the k-th closer c_k lie c_k - k openers and k - 1 closers
+    return (sum(m.closers) - m.n * (m.n + 1),)
 
 
-def _matching_arcs(m: Matching) -> tuple[int, ...]:
+def _matching_ne_cr(m: Matching) -> tuple[int, int]:
     r = arc_statistics(m)
-    return (r.ne, r.cr, r.lne, r.rne, r.lcr, r.rcr)
+    return (r.ne, r.cr)
+
+
+def _matching_neighbors(m: Matching) -> tuple[int, int, int, int]:
+    # arcs at adjacent openers, or adjacent closers, x and x + 1 nest
+    # exactly when p[x] > p[x + 1], as in first_neighbor_pair
+    p = m.partner
+    lne = rne = lcr = rcr = 0
+    for x in range(1, 2 * m.n):
+        a, b = p[x], p[x + 1]
+        if a > x:
+            if b > x + 1:
+                if a > b:
+                    lne += 1
+                else:
+                    lcr += 1
+        elif b < x:
+            if a > b:
+                rne += 1
+            else:
+                rcr += 1
+    return (lne, rne, lcr, rcr)
 
 
 def matching_stats(m: Matching) -> dict[str, int]:
@@ -218,84 +258,102 @@ def table_stats(w: Sequence[int]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 # A pass computes a fixed tuple of named statistics in one sweep over an
-# object.  Per class: a check every object must pass first (or None), then
-# the passes in vocabulary order.
+# object; per class, the passes in vocabulary order.  A pass that names no
+# statistic is a check that every object must pass first: it returns () or
+# raises.
 _POSET_PASSES = (
-    _require_factorial,
-    (
-        (("comp",), _poset_comp),
-        (("min",), _poset_min),
-        (("pre_n",), _poset_pre_n),
-        (("lev",), _poset_lev),
-        (("ip",), _poset_ip),
-        (("rne_poset",), _poset_rne),
-    ),
+    ((), _require_factorial),
+    (("comp",), _poset_comp),
+    (("min",), _poset_min),
+    (("pre_n",), _poset_pre_n),
+    (("lev",), _poset_lev),
+    (("ip",), _poset_ip),
+    (("rne_poset",), _poset_rne),
 )
 
 PASSES = {
     "matchings": (
-        None,
-        (
-            (("comp",), _matching_comp),
-            (("min",), _matching_min),
-            (("last",), _matching_last),
-            (("inter",), _matching_inter),
-            (("emb",), _matching_emb),
-            (("ne", "cr", "lne", "rne", "lcr", "rcr"), _matching_arcs),
-        ),
+        (("comp",), _matching_comp),
+        (("min",), _matching_min),
+        (("last",), _matching_last),
+        (("inter",), _matching_inter),
+        (("emb",), _matching_emb),
+        (("ne", "cr"), _matching_ne_cr),
+        (("lne", "rne", "lcr", "rcr"), _matching_neighbors),
     ),
     "permutations": (
-        None,
-        (
-            (("comp",), _perm_comp),
-            (("asc", "des"), _perm_asc_des),
-            (("inv",), _perm_inv),
-            (("lmin", "lmax"), _perm_left_records),
-            (("rmin", "rmax"), _perm_right_records),
-            (("dent",), _perm_dent),
-            (("last",), _perm_last),
-            (("p",), _perm_p),
-        ),
+        (("comp",), _perm_comp),
+        (("asc", "des"), _perm_asc_des),
+        (("inv",), _perm_inv),
+        (("lmin", "lmax"), _perm_left_records),
+        (("rmin", "rmax"), _perm_right_records),
+        (("dent",), _perm_dent),
+        (("last",), _perm_last),
+        (("p",), _perm_p),
     ),
     "factorial_posets": _POSET_PASSES,
     "natural_posets": _POSET_PASSES,
-    "inversion_tables": (None, ((("dent",), _table_dent),)),
+    "inversion_tables": ((("dent",), _table_dent),),
 }
 
 # class -> statistic names, in the key order of the full record
 VOCABULARY = {
     class_name: tuple(name for names, _ in passes for name in names)
-    for class_name, (_, passes) in PASSES.items()
+    for class_name, passes in PASSES.items()
 }
 
 # class -> statistic name -> the pass that computes it
 _PASS_OF = {
     class_name: {name: (names, compute) for names, compute in passes for name in names}
-    for class_name, (_, passes) in PASSES.items()
+    for class_name, passes in PASSES.items()
 }
 
 
-def stats_for(class_name: str, obj, names: Sequence[str] | None = None) -> dict[str, int]:
-    """Named statistics of one object; names default to the full vocabulary.
+def stat_tuple(class_name: str, names: Sequence[str]) -> Callable[[object], tuple[int, ...]]:
+    """The function from an object of the class to its tuple of the named
+    statistics, in the order asked and with repeats, compiled once per
+    (class, names).  Raises UnknownStatistic for an unknown class, else for
+    the first unknown name.
 
-    Only the passes that cover the requested names run, each once.
+    >>> stat_tuple("permutations", ("inv", "des", "inv"))((2, 4, 1, 3))
+    (3, 1, 3)
     """
+    return _compile(class_name, tuple(names))
+
+
+@functools.cache
+def _compile(class_name: str, names: tuple[str, ...]) -> Callable[[object], tuple[int, ...]]:
     if class_name not in PASSES:
         raise UnknownStatistic(f"no statistics defined for class {class_name!r}")
-    check, passes = PASSES[class_name]
-    if check is not None:
-        check(obj)
-    if names is None:
-        values: list[int] = []
-        for _, compute in passes:
-            values += compute(obj)
-        return dict(zip(VOCABULARY[class_name], values))
     pass_of = _PASS_OF[class_name]
-    record: dict[str, int] = {}
+    # the checks first, then the passes to run, by first request
+    chosen = [check for check in PASSES[class_name] if not check[0]]
     for name in names:
-        if name not in record:
-            if name not in pass_of:
-                raise UnknownStatistic(f"{name!r} is not a {class_name} statistic")
-            pass_names, compute = pass_of[name]
-            record.update(zip(pass_names, compute(obj)))
-    return {name: record[name] for name in names}
+        if name not in pass_of:
+            raise UnknownStatistic(f"{name!r} is not a {class_name} statistic")
+        if pass_of[name] not in chosen:
+            chosen.append(pass_of[name])
+    computed = tuple(name for pass_names, _ in chosen for name in pass_names)
+    computes = tuple(compute for _, compute in chosen)
+    where = tuple(map(computed.index, names))
+    if computed == names:
+        pick = itemgetter(slice(None))
+    elif len(where) == 1:
+        pick = itemgetter(slice(where[0], where[0] + 1))
+    else:
+        pick = itemgetter(*where)
+
+    def tuple_of(obj) -> tuple[int, ...]:
+        values: tuple[int, ...] = ()
+        for compute in computes:
+            values += compute(obj)
+        return pick(values)
+
+    return tuple_of
+
+
+def stats_for(class_name: str, obj, names: Sequence[str] | None = None) -> dict[str, int]:
+    """Named statistics of one object, keyed in the order asked (a repeated
+    name once); names default to the full vocabulary."""
+    names = VOCABULARY.get(class_name, ()) if names is None else tuple(names)
+    return dict(zip(names, stat_tuple(class_name, names)(obj)))

@@ -55,7 +55,7 @@ from .enumeration import (
     filter_class,
     fishburn_numbers,
     generate,
-    left_nesting_tally,
+    left_nesting_tallies,
     second_order_eulerian,
 )
 from .errors import UnknownCheck
@@ -70,7 +70,7 @@ from .objects import (
     is_two_plus_two_free_by_inclusion,
     validate_size,
 )
-from .statistics import stats_for
+from .statistics import stat_tuple
 
 
 @dataclass
@@ -288,16 +288,16 @@ def _nesting_pair(p) -> list[int] | None:
                  if (arcs[j][0] < arcs[i][0]) != (pre[i] > pre[j])), None)
 
 
-_POSET_QUINTUPLE = ("comp", "min", "pre_n", "lev", "ip")
-_PERM_QUINTUPLE = ("comp", "lmin", "last", "dent", "inv")
-_MATCHING_QUINTUPLE = ("comp", "min", "last", "inter", "emb")
+_poset_quintuple = stat_tuple("factorial_posets", ("comp", "min", "pre_n", "lev", "ip"))
+_perm_quintuple = stat_tuple("permutations", ("comp", "lmin", "last", "dent", "inv"))
+_matching_quintuple = stat_tuple("matchings", ("comp", "min", "last", "inter", "emb"))
 
 
 def _triple_statistics(n: int):
     for w in _objects("inversion_tables", n, ()):
-        t_poset = tuple(stats_for("factorial_posets", table_to_poset(w), _POSET_QUINTUPLE).values())
-        t_perm = tuple(stats_for("permutations", table_to_permutation(w), _PERM_QUINTUPLE).values())
-        t_match = tuple(stats_for("matchings", table_to_matching(w), _MATCHING_QUINTUPLE).values())
+        t_poset = _poset_quintuple(table_to_poset(w))
+        t_perm = _perm_quintuple(table_to_permutation(w))
+        t_match = _matching_quintuple(table_to_matching(w))
         zeros = sum(1 for a in w if a == 0)
         co_inv = n * (n - 1) // 2 - sum(w)
         if not (t_poset == t_perm == t_match):
@@ -331,12 +331,13 @@ def check_lne_second_order_eulerian(n_max: int):
     the second-order Eulerian row, compared as multisets; row sums must be
     the odd double factorial.  The detected orientation is reported."""
     orientations = set()
+    tallies = left_nesting_tallies(n_max)
     for n in range(n_max + 1):
         row = second_order_eulerian(n)
         if sum(row) != double_factorial(2 * n - 1):
             return False, {"n": n, "row": list(row), "expected_sum":
                            double_factorial(2 * n - 1)}, None
-        dist = left_nesting_tally(n)
+        dist = next(tallies)
         counts = [dist.get(k, 0) for k in range(max(n, 1))]
         if sorted(counts) != sorted(row):
             return False, {"n": n, "lne_counts": counts, "row": list(row)}, None

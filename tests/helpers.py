@@ -2,10 +2,12 @@
 
 Nothing here reuses the library's pair classification, interval logic or
 counting code; the oracles work on raw arc tuples so that agreement with
-the package is evidence.
+the package is evidence.  The quadratic statistic definitions are the ones
+the library replaced by linear kernels; they stay here as their oracles.
 """
 
 import itertools
+import random
 
 from fishburn.objects import Matching
 
@@ -68,6 +70,45 @@ def naive_counts(arcs):
             lcr += o2 == o1 + 1
             rcr += c2 == c1 + 1
     return {"ne": ne, "cr": cr, "lne": lne, "rne": rne, "lcr": lcr, "rcr": rcr}
+
+
+def quadratic_inv(pi):
+    """Inversions of a permutation, every pair of letters compared."""
+    return sum(a > b for i, a in enumerate(pi, start=1) for b in pi[i:])
+
+
+def quadratic_emb(arcs):
+    """Closers lying strictly inside another arc, every closer tested
+    against every arc."""
+    return sum(1 for _, c in arcs for o2, c2 in arcs if o2 < c < c2)
+
+
+def quadratic_neighbor_counts(arcs):
+    """(lne, rne, lcr, rcr): every pair of arcs, sorted by opener, sorted
+    into nesting or crossing and tested for adjacent openers or closers."""
+    lne = rne = lcr = rcr = 0
+    for (o1, c1), (o2, c2) in itertools.combinations(sorted(arcs), 2):
+        if o2 < c2 < c1:
+            lne += o2 == o1 + 1
+            rne += c1 == c2 + 1
+        elif o2 < c1 < c2:
+            lcr += o2 == o1 + 1
+            rcr += c2 == c1 + 1
+    return (lne, rne, lcr, rcr)
+
+
+def rne_poset_by_successors(p):
+    """Neighbours x, x + 1 with pre(x) > pre(x + 1) and the same successor
+    mask, the masks compared whole."""
+    return sum(1 for x in range(1, p.n)
+               if p.pre(x) > p.pre(x + 1) and p.suc_masks[x - 1] == p.suc_masks[x])
+
+
+def random_tables(seed, count=25):
+    """Seeded inversion tables of lengths 20 to 60."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(0, i) for i in range(rng.randint(20, 60)))
+            for _ in range(count)]
 
 
 def naive_interval_matrix(arcs):

@@ -57,6 +57,7 @@ from helpers import (
     naive_interval_matrix,
     naive_matchings,
     naive_matrices,
+    random_tables,
 )
 
 
@@ -353,13 +354,6 @@ class TestAgainstRawArcOracles:
                     preimage(t)
             else:
                 assert by_matrix[rows] == [arcset(preimage(t))]
-
-
-def random_tables(seed, count=25):
-    """Seeded inversion tables of lengths 20 to 60."""
-    rng = random.Random(seed)
-    return [tuple(rng.randint(0, i) for i in range(rng.randint(20, 60)))
-            for _ in range(count)]
 
 
 class TestLargeRandomTables:

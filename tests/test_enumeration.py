@@ -25,7 +25,12 @@ from fishburn import (
     run_check,
     second_order_eulerian,
 )
-from fishburn.enumeration import MATCHING_RULES, PREDICATES, left_nesting_tally
+from fishburn.enumeration import (
+    MATCHING_RULES,
+    PREDICATES,
+    left_nesting_tallies,
+    left_nesting_tally,
+)
 from fishburn.objects import Matching, arc_statistics, is_factorial, validate_matrix
 from fishburn.statistics import perm_stats
 
@@ -143,7 +148,7 @@ class TestGenerators:
         (gen_permutations, -1), (gen_inversion_tables, -1),
         (gen_factorial_posets, -1), (gen_matchings, -2), (gen_matchings, True),
         (gen_natural_posets, -1), (gen_ascent_sequences, -1), (gen_matrices, -1),
-        (left_nesting_tally, -1)])
+        (left_nesting_tally, -1), (left_nesting_tallies, -1)])
     def test_generators_refuse_bad_sizes_when_called(self, gen, n):
         # these once yielded an empty object, ((1, 2),) for True, or died
         # in RecursionError
@@ -190,6 +195,9 @@ class TestCloserOrderSearch:
         tally = left_nesting_tally(n)
         assert sum(tally.values()) == double_factorial(2 * n - 1)
         assert 0 not in tally.values()
+
+    def test_shared_memo_tallies_equal_separate_tallies(self):
+        assert list(left_nesting_tallies(12)) == [left_nesting_tally(n) for n in range(13)]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_left_nesting_tally_of_at_most_one_arc(self, n):

@@ -1,26 +1,42 @@
+import random
 from collections import Counter
 
 import pytest
 
 from fishburn import (
     VOCABULARY,
+    Matching,
     NotFactorial,
     Poset,
     UnknownStatistic,
     count_pattern_p,
+    distribution,
     matching_stats,
     perm_stats,
     poset_stats,
+    rne_poset,
+    stat_tuple,
     stats_for,
     table_stats,
     table_to_matching,
+    table_to_permutation,
+    table_to_poset,
     validate_matching,
 )
 from fishburn.enumeration import (
     gen_factorial_posets,
     gen_inversion_tables,
     gen_matchings,
+    gen_natural_posets,
     gen_permutations,
+)
+from helpers import (
+    naive_counts,
+    quadratic_emb,
+    quadratic_inv,
+    quadratic_neighbor_counts,
+    random_tables,
+    rne_poset_by_successors,
 )
 
 # every class with statistics, with a generator of valid objects for it
@@ -223,3 +239,139 @@ class TestStatsFor:
         assert list(stats_for("permutations", pi, ["rmax", "inv", "lmin"])) == \
             ["rmax", "inv", "lmin"]
         assert stats_for("permutations", pi, ["inv", "inv"]) == {"inv": 3}
+
+
+def random_permutations(seed, count=25):
+    """Seeded permutations of lengths 20 to 60."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        pi = list(range(1, rng.randint(20, 60) + 1))
+        rng.shuffle(pi)
+        out.append(tuple(pi))
+    return out
+
+
+def random_matchings(seed, count=25):
+    """Seeded matchings of [2n], n from 20 to 60: shuffled points paired off."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        points = list(range(1, 2 * rng.randint(20, 60) + 1))
+        rng.shuffle(points)
+        out.append(Matching.from_pairs(zip(points[::2], points[1::2])))
+    return out
+
+
+def random_natural_posets(seed, count=25):
+    """Seeded naturally labelled posets on [n], n from 20 to 60: the closure
+    of random pairs i < j, sparse enough to leave neighbours with equal
+    successor sets."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(20, 60)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < 2 / n]
+        out.append(Poset.from_relations(n, pairs))
+    return out
+
+
+def matching_kernels(m):
+    emb, lne, rne, lcr, rcr = stat_tuple("matchings", ("emb", "lne", "rne", "lcr", "rcr"))(m)
+    return emb, (lne, rne, lcr, rcr)
+
+
+class TestKernelsAgainstOracles:
+    """The linear statistic kernels against the quadratic definitions they
+    replaced, exhaustively at small n and on seeded objects with n = 20-60."""
+
+    def test_inv_on_every_small_permutation(self):
+        inv = stat_tuple("permutations", ("inv",))
+        for n in range(9):
+            for pi in gen_permutations(n):
+                assert inv(pi) == (quadratic_inv(pi),), pi
+
+    def test_inv_on_random_permutations(self):
+        inv = stat_tuple("permutations", ("inv",))
+        for pi in random_permutations(20110):
+            assert inv(pi) == (quadratic_inv(pi),), pi
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matching_kernels_on_every_small_matching(self, n):
+        for m in gen_matchings(n):
+            emb, neighbors = matching_kernels(m)
+            assert emb == quadratic_emb(m.arcs), m.arcs
+            assert neighbors == quadratic_neighbor_counts(m.arcs), m.arcs
+            record = naive_counts(m.arcs)
+            assert neighbors == tuple(record[k] for k in ("lne", "rne", "lcr", "rcr"))
+
+    def test_matching_kernels_on_random_matchings(self):
+        seen = Counter()
+        for m in random_matchings(20111):
+            emb, neighbors = matching_kernels(m)
+            assert emb == quadratic_emb(m.arcs), m.arcs
+            assert neighbors == quadratic_neighbor_counts(m.arcs), m.arcs
+            seen.update(k for k, v in zip(("lne", "rne", "lcr", "rcr"), neighbors) if v)
+        assert set(seen) == {"lne", "rne", "lcr", "rcr"}
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_rne_poset_on_every_small_natural_poset(self, n):
+        for p in gen_natural_posets(n):
+            assert rne_poset(p) == rne_poset_by_successors(p), p.pre_masks
+
+    def test_rne_poset_on_random_posets(self):
+        posets = random_natural_posets(20112)
+        posets += [table_to_poset(w) for w in random_tables(20113)]
+        values = [rne_poset(p) for p in posets]
+        assert values == [rne_poset_by_successors(p) for p in posets]
+        assert any(values)
+
+    def test_quintuples_match_on_random_tables(self):
+        # prop_triple_statistics, object by object, beyond the exhaustive range
+        poset_tuple = stat_tuple("factorial_posets", ("comp", "min", "pre_n", "lev", "ip"))
+        perm_tuple = stat_tuple("permutations", ("comp", "lmin", "last", "dent", "inv"))
+        matching_tuple = stat_tuple("matchings", ("comp", "min", "last", "inter", "emb"))
+        for w in random_tables(20114):
+            n = len(w)
+            t = poset_tuple(table_to_poset(w))
+            assert t == perm_tuple(table_to_permutation(w)) == \
+                matching_tuple(table_to_matching(w)), w
+            assert t[1] == w.count(0)
+            assert t[4] == n * (n - 1) // 2 - sum(w)
+
+
+class TestStatTuple:
+    @pytest.mark.parametrize("class_name", sorted(STAT_CLASS_OBJECTS))
+    def test_distribution_equals_tally_of_full_records(self, class_name):
+        vocabulary = VOCABULARY[class_name]
+        requests = [tuple(reversed(vocabulary)),
+                    (vocabulary[-1], vocabulary[0], vocabulary[-1]),
+                    (vocabulary[0],) * 2]
+        requests += [(name,) for name in vocabulary]
+        for n in range(6):
+            records = [stats_for(class_name, obj) for obj in STAT_CLASS_OBJECTS[class_name](n)]
+            for names in requests:
+                table = distribution(STAT_CLASS_OBJECTS[class_name](n), class_name, names)
+                assert table.stat_names == names
+                assert table.rows == Counter(
+                    tuple(record[name] for name in names) for record in records), names
+
+    def test_compiled_once_per_class_and_names(self):
+        assert stat_tuple("permutations", ["des", "inv"]) is \
+            stat_tuple("permutations", ("des", "inv"))
+        assert stat_tuple("permutations", ("inv", "des")) is not \
+            stat_tuple("permutations", ("des", "inv"))
+
+    def test_unknown_class_before_unknown_name(self):
+        with pytest.raises(UnknownStatistic, match="no statistics defined"):
+            stat_tuple("widgets", ("no_such_statistic",))
+        with pytest.raises(UnknownStatistic, match="'lne' is not"):
+            stat_tuple("permutations", ("inv", "lne", "bogus"))
+        with pytest.raises(UnknownStatistic, match="'lne' is not"):
+            distribution([], "permutations", ["lne"])
+
+    def test_class_check_runs_with_no_names(self):
+        with pytest.raises(NotFactorial):
+            stat_tuple("factorial_posets", ())(Poset.from_relations(3, [(2, 3)]))
+        assert stat_tuple("factorial_posets", ())(Poset.from_relations(3, [])) == ()

@@ -201,14 +201,19 @@ class TestDataLayer:
 
     def test_eulerian_tallies_each_table_once(self, monkeypatch):
         calls = Counter()
-        stats_for = enumeration.stats_for
+        stat_tuple = enumeration.stat_tuple
 
-        def counting(class_name, obj, names=None):
-            if class_name == "inversion_tables":
-                calls[len(obj)] += 1
-            return stats_for(class_name, obj, names)
+        def counting(class_name, names):
+            tuple_of = stat_tuple(class_name, names)
+            if class_name != "inversion_tables":
+                return tuple_of
 
-        monkeypatch.setattr(enumeration, "stats_for", counting)
+            def counted(w):
+                calls[len(w)] += 1
+                return tuple_of(w)
+            return counted
+
+        monkeypatch.setattr(enumeration, "stat_tuple", counting)
         _objects.cache_clear()
         _tally.cache_clear()
         try:
