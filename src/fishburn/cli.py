@@ -165,6 +165,9 @@ def _cmd_stats(args) -> int:
 def _cmd_distribution(args) -> int:
     if args.object_class not in VOCABULARY:
         _die(f"classes with statistics: {', '.join(sorted(VOCABULARY))}")
+    if args.object_class == "natural_posets" and "factorial" not in args.filter:
+        _die("the statistics of natural_posets are those of factorial posets; "
+             "add --filter factorial")
     if args.n < 0:
         _die("n must be nonnegative")
     names = _stat_names(args.stats, args.object_class)

@@ -146,7 +146,7 @@ def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
     rules = frozenset(rules)
     if not rules <= set(RULE_NAMES):
         raise ValueError(f"unknown matching rules {sorted(rules - set(RULE_NAMES))}")
-    return map(Matching.from_canonical, _closer_order(n, rules))
+    return map(Matching, _closer_order(n, rules))
 
 
 @_sized

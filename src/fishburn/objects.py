@@ -7,13 +7,17 @@ arc-indexed statistic ("the last arc" is the arc whose closer is 2n).
 
 All types are immutable value objects; every operation here is a pure
 function, so objects can be shared and evaluated in parallel freely.
+Matchings and posets are slotted, with no per-object ``__dict__``: a
+matching fills its openers, closers and ``partner`` (a tuple indexed by
+position) when it is built, and a poset fills its derived masks on first
+read.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -45,19 +49,44 @@ def validate_size(n) -> int:
     return n
 
 
+_fill = object.__setattr__      # sets a slot of an immutable object
+
+
 # ---------------------------------------------------------------------------
 # Matchings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matching:
     """Perfect matching of {1, ..., 2n}, arcs stored sorted by closer.
+
+    Slotted; construction fills every slot: ``openers`` in increasing
+    order, ``closers`` (the arc order), and ``partner``, a tuple indexed by
+    position with ``partner[x]`` the other end of the arc at x and 0 at
+    positions 0 and 2n + 1.  Only the arcs are compared and hashed.
 
     >>> Matching.from_pairs([[1, 3], [2, 7], [4, 6], [5, 8]]).arcs
     ((1, 3), (4, 6), (2, 7), (5, 8))
     """
 
+    __slots__ = ("arcs", "openers", "closers", "partner")
     arcs: tuple[Arc, ...]
+
+    def __init__(self, arcs: tuple[Arc, ...]):
+        """The matching of an arc tuple already valid and sorted by closer,
+        unchecked; :meth:`from_pairs` validates raw pairs."""
+        partner = [0] * (2 * len(arcs) + 2)
+        for o, c in arcs:
+            partner[o] = c
+            partner[c] = o
+        openers, closers = zip(*arcs) if arcs else ((), ())
+        _fill(self, "arcs", arcs)
+        _fill(self, "openers", tuple(sorted(openers)))
+        _fill(self, "closers", closers)
+        _fill(self, "partner", tuple(partner))
+
+    def __reduce__(self):
+        return Matching, (self.arcs,)
 
     @property
     def n(self) -> int:
@@ -90,38 +119,6 @@ class Matching:
         arcs.sort(key=lambda arc: arc[1])
         return cls(tuple(arcs))
 
-    @classmethod
-    def from_canonical(cls, arcs: tuple[Arc, ...]) -> "Matching":
-        """The matching of an arc tuple already valid and sorted by closer,
-        unchecked, with its openers, closers and partner map filled in at
-        once rather than on first use."""
-        openers, closers = zip(*arcs) if arcs else ((), ())
-        partner = dict(arcs)
-        partner.update(zip(closers, openers))
-        m = object.__new__(cls)
-        object.__setattr__(m, "__dict__", {
-            "arcs": arcs, "openers": tuple(sorted(openers)),
-            "closers": closers, "partner": partner})
-        return m
-
-    @cached_property
-    def openers(self) -> tuple[int, ...]:
-        """Openers in increasing order."""
-        return tuple(sorted(o for o, _ in self.arcs))
-
-    @cached_property
-    def closers(self) -> tuple[int, ...]:
-        """Closers in increasing order (same as arc order)."""
-        return tuple(c for _, c in self.arcs)
-
-    @cached_property
-    def partner(self) -> dict[int, int]:
-        """Endpoint -> other endpoint of the same arc."""
-        d = {}
-        for o, c in self.arcs:
-            d[o] = c
-            d[c] = o
-        return d
 
 def validate_matching(raw_pairs: Iterable[Sequence[int]]) -> Matching:
     """Alias of :meth:`Matching.from_pairs` for symmetry with other validators."""
@@ -166,6 +163,27 @@ def arc_statistics(m: Matching) -> NestCrossRecord:
     return NestCrossRecord(ne, cr, lne, rne, lcr, rcr)
 
 
+def nestings_and_crossings(m: Matching) -> tuple[int, int]:
+    """(ne, cr) of :func:`arc_statistics` in O(n log n).
+
+    With the arcs in opener order, ne is the number of inversions of their
+    closers.  Every opener strictly inside an arc starts an arc nested in
+    it or crossing it, so those openers, summed over the arcs, are ne + cr.
+    An arc with the k-th closer c_k and the i-th opener (both from 1) has
+    c_k - k openers before c_k, i of them up to its own, so the sum is
+    sum(c_k - k) - sum(i) = sum(closers) - n(n + 1).
+    """
+    p = m.partner
+    seen: list[int] = []                # closers so far, sorted
+    ne = 0
+    for o in m.openers:
+        c = p[o]
+        i = bisect(seen, c)
+        ne += len(seen) - i
+        seen.insert(i, c)
+    return ne, sum(m.closers) - m.n * (m.n + 1) - ne
+
+
 def count_gap_nestings(m: Matching, gap: int) -> int:
     """Number of nesting arc pairs whose openers are at most ``gap`` apart.
 
@@ -191,8 +209,8 @@ def first_neighbor_pair(m: Matching, left: bool, nesting: bool) -> tuple[Arc, Ar
     """
     p = m.partner
     for x in m.openers if left else m.closers:
-        y = p.get(x + 1)
-        if y is not None and (y > x) == left and (p[x] > y) == nesting:
+        y = p[x + 1]                    # 0 past the last position
+        if y and (y > x) == left and (p[x] > y) == nesting:
             if left:
                 return ((x, p[x]), (x + 1, y))
             return ((p[x], x), (y, x + 1))
@@ -212,10 +230,10 @@ def has_right_crossing(m: Matching) -> bool:
     return first_neighbor_pair(m, left=False, nesting=False) is not None
 
 def has_nesting(m: Matching) -> bool:
-    return arc_statistics(m).ne > 0
+    return nestings_and_crossings(m)[0] > 0
 
 def has_crossing(m: Matching) -> bool:
-    return arc_statistics(m).cr > 0
+    return nestings_and_crossings(m)[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +302,15 @@ class Poset:
 
     Bit i-1 of ``pre_masks[j-1]`` is set exactly when i is below j; the masks
     are transitively closed, and they alone are compared and hashed.  The
-    relation ``less`` and the cover relation are views built on each read;
-    the successor masks and ``pre_vector`` are derived once and kept.
+    relation ``less`` and the cover relation are views built on each read.
+    The object is slotted: the successor masks and ``pre_vector`` fill their
+    slots on first read and are kept.
 
     >>> Poset(3, {(1, 2), (2, 3), (1, 3)}).pre_masks
     (0, 1, 3)
     """
 
+    __slots__ = ("pre_masks", "_suc_masks", "_pre_vector")
     pre_masks: tuple[int, ...]
 
     def __init__(self, n: int, less: Iterable[tuple[int, int]]):
@@ -299,14 +319,17 @@ class Poset:
         masks = [0] * n
         for i, j in less:
             masks[j - 1] |= 1 << (i - 1)
-        object.__setattr__(self, "pre_masks", tuple(masks))
+        _fill(self, "pre_masks", tuple(masks))
 
     @classmethod
     def from_pre_masks(cls, masks: tuple[int, ...]) -> "Poset":
         """The poset of predecessor masks already closed and valid, unchecked."""
         p = object.__new__(cls)
-        object.__setattr__(p, "pre_masks", masks)
+        _fill(p, "pre_masks", masks)
         return p
+
+    def __reduce__(self):
+        return Poset.from_pre_masks, (self.pre_masks,)
 
     @property
     def n(self) -> int:
@@ -353,14 +376,18 @@ class Poset:
         return frozenset(
             (i + 1, j + 1) for j, mask in enumerate(self.pre_masks) for i in _bits(mask))
 
-    @cached_property
+    @property
     def suc_masks(self) -> tuple[int, ...]:
         """Successor bitmask per element; bit j-1 set iff j is above."""
-        masks = [0] * self.n
-        for j, mask in enumerate(self.pre_masks):
-            for i in _bits(mask):
-                masks[i] |= 1 << j
-        return tuple(masks)
+        try:
+            return self._suc_masks
+        except AttributeError:
+            masks = [0] * self.n
+            for j, mask in enumerate(self.pre_masks):
+                for i in _bits(mask):
+                    masks[i] |= 1 << j
+            _fill(self, "_suc_masks", tuple(masks))
+            return self._suc_masks
 
     def pre(self, j: int) -> int:
         return self.pre_masks[j - 1].bit_count()
@@ -368,10 +395,14 @@ class Poset:
     def suc(self, j: int) -> int:
         return self.suc_masks[j - 1].bit_count()
 
-    @cached_property
+    @property
     def pre_vector(self) -> tuple[int, ...]:
         """(pre(1), ..., pre(n))."""
-        return tuple(mask.bit_count() for mask in self.pre_masks)
+        try:
+            return self._pre_vector
+        except AttributeError:
+            _fill(self, "_pre_vector", tuple(mask.bit_count() for mask in self.pre_masks))
+            return self._pre_vector
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover relation (i, j): i below j with nothing strictly between."""

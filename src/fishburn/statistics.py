@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 from .bijections import permutation_to_table
 from .errors import NotFactorial, UnknownStatistic
-from .objects import Matching, Poset, arc_statistics, is_factorial, rne_poset
+from .objects import Matching, Poset, is_factorial, nestings_and_crossings, rne_poset
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +205,7 @@ def _matching_emb(m: Matching) -> tuple[int]:
     return (sum(m.closers) - m.n * (m.n + 1),)
 
 
-def _matching_ne_cr(m: Matching) -> tuple[int, int]:
-    r = arc_statistics(m)
-    return (r.ne, r.cr)
+_matching_ne_cr = nestings_and_crossings
 
 
 def _matching_neighbors(m: Matching) -> tuple[int, int, int, int]:

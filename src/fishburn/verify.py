@@ -186,14 +186,22 @@ def _table_bijection(class_name: str, predicate: str, forward, backward,
         expected = math.factorial(n)
         if len(filtered) != expected:
             return _count_witness(n, what, expected, len(filtered))
-        images = []
+        # each image marks its member of the class, or is a stray, and is
+        # dropped; n! tables mark all n! members only if none is a stray
+        index = {x: i for i, x in enumerate(filtered)}
+        hit = bytearray(expected)
+        strays = set()
         for w in _objects("inversion_tables", n, ()):
             x = forward(w)
             if not test(x) or backward(x) != w:
                 return {"n": n, "table": list(w), **_obj(singular, x)}
-            images.append(x)
-        if len(set(images)) != expected or set(images) != set(filtered):
-            return _count_witness(n, image_what, expected, len(set(images)))
+            i = index.get(x)
+            if i is None:
+                strays.add(x)
+            else:
+                hit[i] = 1
+        if sum(hit) != expected:
+            return _count_witness(n, image_what, expected, sum(hit) + len(strays))
     return fact
 
 

@@ -111,6 +111,32 @@ def random_tables(seed, count=25):
             for _ in range(count)]
 
 
+def random_matrices(seed, count=25, zero_one=False):
+    """Seeded rows of upper triangular matrices with entry sum n from 10 to
+    30 and no zero row or column, drawn cell by cell rather than as the
+    images of matchings; with ``zero_one``, every entry is 0 or 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(10, 30)
+        k = rng.randint(1, n // 2)
+        cells = [(i, j) for i in range(k) for j in range(i, k)]
+        if zero_one and len(cells) < n:
+            continue
+        rows = [[0] * k for _ in range(k)]
+        for i in range(k):                      # a nonzero entry in each row,
+            rows[i][rng.randint(i, k - 1)] = 1
+        for j in range(k):                      # then in each column
+            if not any(rows[i][j] for i in range(j + 1)):
+                rows[rng.randint(0, j)][j] = 1
+        free = [(i, j) for i, j in cells if not (zero_one and rows[i][j])]
+        for _ in range(n - sum(map(sum, rows))):
+            i, j = free.pop(rng.randrange(len(free))) if zero_one else rng.choice(free)
+            rows[i][j] += 1
+        out.append(tuple(map(tuple, rows)))
+    return out
+
+
 def naive_interval_matrix(arcs):
     """The interval-decomposition matrix computed by position scanning."""
     n = len(arcs)

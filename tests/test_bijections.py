@@ -57,6 +57,7 @@ from helpers import (
     naive_interval_matrix,
     naive_matchings,
     naive_matrices,
+    random_matrices,
     random_tables,
 )
 
@@ -383,6 +384,44 @@ class TestLargeRandomTables:
                 record = naive_counts(back.arcs)
                 assert all(record[name] == 0 for name in counts)
                 assert matching_to_matrix(back) == t
+
+
+class TestLargeRandomMatrices:
+    """Matrices drawn cell by cell, judged by the raw-arc oracles."""
+
+    PREIMAGES = [
+        (matrix_to_matching_no_neighbor_nesting, ("lne", "rne")),
+        (matrix_to_matching_no_neighbor_crossing, ("lcr", "rcr")),
+    ]
+
+    @staticmethod
+    def round_trip(rows, preimage, counts):
+        t = validate_matrix(rows)
+        m = preimage(t)
+        assert m.n == t.total
+        record = naive_counts(m.arcs)
+        assert all(record[name] == 0 for name in counts), (rows, preimage)
+        assert naive_interval_matrix(m.arcs) == rows
+        assert matching_to_matrix(m) == t
+
+    @pytest.mark.parametrize("preimage,counts", PREIMAGES)
+    def test_neighbour_preimages_round_trip(self, preimage, counts):
+        for rows in random_matrices(20111):
+            self.round_trip(rows, preimage, counts)
+
+    def test_zero_one_matrices_round_trip_through_all_three(self):
+        preimages = self.PREIMAGES + [(zero_one_matrix_to_matching, ("lne", "rcr"))]
+        for rows in random_matrices(20112, zero_one=True):
+            assert is_zero_one(validate_matrix(rows))
+            for preimage, counts in preimages:
+                self.round_trip(rows, preimage, counts)
+
+    def test_draws_cover_sizes_and_shapes(self):
+        drawn = random_matrices(20111) + random_matrices(20112, zero_one=True)
+        totals = {sum(map(sum, rows)) for rows in drawn}
+        assert min(totals) >= 10 and max(totals) <= 30 and len(totals) > 5
+        assert len({len(rows) for rows in drawn}) > 5
+        assert any(v > 1 for rows in drawn for row in rows for v in row)
 
 
 class TestMatrixImagePredicates:

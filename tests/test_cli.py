@@ -360,6 +360,26 @@ class TestDistribution:
             capsys, "distribution", "matchings", "2", "--stats", "inv")
         assert code == 2
 
+    def test_natural_posets_need_the_factorial_filter(self, capsys):
+        # refused before anything is generated, not with NotFactorial midway
+        for filters in ([], ["--filter", "condition_one"]):
+            code, out, err = run_cli(
+                capsys, "distribution", "natural_posets", "5",
+                "--stats", "rne_poset,comp", *filters)
+            assert (code, out) == (2, "")
+            assert err == ("error: the statistics of natural_posets are those of "
+                           "factorial posets; add --filter factorial\n")
+
+    def test_filtered_natural_posets_tally_like_factorial_posets(self, capsys):
+        code, filtered, _ = run_cli(
+            capsys, "distribution", "natural_posets", "5", "--stats", "rne_poset,comp",
+            "--filter", "factorial")
+        assert code == 0
+        code, factorial, _ = run_cli(
+            capsys, "distribution", "factorial_posets", "5", "--stats", "rne_poset,comp")
+        assert code == 0
+        assert filtered == factorial and filtered.startswith("rne_poset,comp,count\n")
+
 
 class TestVerify:
     def test_single_check(self, capsys):

@@ -1,4 +1,8 @@
+import copy
+import functools
 import itertools
+import pickle
+import random
 
 import pytest
 
@@ -30,13 +34,16 @@ from fishburn import (
 from fishburn.objects import (
     condition_one,
     condition_one_var,
+    has_crossing,
     has_left_crossing,
     has_left_nesting,
+    has_nesting,
     has_right_crossing,
     has_right_nesting,
     is_factorial,
     is_two_plus_two_free,
     is_two_plus_two_free_by_inclusion,
+    nestings_and_crossings,
 )
 from fishburn.enumeration import (
     gen_factorial_posets,
@@ -116,6 +123,76 @@ class TestArcStatistics:
             assert rec.ne + rec.cr + align == n * (n - 1) // 2
 
 
+def random_matching(rng, n):
+    """A matching of [2n]: a shuffle of the points, paired off in turn."""
+    points = list(range(1, 2 * n + 1))
+    rng.shuffle(points)
+    return Matching.from_pairs(zip(points[::2], points[1::2]))
+
+
+class TestNestingsAndCrossings:
+    """The O(n log n) kernel against the pairwise arc_statistics."""
+
+    def check(self, m):
+        rec = arc_statistics(m)
+        assert nestings_and_crossings(m) == (rec.ne, rec.cr), m
+        assert (has_nesting(m), has_crossing(m)) == (rec.ne > 0, rec.cr > 0)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_small_matching(self, n):
+        for m in gen_matchings(n):
+            self.check(m)
+
+    def test_seeded_large_matchings(self):
+        rng = random.Random(20110)
+        for _ in range(40):
+            self.check(random_matching(rng, rng.randint(20, 60)))
+
+
+class TestSlottedMatching:
+    """Built unchecked from closer-sorted arcs, a matching is the value the
+    validating from_pairs gives, with every field filled and none writable."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_value_semantics(self, n):
+        for arcs in naive_matchings(n):
+            m = Matching(tuple(sorted(arcs, key=lambda arc: arc[1])))
+            v = Matching.from_pairs(arcs)
+            assert m == v and hash(m) == hash(v) and m.arcs == v.arcs
+            assert repr(m) == f"Matching(arcs={m.arcs!r})"
+            old_partner = {o: c for o, c in arcs} | {c: o for o, c in arcs}
+            assert len(m.partner) == 2 * n + 2 and m.partner[0] == m.partner[-1] == 0
+            assert all(m.partner[x] == y for x, y in old_partner.items())
+            assert m.openers == tuple(sorted(o for o, _ in arcs))
+            assert m.closers == tuple(c for _, c in m.arcs)
+
+    def test_fields_cannot_be_assigned(self):
+        m = Matching.from_pairs([(1, 3), (2, 4)])
+        for field in ("arcs", "openers", "closers", "partner", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, field, ())
+            with pytest.raises(AttributeError):
+                delattr(m, field)
+        assert m.arcs == ((1, 3), (2, 4)) and not hasattr(m, "__dict__")
+
+    def test_unequal_to_other_types(self):
+        m = Matching.from_pairs([(1, 2)])
+        assert m != ((1, 2),) and m != Poset(1, ())
+
+    @pytest.mark.parametrize("obj", [
+        Matching.from_pairs([(1, 3), (2, 4)]),
+        Poset.from_relations(3, [(1, 2), (1, 3)]),
+    ])
+    def test_copies_and_pickles_are_equal_values(self, obj):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+
+    @pytest.mark.parametrize("cls", [Matching, Poset])
+    def test_no_cached_properties(self, cls):
+        assert not any(isinstance(attr, functools.cached_property)
+                       for attr in vars(cls).values())
+
+
 class TestNeighbourScanners:
     @pytest.mark.parametrize("n", range(7))
     def test_against_naive_oracle(self, n):
@@ -192,6 +269,17 @@ class TestPoset:
         assert p.pre_masks == (0b000, 0b001, 0b011)
         assert p.suc_masks == (0b110, 0b100, 0b000)
         assert (p.suc(1), p.pre(3)) == (2, 2)
+
+    def test_derived_masks_fill_their_slots_once(self):
+        p = Poset.from_relations(3, [(1, 2), (2, 3)])
+        assert not hasattr(p, "__dict__")
+        assert not hasattr(p, "_suc_masks") and not hasattr(p, "_pre_vector")
+        suc, pre = p.suc_masks, p.pre_vector
+        assert p.suc_masks is suc and p.pre_vector is pre
+        assert (p._suc_masks, p._pre_vector) == (suc, pre)
+        assert p == Poset.from_pre_masks(p.pre_masks)
+        with pytest.raises(AttributeError):
+            p.pre_masks = ()
 
     @pytest.mark.parametrize("n,pairs,error,message", [
         ("three", [], InvalidObject, "poset size 'three' is not a nonnegative integer"),

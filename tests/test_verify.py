@@ -7,10 +7,15 @@ import pytest
 
 from fishburn import (
     REGISTRY,
+    Matching,
+    Poset,
     UnknownCheck,
     check_equidistribution,
+    matching_to_table,
+    poset_to_table,
     run_all,
     run_check,
+    table_to_matching,
     table_to_poset,
 )
 from fishburn import enumeration, verify
@@ -227,4 +232,90 @@ class TestDataLayer:
     def test_poset_relation_is_not_kept(self):
         p = table_to_poset((0, 1, 0, 2))
         assert p.less == frozenset({(1, 2), (1, 4), (2, 4)})
-        assert "less" not in vars(p)
+        assert not hasattr(p, "__dict__")
+        assert "less" not in type(p).__slots__
+
+
+def set_based_table_bijection(class_name, predicate, forward, backward, what, image_what):
+    """The table-bijection fact as it was when it kept every image: the
+    oracle for the witnesses of ``verify._table_bijection``."""
+    test = enumeration.PREDICATES[predicate][1]
+    singular = verify.jsonio.SINGULAR[class_name]
+
+    def fact(n):
+        filtered = verify._objects(class_name, n, (predicate,))
+        expected = math.factorial(n)
+        if len(filtered) != expected:
+            return verify._count_witness(n, what, expected, len(filtered))
+        images = []
+        for w in verify._objects("inversion_tables", n, ()):
+            x = forward(w)
+            if not test(x) or backward(x) != w:
+                return {"n": n, "table": list(w), **verify._obj(singular, x)}
+            images.append(x)
+        if len(set(images)) != expected or set(images) != set(filtered):
+            return verify._count_witness(n, image_what, expected, len(set(images)))
+    return fact
+
+
+TABLE_BIJECTIONS = {
+    "matchings": ("no_left_nesting", table_to_matching, matching_to_table),
+    "natural_posets": ("factorial", table_to_poset, poset_to_table),
+}
+
+
+class TestTableBijectionWitnesses:
+    """Faults put in by hand give the witness the set-based fact gave."""
+
+    @staticmethod
+    def witnesses(class_name, forward, backward):
+        predicate = TABLE_BIJECTIONS[class_name][0]
+        args = (class_name, predicate, forward, backward, "members", "images")
+        new = verify._table_bijection(*args)
+        old = set_based_table_bijection(*args)
+        return [new(n) for n in range(6)], [old(n) for n in range(6)]
+
+    @pytest.mark.parametrize("class_name", sorted(TABLE_BIJECTIONS))
+    def test_sound_bijection_has_no_witness(self, class_name):
+        _, forward, backward = TABLE_BIJECTIONS[class_name]
+        new, old = self.witnesses(class_name, forward, backward)
+        assert new == old == [None] * 6
+
+    @pytest.mark.parametrize("class_name", sorted(TABLE_BIJECTIONS))
+    def test_two_tables_sent_to_one_image(self, class_name):
+        # the all-zero table and the one ending in 1 share an image, and the
+        # inverse answers with the table just mapped, so only the count
+        # of distinct images can tell
+        _, forward, _ = TABLE_BIJECTIONS[class_name]
+        last = []
+
+        def merging(w):
+            last[:] = [w]
+            return forward((0,) * len(w) if w[-1:] == (1,) and not any(w[:-1]) else w)
+
+        new, old = self.witnesses(class_name, merging, lambda x: last[0])
+        assert new == old
+        assert new[2] == {"n": 2, "counted": "images", "expected": 2, "actual": 1}
+
+    @pytest.mark.parametrize("replacement", ["duplicate", "stranger"])
+    @pytest.mark.parametrize("class_name", sorted(TABLE_BIJECTIONS))
+    def test_cached_class_missing_a_member(self, monkeypatch, class_name, replacement):
+        # the cached class keeps its size but loses its last member, to a
+        # second copy of its first or to an object outside the class
+        predicate, forward, backward = TABLE_BIJECTIONS[class_name]
+        cached = verify._objects
+        strangers = {"matchings": Matching.from_pairs([(1, 4), (2, 3), (5, 6)]),
+                     "natural_posets": Poset.from_relations(3, [(2, 3)])}
+
+        def missing(name, n, predicates):
+            objects = cached(name, n, predicates)
+            if predicates != (predicate,) or n < 3:
+                return objects
+            stand_in = objects[0] if replacement == "duplicate" else strangers[name]
+            return objects[:-1] + (stand_in,)
+
+        monkeypatch.setattr(verify, "_objects", missing)
+        new, old = self.witnesses(class_name, forward, backward)
+        assert new == old
+        assert new[:4] == [None, None, None,
+                           {"n": 3, "counted": "images", "expected": 6, "actual": 6}]
