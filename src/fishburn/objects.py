@@ -340,13 +340,17 @@ class Poset:
         """Build a poset from any generating relations (closure is computed).
 
         Raises InvalidObject when n or an element is not a nonnegative
-        integer, and NotAPartialOrder on reflexive pairs or cycles.
+        integer or a relation is not a pair, and NotAPartialOrder on
+        reflexive pairs or cycles.
         """
         if not _is_int(n) or n < 0:
             raise InvalidObject(f"poset size {n!r} is not a nonnegative integer")
         below = [0] * (n + 1)                   # below[j]: bitmask of i <_P j
         for pair in pairs:
-            i, j = pair
+            try:
+                i, j = pair
+            except (TypeError, ValueError):
+                raise InvalidObject(f"relation {pair!r} is not a pair") from None
             if not (_is_int(i) and _is_int(j)):
                 raise InvalidObject(f"pair ({i!r}, {j!r}) has a non-integer element")
             if i == j:

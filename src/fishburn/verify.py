@@ -21,7 +21,6 @@ at small n is evidence, not proof.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -174,27 +173,30 @@ def _every(class_name: str, ok: Callable[[object], bool], *predicates: str,
     return fact
 
 
-def _table_bijection(class_name: str, predicate: str, forward, backward,
-                     what: str, image_what: str):
-    """n! members of the filtered class, and forward/backward a two-sided
-    bijection between them and the inversion tables."""
+def _bijection(target: tuple[str, ...], forward, backward, class_name: str,
+               predicate: str, what: str, image_what: str):
+    """As many members of the filtered class as targets (a class followed by
+    its predicates), and forward/backward a two-sided bijection between them."""
     test = PREDICATES[predicate][1]
-    singular = jsonio.SINGULAR[class_name]
+    singular, target_singular = jsonio.SINGULAR[class_name], jsonio.SINGULAR[target[0]]
+    key = {"inversion_tables": "table", "matrices": "matrix"}[target[0]]
 
     def fact(n):
+        targets = _objects(target[0], n, target[1:])
         filtered = _objects(class_name, n, (predicate,))
-        expected = math.factorial(n)
+        expected = len(targets)
         if len(filtered) != expected:
             return _count_witness(n, what, expected, len(filtered))
-        # each image marks its member of the class, or is a stray, and is
-        # dropped; n! tables mark all n! members only if none is a stray
+        # each image marks its member or is a stray, and is dropped; backward
+        # undoes forward, so forward is one-to-one, onto the class exactly when
+        # it marks every member, and then backward is its inverse
         index = {x: i for i, x in enumerate(filtered)}
         hit = bytearray(expected)
         strays = set()
-        for w in _objects("inversion_tables", n, ()):
-            x = forward(w)
-            if not test(x) or backward(x) != w:
-                return {"n": n, "table": list(w), **_obj(singular, x)}
+        for t in targets:
+            x = forward(t)
+            if not test(x) or backward(x) != t:
+                return {"n": n, key: jsonio.encode(target_singular, t), **_obj(singular, x)}
             i = index.get(x)
             if i is None:
                 strays.add(x)
@@ -202,30 +204,6 @@ def _table_bijection(class_name: str, predicate: str, forward, backward,
                 hit[i] = 1
         if sum(hit) != expected:
             return _count_witness(n, image_what, expected, sum(hit) + len(strays))
-    return fact
-
-
-def _matrix_bijection(predicate: str, construct, what: str,
-                      *matrix_predicates: str):
-    """The interval map is a bijection from the filtered matchings onto the
-    filtered matrices, with ``construct`` its inverse: identity both ways."""
-    test = PREDICATES[predicate][1]
-
-    def fact(n):
-        targets = _objects("matrices", n, matrix_predicates)
-        members = _objects("matchings", n, (predicate,))
-        if len(members) != len(targets):
-            return _count_witness(n, what, len(targets), len(members))
-        images = [matching_to_matrix(m) for m in members]
-        if len(set(images)) != len(images) or set(images) != set(targets):
-            return _count_witness(n, what + " image", len(targets), len(set(images)))
-        for m, t in zip(members, images):
-            if construct(t) != m:
-                return {"n": n, **_obj("matrix", t), **_obj("matching", m)}
-        for t in targets:
-            m = construct(t)
-            if not test(m) or matching_to_matrix(m) != t:
-                return {"n": n, **_obj("matrix", t), **_obj("matching", m)}
     return fact
 
 
@@ -272,7 +250,10 @@ def _unique_labeling(n: int):
 
 
 def _surjective(n: int):
-    image = {matching_to_matrix(m) for m in generate("matchings", n)}
+    # every matrix image lies among the targets, and re-pairing the closers
+    # of each opener run lowest opener first removes every left-nesting but
+    # keeps the matrix, so the n! matchings with none have the full image
+    image = {matching_to_matrix(m) for m in _objects("matchings", n, ("no_left_nesting",))}
     targets = set(_objects("matrices", n, ()))
     if image != targets:
         missing = sorted(t.rows for t in targets - image)
@@ -368,20 +349,21 @@ def check_lne_second_order_eulerian(n_max: int):
 REGISTRY: dict[str, tuple[str, int, object]] = {
     # Matchings with no left-nesting are counted by n!, via a bijection with
     # inversion tables: count, range and round-trip all verified.
-    "thm_no_left_nesting_count": ("theorem", 6, _facts(_table_bijection(
-        "matchings", "no_left_nesting", table_to_matching, matching_to_table,
-        "matchings with no left-nesting", "matchings with no left-nesting image"))),
+    "thm_no_left_nesting_count": ("theorem", 6, _facts(_bijection(
+        ("inversion_tables",), table_to_matching, matching_to_table, "matchings",
+        "no_left_nesting", "matchings with no left-nesting",
+        "matchings with no left-nesting image"))),
     # Matchings with no left-crossing are counted by n!, two-sided.
-    "thm_no_left_crossing_count": ("theorem", 6, _facts(_table_bijection(
-        "matchings", "no_left_crossing", table_to_crossfree_matching,
-        crossfree_matching_to_table, "matchings with no left-crossing",
+    "thm_no_left_crossing_count": ("theorem", 6, _facts(_bijection(
+        ("inversion_tables",), table_to_crossfree_matching, crossfree_matching_to_table,
+        "matchings", "no_left_crossing", "matchings with no left-crossing",
         "matchings with no left-crossing image"))),
     # Factorial posets on [n] are counted by n!: filter-enumeration over all
     # naturally labeled posets (generated independently of the table
     # bijection) plus the two-sided bijection with inversion tables.
-    "thm_factorial_poset_count": ("theorem", 6, _facts(_table_bijection(
-        "natural_posets", "factorial", table_to_poset, poset_to_table,
-        "factorial posets", "factorial poset image"))),
+    "thm_factorial_poset_count": ("theorem", 6, _facts(_bijection(
+        ("inversion_tables",), table_to_poset, poset_to_table, "natural_posets",
+        "factorial", "factorial posets", "factorial poset image"))),
     # Every factorial poset is two-plus-two-free; the brute-force freeness
     # test and the predecessor-set inclusion-chain test agree everywhere.
     "prop_factorial_posets_two_plus_two_free": ("proposition", 6, _facts(
@@ -404,21 +386,24 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
     "prop_unique_labeling": ("proposition", 6, _facts(_unique_labeling)),
     # The interval map restricted to matchings with no neighbor nestings is a
     # bijection onto the triangular matrices: identity both ways.
-    "thm_matrix_map_no_neighbor_nesting": ("theorem", 5, _facts(_matrix_bijection(
-        "no_neighbor_nesting", matrix_to_matching_no_neighbor_nesting,
-        "matchings with no neighbor nesting"))),
+    "thm_matrix_map_no_neighbor_nesting": ("theorem", 5, _facts(_bijection(
+        ("matrices",), matrix_to_matching_no_neighbor_nesting, matching_to_matrix,
+        "matchings", "no_neighbor_nesting", "matchings with no neighbor nesting",
+        "matchings with no neighbor nesting image"))),
     # Same bijection statement for matchings with no neighbor crossings.
-    "thm_matrix_map_no_neighbor_crossing": ("theorem", 5, _facts(_matrix_bijection(
-        "no_neighbor_crossing", matrix_to_matching_no_neighbor_crossing,
-        "matchings with no neighbor crossing"))),
+    "thm_matrix_map_no_neighbor_crossing": ("theorem", 5, _facts(_bijection(
+        ("matrices",), matrix_to_matching_no_neighbor_crossing, matching_to_matrix,
+        "matchings", "no_neighbor_crossing", "matchings with no neighbor crossing",
+        "matchings with no neighbor crossing image"))),
     # The interval map sends the set of all matchings onto the full set of
     # triangular matrices.
     "thm_matrix_map_surjective": ("theorem", 5, _facts(_surjective)),
     # The interval map restricted to matchings with no left-nesting and no
     # right-crossing is a bijection onto the 0-1 triangular matrices.
-    "prop_zero_one_matrices": ("proposition", 5, _facts(_matrix_bijection(
-        "lne0_and_rcr0", zero_one_matrix_to_matching,
-        "matchings with no left-nesting and no right-crossing", "zero_one"))),
+    "prop_zero_one_matrices": ("proposition", 5, _facts(_bijection(
+        ("matrices", "zero_one"), zero_one_matrix_to_matching, matching_to_matrix,
+        "matchings", "lne0_and_rcr0", "matchings with no left-nesting and no right-crossing",
+        "matchings with no left-nesting and no right-crossing image"))),
     # The matrices reachable from non-nesting matchings, and those reachable
     # from non-crossing matchings, are cut out exactly by the two zero-pattern
     # predicates, and both families are counted by the Catalan numbers.

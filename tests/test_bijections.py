@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -40,6 +41,7 @@ from fishburn.enumeration import (
     gen_matrices,
     gen_natural_posets,
     gen_permutations,
+    generate,
 )
 from fishburn.objects import (
     arc_statistics,
@@ -234,6 +236,57 @@ class TestIntervalMatrixMap:
             arcset(m) for m in gen_matchings(3) if matching_to_matrix(m) == target
         }
         assert family == PREIMAGE_FAMILY
+
+
+def repaired(arcs):
+    """The arcs re-paired inside each maximal run of openers: closers, taken
+    left to right, keep the run their opener is in but take its lowest
+    opener still open."""
+    openers = {o for o, _ in arcs}
+    run_of, runs = {}, []
+    for pos in range(1, 2 * len(arcs) + 1):
+        if pos in openers:
+            if pos - 1 not in openers:
+                runs.append(deque())
+            runs[-1].append(pos)
+            run_of[pos] = runs[-1]
+    return [(run_of[o].popleft(), c) for o, c in sorted(arcs, key=lambda arc: arc[1])]
+
+
+class TestSurjectivityFromNoLeftNesting:
+    """``thm_matrix_map_surjective`` reads only the matchings with no
+    left-nesting: re-pairing inside opener runs maps every matching to one of
+    them with the same matrix, so their image is the image of all."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_images_equal_the_full_walk(self, n):
+        every = {matching_to_matrix(m) for m in gen_matchings(n)}
+        no_lne = generate("matchings", n, ("no_left_nesting",))
+        no_lne = {matching_to_matrix(m) for m in no_lne}
+        assert every == no_lne == set(gen_matrices(n))
+
+    @staticmethod
+    def check_repairing(m):
+        r = validate_matching(repaired(m.arcs))
+        assert naive_counts(r.arcs)["lne"] == 0 and not has_left_nesting(r)
+        assert naive_interval_matrix(r.arcs) == naive_interval_matrix(m.arcs)
+        assert matching_to_matrix(r) == matching_to_matrix(m)
+        # matchings with no left-nesting are left as they are
+        assert (r == m) == (naive_counts(m.arcs)["lne"] == 0)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_repairing_every_small_matching(self, n):
+        for m in gen_matchings(n):
+            self.check_repairing(m)
+
+    def test_repairing_random_large_matchings(self):
+        rng = random.Random(20121)
+        for _ in range(40):
+            points = list(range(1, 2 * rng.randint(20, 60) + 1))
+            rng.shuffle(points)
+            m = validate_matching(zip(points[::2], points[1::2]))
+            assert naive_counts(m.arcs)["lne"] > 0
+            self.check_repairing(m)
 
 
 class TestMatrixPreimages:

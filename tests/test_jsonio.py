@@ -44,6 +44,9 @@ class TestMalformedInput:
         ("matching", 17),
         ("poset", {"n": 3}),
         ("poset", {"n": "three", "less": []}),
+        ("poset", {"n": 2, "less": [[1]]}),
+        ("poset", {"n": 3, "less": [5]}),
+        ("poset", {"n": 3, "less": [[1, 2, 3]]}),
         ("matrix", {"k": 2}),
         ("inversion_table", 5),
     ])

@@ -292,7 +292,9 @@ class TestPoset:
         (3, [(1, 4)], NotAPartialOrder, "element outside [1, 3] in (1, 4)"),
         (3, [(1, 2), (2, 3), (3, 1)], NotAPartialOrder, "cycle through element 1"),
         (2, [(1, 2), (2, 1)], NotAPartialOrder, "cycle through element 1"),
-        (3, [(1, 2, 3)], ValueError, "too many values to unpack (expected 2)"),
+        (2, [(1,)], InvalidObject, "relation (1,) is not a pair"),
+        (3, [5], InvalidObject, "relation 5 is not a pair"),
+        (3, [(1, 2, 3)], InvalidObject, "relation (1, 2, 3) is not a pair"),
     ])
     def test_bad_relations_keep_their_errors(self, n, pairs, error, message):
         with pytest.raises(error) as info:

@@ -11,14 +11,16 @@ from fishburn import (
     Poset,
     UnknownCheck,
     check_equidistribution,
+    matching_to_matrix,
     matching_to_table,
+    matrix_to_matching_no_neighbor_crossing,
     poset_to_table,
     run_all,
     run_check,
     table_to_matching,
     table_to_poset,
 )
-from fishburn import enumeration, verify
+from fishburn import enumeration, jsonio, verify
 from fishburn.enumeration import (
     MATCHING_RULES,
     gen_factorial_posets,
@@ -238,7 +240,7 @@ class TestDataLayer:
 
 def set_based_table_bijection(class_name, predicate, forward, backward, what, image_what):
     """The table-bijection fact as it was when it kept every image: the
-    oracle for the witnesses of ``verify._table_bijection``."""
+    oracle for the witnesses of ``verify._bijection`` on tables."""
     test = enumeration.PREDICATES[predicate][1]
     singular = verify.jsonio.SINGULAR[class_name]
 
@@ -270,9 +272,10 @@ class TestTableBijectionWitnesses:
     @staticmethod
     def witnesses(class_name, forward, backward):
         predicate = TABLE_BIJECTIONS[class_name][0]
-        args = (class_name, predicate, forward, backward, "members", "images")
-        new = verify._table_bijection(*args)
-        old = set_based_table_bijection(*args)
+        new = verify._bijection(("inversion_tables",), forward, backward, class_name,
+                                predicate, "members", "images")
+        old = set_based_table_bijection(class_name, predicate, forward, backward,
+                                        "members", "images")
         return [new(n) for n in range(6)], [old(n) for n in range(6)]
 
     @pytest.mark.parametrize("class_name", sorted(TABLE_BIJECTIONS))
@@ -319,3 +322,20 @@ class TestTableBijectionWitnesses:
         assert new == old
         assert new[:4] == [None, None, None,
                            {"n": 3, "counted": "images", "expected": 6, "actual": 6}]
+
+
+class TestMatrixBijectionWitnesses:
+    def test_witness_keeps_the_matrix_and_the_matching(self):
+        # the no-neighbor-crossing preimage of [[2]] nests, so it lies
+        # outside the class the fact is asked about
+        fact = verify._bijection(("matrices",), matrix_to_matching_no_neighbor_crossing,
+                                 matching_to_matrix, "matchings", "no_neighbor_nesting",
+                                 "members", "images")
+        assert [fact(n) for n in range(2)] == [None, None]
+        witness = fact(2)
+        assert witness == {"n": 2, "matrix": {"k": 1, "rows": [[2]]},
+                           "class": "matching", "object": {"n": 2, "arcs": [[2, 3], [1, 4]]}}
+        t = jsonio.decode("matrix", witness["matrix"])
+        m = jsonio.decode("matching", witness["object"])
+        assert t.rows == ((2,),) and matching_to_matrix(m) == t
+        assert not enumeration.PREDICATES["no_neighbor_nesting"][1](m)
