@@ -13,7 +13,9 @@ first closer when a_i = 0).
   is exactly the matchings with no left-crossing.
 
 Either way a_i counts the closers left of arc i's opener, so both inverses
-read the table back the same way.
+read the table back the same way.  The maps run on every object of a class
+are one pass each: the insertions fill the matching's fields as they place
+arcs, and :func:`matching_to_poset` sweeps the positions once.
 """
 
 from __future__ import annotations
@@ -35,10 +37,7 @@ from .objects import (
     Matching,
     Poset,
     TriangularMatrix,
-    _bits,
     first_neighbor_pair,
-    is_factorial,
-    is_two_plus_two_free_by_inclusion,
     is_zero_one,
     validate_permutation,
 )
@@ -46,22 +45,28 @@ from .objects import (
 
 def _insert(w: Sequence[int], last: bool) -> Matching:
     """Insert arcs 1..n by the table rule; opener last or first in its gap."""
-    gaps: list[list[int]] = [[]]        # gaps[j]: openers between closers j, j+1
+    n = len(w)
+    gaps: list[list[int]] = [[] for _ in range(n)]  # gaps[j]: openers between closers j, j+1
     for i, a in enumerate(w):
         gaps[a].append(i)               # arrival order; read reversed for "first"
-        gaps.append([])
-    openers = [0] * len(w)
-    arcs = []
+    opener_of = [0] * n
+    partner = [0] * (2 * n + 2)
+    openers, closers, arcs = [], [], []  # lists: a tuple of one has no spare slots
     pos = 0
-    for i, gap in enumerate(gaps[:-1]):
+    for i, gap in enumerate(gaps):
         for arc in gap if last else reversed(gap):
             pos += 1
-            openers[arc] = pos
+            opener_of[arc] = pos
+            openers.append(pos)
         pos += 1
         # arc i's opener sits in gaps[a_i] with a_i <= i, so it is placed
-        arcs.append((openers[i], pos))
+        o = opener_of[i]
+        partner[o], partner[pos] = pos, o
+        closers.append(pos)
+        arcs.append((o, pos))
     # arcs come in closer order, so the tuple is already canonical
-    return Matching(tuple(arcs))
+    return object.__new__(Matching)._set(
+        tuple(arcs), tuple(openers), tuple(closers), tuple(partner))
 
 
 def _read_table(m: Matching) -> tuple[int, ...]:
@@ -113,9 +118,12 @@ def crossfree_matching_to_table(m: Matching) -> tuple[int, ...]:
 
 def poset_to_table(p: Poset) -> tuple[int, ...]:
     """(pre(1), ..., pre(n)) of a factorial poset; raises NotFactorial."""
-    if not is_factorial(p):
-        raise NotFactorial(f"poset on [{p.n}] is not factorial")
-    return p.pre_vector
+    table = []
+    for mask in p.pre_masks:
+        if mask & mask + 1:             # {1, ..., pre(k)} is one below a power of two
+            raise NotFactorial(f"poset on [{p.n}] is not factorial")
+        table.append(mask.bit_length())
+    return tuple(table)
 
 
 def table_to_poset(w: Sequence[int]) -> Poset:
@@ -135,14 +143,23 @@ def matching_to_poset(m: Matching) -> Poset:
     """Direct inverse of :func:`poset_to_matching`: with arcs ordered by
     closer, i is below j exactly when arc i's closer precedes arc j's opener.
 
-    This reads the matching as an interval representation of the poset.
+    This reads the matching as an interval representation of the poset, in
+    one sweep that gives each opener the mask of the arcs closed so far.
     """
     bad = first_neighbor_pair(m, left=True, nesting=True)
     if bad is not None:
         raise HasLeftNesting(bad)
-    closers = m.closers
-    return Poset.from_pre_masks(tuple(
-        sum(1 << i for i, c in enumerate(closers) if c < o) for o, _ in m.arcs))
+    p = m.partner
+    given = [0] * len(p)                # given[o]: arcs closed before opener o
+    closed, masks = 0, []
+    for x in range(1, len(p) - 1):
+        y = p[x]
+        if y > x:                       # x opens an arc
+            given[x] = closed
+        else:                           # x closes arc len(masks), bit len(masks)
+            masks.append(given[y])
+            closed = closed << 1 | 1
+    return Poset.from_pre_masks(tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +313,20 @@ def matrix_is_noncrossing_image(t: TriangularMatrix) -> bool:
 # The unique labeling of two-plus-two-free posets
 # ---------------------------------------------------------------------------
 
+def _relabel(p: Poset, sigma: Sequence[int]) -> Poset:
+    """:func:`relabel_poset` for a sigma known to permute 1..n, unchecked."""
+    bit = [1 << (s - 1) for s in sigma]
+    masks = [0] * len(sigma)
+    for j, mask in enumerate(p.pre_masks):
+        new = 0
+        while mask:
+            low = mask & -mask
+            new |= bit[low.bit_length() - 1]
+            mask ^= low
+        masks[sigma[j] - 1] = new
+    return Poset.from_pre_masks(tuple(masks))
+
+
 def relabel_poset(p: Poset, sigma: Sequence[int]) -> Poset:
     """Apply a relabeling permutation: element x becomes sigma[x-1].
 
@@ -304,13 +335,7 @@ def relabel_poset(p: Poset, sigma: Sequence[int]) -> Poset:
     sigma = validate_permutation(sigma)
     if len(sigma) != p.n:
         raise NotAPermutation(f"relabeling of length {len(sigma)} for a poset on [{p.n}]")
-    masks = [0] * p.n
-    for j, mask in enumerate(p.pre_masks):
-        new = 0
-        for i in _bits(mask):
-            new |= 1 << (sigma[i] - 1)
-        masks[sigma[j] - 1] = new
-    return Poset.from_pre_masks(tuple(masks))
+    return _relabel(p, sigma)
 
 
 def canonical_labels(p: Poset) -> tuple[int, ...]:
@@ -321,18 +346,28 @@ def canonical_labels(p: Poset) -> tuple[int, ...]:
     harmless because tied elements are indistinguishable.  The domain is
     checked by the inclusion-chain criterion (a poset is two-plus-two-free
     exactly when its predecessor sets are linearly ordered by inclusion);
-    raises NotTwoPlusTwoFree outside it.
+    raises NotTwoPlusTwoFree outside it.  The same walk counts successors.
     """
-    if not is_two_plus_two_free_by_inclusion(p):
-        raise NotTwoPlusTwoFree(f"poset on [{p.n}] contains an induced two-plus-two")
-    order = sorted(range(1, p.n + 1), key=lambda x: (-p.suc(x), p.pre(x), x))
-    sigma = [0] * p.n
+    masks = p.pre_masks
+    n = len(masks)
+    first, prev = [n] * n, 0  # suc(x) = n - first[x]: the sets from there on hold x
+    for t, mask in enumerate(sorted(masks, key=int.bit_count)):
+        if prev & ~mask:
+            raise NotTwoPlusTwoFree(f"poset on [{n}] contains an induced two-plus-two")
+        new = mask & ~prev
+        while new:
+            low = new & -new
+            first[low.bit_length() - 1] = t
+            new ^= low
+        prev = mask
+    order = sorted(range(n), key=lambda x: (first[x], masks[x].bit_count(), x))
+    sigma = [0] * n
     for new_label, x in enumerate(order, start=1):
-        sigma[x - 1] = new_label
+        sigma[x] = new_label
     return tuple(sigma)
 
 
 def canonical_labeling(p: Poset) -> Poset:
     """Relabel a two-plus-two-free poset so that it becomes factorial and
     neighbors satisfy pre(i) <= pre(i+1) or suc(i) > suc(i+1)."""
-    return relabel_poset(p, canonical_labels(p))
+    return _relabel(p, canonical_labels(p))

@@ -80,7 +80,7 @@ def _sized(gen):
     return checked
 
 
-def _closer_order(n: int, rules: frozenset) -> Iterator[tuple]:
+def _closer_order(n: int, rules: frozenset, prefix: tuple = ()) -> Iterator[tuple]:
     """Depth-first search over the matchings of [2n] that break none of the
     rules, yielding the canonical arc tuple of each.
 
@@ -128,7 +128,10 @@ def _closer_order(n: int, rules: frozenset) -> Iterator[tuple]:
                         yield arcs + ((o, c), (u, top))
                 p[o] = p[c] = 0
 
-    yield from place(1, 0, 0, ())
+    for o, c in prefix:                 # start at the node of a prefix of <= n - 2 arcs
+        p[o], p[c] = c, o
+    last = prefix[-1][1] if prefix else 0
+    yield from place(len(prefix) + 1, last, sum(map(sum, prefix)), prefix)
 
 
 @_sized

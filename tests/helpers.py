@@ -3,13 +3,15 @@
 Nothing here reuses the library's pair classification, interval logic or
 counting code; the oracles work on raw arc tuples so that agreement with
 the package is evidence.  The quadratic statistic definitions are the ones
-the library replaced by linear kernels; they stay here as their oracles.
+the library replaced by linear kernels; they stay here as their oracles, and
+so do the earlier bodies of the one-pass bijection kernels.
 """
 
 import itertools
 import random
 
-from fishburn.objects import Matching
+from fishburn.errors import NotTwoPlusTwoFree
+from fishburn.objects import Matching, Poset, is_two_plus_two_free_by_inclusion
 
 # first values of the counting sequences the classes must follow
 FISHBURN = [1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240]
@@ -102,6 +104,67 @@ def rne_poset_by_successors(p):
     mask, the masks compared whole."""
     return sum(1 for x in range(1, p.n)
                if p.pre(x) > p.pre(x + 1) and p.suc_masks[x - 1] == p.suc_masks[x])
+
+
+def rebuilt(m):
+    """The matching of ``m``'s arcs alone, its openers, closers and partner
+    derived afresh by ``Matching(arcs)``: the oracle of the maps that fill
+    those fields as they place the arcs."""
+    return Matching(m.arcs)
+
+
+def same_fields(m, oracle):
+    """Whether two matchings agree in every slot, not only in their arcs."""
+    return ((m.arcs, m.openers, m.closers, m.partner)
+            == (oracle.arcs, oracle.openers, oracle.closers, oracle.partner))
+
+
+def quadratic_matching_to_poset(m):
+    """The poset of a matching with no left-nesting by its definition: with
+    arcs ordered by closer, i is below j when arc i's closer precedes arc j's
+    opener, every pair of arcs compared."""
+    closers = m.closers
+    return Poset.from_pre_masks(tuple(
+        sum(1 << i for i, c in enumerate(closers) if c < o) for o, _ in m.arcs))
+
+
+def pairwise_two_plus_two_free(p):
+    """No induced 2+2: every two relations a < b and c < d with four
+    distinct elements, tested for the four incomparabilities."""
+    less = p.less
+
+    def incomparable(x, y):
+        return (x, y) not in less and (y, x) not in less
+
+    for (a, b), (c, d) in itertools.combinations(sorted(less), 2):
+        if len({a, b, c, d}) == 4 and incomparable(a, c) and incomparable(a, d) \
+                and incomparable(b, c) and incomparable(b, d):
+            return False
+    return True
+
+
+def canonical_labels_by_counts(p):
+    """The canonical labels sorted by (-suc(x), pre(x), x), each count read
+    from the poset per key, on the domain checked by the inclusion chain."""
+    if not is_two_plus_two_free_by_inclusion(p):
+        raise NotTwoPlusTwoFree(f"poset on [{p.n}] contains an induced two-plus-two")
+    order = sorted(range(1, p.n + 1), key=lambda x: (-p.suc(x), p.pre(x), x))
+    sigma = [0] * p.n
+    for new_label, x in enumerate(order, start=1):
+        sigma[x - 1] = new_label
+    return tuple(sigma)
+
+
+def random_natural_posets(seed, count=25):
+    """Seeded naturally labeled posets on 20 to 60 elements, the transitive
+    closure of a few random up-relations; most contain an induced 2+2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(20, 60)
+        pairs = [sorted(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, n))]
+        out.append(Poset.from_relations(n, pairs))
+    return out
 
 
 def random_tables(seed, count=25):

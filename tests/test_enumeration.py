@@ -1,6 +1,8 @@
 import functools
 import math
+import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -22,12 +24,19 @@ from fishburn import (
     gen_natural_posets,
     gen_permutations,
     generate,
+    matching_to_matrix,
+    matrix_to_matching_no_neighbor_crossing,
+    matrix_to_matching_no_neighbor_nesting,
     run_check,
     second_order_eulerian,
+    table_to_crossfree_matching,
+    table_to_matching,
+    zero_one_matrix_to_matching,
 )
 from fishburn.enumeration import (
     MATCHING_RULES,
     PREDICATES,
+    _closer_order,
     left_nesting_tallies,
     left_nesting_tally,
 )
@@ -44,6 +53,7 @@ from helpers import (
     naive_matrices,
     naive_natural_posets_by_filter,
     naive_sorted_matchings,
+    random_matrices,
 )
 
 MATCHING_PREDICATES = [name for name, (classes, _) in PREDICATES.items()
@@ -218,6 +228,82 @@ class TestCloserOrderSearch:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             gen_matchings(3, {"lnee"})
+
+
+def pairings(points):
+    """Every perfect matching of the sorted ``points``, as (opener, closer) lists."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for i, other in enumerate(rest):
+        for sub in pairings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + sub
+
+
+def completions(n, prefix):
+    """Every matching of [2n] whose first arcs in closer order are ``prefix``."""
+    used = {x for arc in prefix for x in arc}
+    last = prefix[-1][1]
+    for pairs in pairings([x for x in range(1, 2 * n + 1) if x not in used]):
+        if all(c > last for _, c in pairs):
+            yield Matching(prefix + tuple(sorted(pairs, key=itemgetter(1))))
+
+
+def mirrored(m):
+    """The matching read right to left: left patterns become right ones."""
+    top = 2 * m.n + 1
+    return Matching.from_pairs([(top - c, top - o) for o, c in m.arcs])
+
+
+def dyck_matching(rng, n, first_open):
+    """A random matching whose closers each take the earliest open opener
+    (``first_open``: no nesting) or the latest one (no crossing)."""
+    open_, arcs = [], []
+    for x in range(1, 2 * n + 1):
+        if len(open_) + len(arcs) < n and (not open_ or rng.random() < 0.5):
+            open_.append(x)
+        else:
+            arcs.append((open_.pop(0) if first_open else open_.pop(), x))
+    return Matching.from_pairs(arcs)
+
+
+def random_class_members(seed):
+    """Seeded matchings with n = 12 to 20, from builders whose images lie in
+    known classes, so every matching predicate has members among them."""
+    rng = random.Random(seed)
+    pool = []
+    for _ in range(8):
+        n = rng.randint(12, 20)
+        w = [rng.randint(0, i) for i in range(n)]
+        for m in (table_to_matching(w), table_to_crossfree_matching(w)):
+            pool += [m, mirrored(m)]
+        pool += [dyck_matching(rng, n, True), dyck_matching(rng, n, False)]
+        ends = rng.sample(range(1, 2 * n + 1), 2 * n)
+        t = matching_to_matrix(Matching.from_pairs(zip(ends[::2], ends[1::2])))
+        pool += [matrix_to_matching_no_neighbor_nesting(t),
+                 matrix_to_matching_no_neighbor_crossing(t)]
+    for rows in random_matrices(seed, count=40, zero_one=True):
+        if 12 <= sum(map(sum, rows)) <= 20:
+            pool.append(zero_one_matrix_to_matching(validate_matrix(rows)))
+    return pool
+
+
+class TestCloserOrderPrefixes:
+    """Sizes too large to enumerate: the search entered at a random node
+    yields exactly the completions of that node that its class admits."""
+
+    @pytest.mark.parametrize("name", MATCHING_PREDICATES)
+    def test_random_prefixes_complete_to_the_filtered_class(self, name):
+        test = PREDICATES[name][1]
+        members = [m for m in random_class_members(20140) if test(m)]
+        rng = random.Random(20141)
+        for m in rng.sample(members, 4):
+            # a prefix of a member breaks no rule, so the search visits it
+            prefix = m.arcs[:m.n - rng.randint(2, 5)]
+            expected = sorted(c.arcs for c in completions(m.n, prefix) if test(c))
+            assert m.arcs in expected
+            assert list(_closer_order(m.n, MATCHING_RULES[name], prefix)) == expected
 
 
 class TestFilters:

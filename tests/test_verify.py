@@ -27,6 +27,7 @@ from fishburn.enumeration import (
     gen_permutations,
     generate,
 )
+from fishburn.objects import is_natural, is_two_plus_two_free_by_inclusion
 from fishburn.verify import _objects, _tally
 
 
@@ -172,6 +173,19 @@ class TestFailureWitnesses:
             "cor_catalan_class_agreement": {
                 "n": 2, "counted": "non_nesting_matchings", "expected": 2, "actual": 3},
         }
+
+    def test_two_plus_two_oracle_that_accepts_everything_is_caught(self, monkeypatch):
+        # the direct search and the inclusion chain are checked against each
+        # other, so a 2+2 test that never finds one must fail the proposition
+        # on the first natural poset holding a 2+2
+        monkeypatch.setattr(verify, "is_two_plus_two_free", lambda p: True)
+        report = run_check("prop_factorial_posets_two_plus_two_free", 4)
+        assert report.verdict == "fail"
+        assert report.witness == {"n": 4, "class": "poset",
+                                  "object": {"n": 4, "less": [[1, 3], [2, 4]]},
+                                  "disagreement": True}
+        p = jsonio.decode("poset", report.witness["object"])
+        assert is_natural(p) and not is_two_plus_two_free_by_inclusion(p)
 
     def test_witness_is_minimal_and_serializable(self):
         # break a check by comparing against a deliberately wrong oracle
