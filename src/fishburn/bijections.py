@@ -131,7 +131,7 @@ def table_to_poset(w: Sequence[int]) -> Poset:
 
     The relation is already transitively closed because a_i <= i - 1.
     """
-    return Poset.from_pre_masks(tuple((1 << a) - 1 for a in w))
+    return Poset.from_pre_masks(tuple([(1 << a) - 1 for a in w]))
 
 
 def poset_to_matching(p: Poset) -> Matching:

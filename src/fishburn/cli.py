@@ -1,10 +1,10 @@
 """Batch command line front end.
 
-Subcommands: enumerate, convert, stats, distribution, verify.  Streams are
-JSON lines (one object per line), distribution tables are CSV, everything
-else is JSON.  Exit codes: 0 success, 1 verification failure, 2 usage or
-validation error.  Output is byte-identical across runs for identical
-arguments; nothing is randomized and timing is opt-in.
+Subcommands: enumerate, convert, stats, distribution, verify, checks.
+Streams are JSON lines (one object per line), distribution tables are CSV,
+everything else is JSON.  Exit codes: 0 success, 1 verification failure, 2
+usage or validation error.  Output is byte-identical across runs for
+identical arguments; nothing is randomized and timing is opt-in.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .bijections import (
 )
 from .enumeration import (
     GENERATORS,
-    PREDICATES,
     distribution,
     generate,
 )
@@ -78,23 +77,13 @@ def _stat_names(spec: str, stat_class: str) -> list[str]:
     return names
 
 
-def _filtered_stream(class_name: str, n: int, predicates: list[str]):
-    for name in predicates:
-        if name not in PREDICATES:
-            _die(f"unknown predicate {name!r}")
-        classes = PREDICATES[name][0]
-        if class_name not in classes:
-            _die(f"predicate {name!r} applies to {' and '.join(classes)}, not {class_name}")
-    return generate(class_name, n, predicates)
-
-
 def _cmd_enumerate(args) -> int:
     if args.object_class not in GENERATORS:
         _die(f"unknown class {args.object_class!r} "
              f"(choose from {', '.join(sorted(GENERATORS))})")
     if args.n < 0:
         _die("n must be nonnegative")
-    stream = _filtered_stream(args.object_class, args.n, args.filter)
+    stream = generate(args.object_class, args.n, args.filter)
     if args.count_only:
         print(sum(1 for _ in stream))
         return 0
@@ -171,7 +160,7 @@ def _cmd_distribution(args) -> int:
     if args.n < 0:
         _die("n must be nonnegative")
     names = _stat_names(args.stats, args.object_class)
-    stream = _filtered_stream(args.object_class, args.n, args.filter)
+    stream = generate(args.object_class, args.n, args.filter)
     sys.stdout.write(distribution(stream, args.object_class, names).to_csv())
     return 0
 
@@ -185,7 +174,7 @@ def _cmd_verify(args) -> int:
         _die("--n-max must be nonnegative")
     for name in args.checks:
         if name not in REGISTRY:
-            _die(f"unknown check {name!r} (see `fishburn verify --list`)")
+            _die(f"unknown check {name!r} (see `fishburn checks`)")
     if args.all:
         reports = run_all(args.n_max)
     else:

@@ -5,13 +5,13 @@ order is lexicographic on the canonical encoding of each object, so a
 failure reported by index is reproducible.
 
 Class membership is decided by the named predicates in ``PREDICATES``.
-Matching classes are also cut out while they are generated:
-``gen_matchings`` is a depth-first search in closer order, and the rule
-table ``MATCHING_RULES`` gives each matching predicate the local rules that
-prune the search to exactly its class.  ``generate`` still applies the
-predicates to every object it yields, so they are the post-check of every
-pruned stream, and over the unpruned stream they are the oracle the tests
-hold the rules to.
+A matching class forbids some neighbour patterns: ``MATCHING_RULES`` names
+its rules, ``RULE_TESTS`` the test of a whole matching for each rule's
+pattern, and its predicate is built from the two.  The same rules prune
+``gen_matchings``, a depth-first search in closer order, to exactly the
+class; ``generate`` still runs the predicates on every object it yields,
+so they post-check every pruned stream, and over the unpruned stream they
+are the oracle the tests hold the rules to.
 
 The counting sequences (factorials, Catalan, the Fishburn series, the
 second-order Eulerian rows) are computed by formula or recurrence,
@@ -54,7 +54,10 @@ from .statistics import stat_tuple
 #   gap2      arcs with openers x, x + 2 that nest: o - 2 is still open
 #   ne, cr    any nesting, crossing: an opener before o, between o and c is
 #             still open, so only the earliest, latest open opener may close
-RULE_NAMES = ("lne", "lcr", "rne", "rcr", "gap2", "ne", "cr")
+# rule -> the ``objects`` test of a whole matching for its pattern, in flag order
+RULE_TESTS = {"lne": "has_left_nesting", "lcr": "has_left_crossing",
+              "rne": "has_right_nesting", "rcr": "has_right_crossing",
+              "gap2": "has_gap2_nesting", "ne": "has_nesting", "cr": "has_crossing"}
 
 # matching predicate -> the rules that cut out its class
 MATCHING_RULES = {
@@ -97,7 +100,7 @@ def _closer_order(n: int, rules: frozenset, prefix: tuple = ()) -> Iterator[tupl
     top = 2 * n
     total = top * (top + 1) // 2        # the sum of all positions
     p = [0] * (top + 1)                 # partner of each position, 0 if unused
-    lne, lcr, rne, rcr, gap2, ne, cr = (rule in rules for rule in RULE_NAMES)
+    lne, lcr, rne, rcr, gap2, ne, cr = (rule in rules for rule in RULE_TESTS)
 
     def breaks(o: int, c: int) -> bool:
         # whether the arc (o, c), placed next, breaks a rule
@@ -138,8 +141,8 @@ def _closer_order(n: int, rules: frozenset, prefix: tuple = ()) -> Iterator[tupl
 def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
     """All perfect matchings of [2n] in lexicographic order of their
     canonical (closer-sorted) arc tuples; there are 1*3*...*(2n-1) of them.
-    With ``rules`` (names from ``MATCHING_RULES``), only the matchings that
-    break none of them, in the same order.
+    With ``rules`` (keys of ``RULE_TESTS``), only the matchings that break
+    none of them, in the same order.
 
     >>> [m.arcs for m in gen_matchings(2)]
     [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((2, 3), (1, 4))]
@@ -147,8 +150,8 @@ def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
     [((1, 2), (3, 4)), ((1, 3), (2, 4))]
     """
     rules = frozenset(rules)
-    if not rules <= set(RULE_NAMES):
-        raise ValueError(f"unknown matching rules {sorted(rules - set(RULE_NAMES))}")
+    if not rules <= RULE_TESTS.keys():
+        raise ValueError(f"unknown matching rules {sorted(rules - RULE_TESTS.keys())}")
     return map(Matching, _closer_order(n, rules))
 
 
@@ -336,16 +339,19 @@ def generate(class_name: str, n: int, predicates: Sequence[str] = ()) -> Iterato
     """The class at size n, filtered by the named predicates, in generation
     order.  Matching predicates also prune the search through their
     ``MATCHING_RULES``; every object is still checked by every predicate.
-    Raises ValueError unless n is a nonnegative integer."""
+    Raises UnknownPredicate for a predicate of another class before the lazy
+    stream yields anything, and ValueError unless n is a nonnegative integer."""
     if class_name not in GENERATORS:
         raise UnknownClass(f"unknown object class {class_name!r}")
-    if class_name == "matchings":
-        stream = gen_matchings(n, frozenset().union(
-            *(MATCHING_RULES.get(name, ()) for name in predicates)))
-    else:
-        stream = GENERATORS[class_name](n)
+    rules = frozenset().union(*(MATCHING_RULES.get(name, ()) for name in predicates))
+    stream = (gen_matchings(n, rules) if class_name == "matchings"
+              else GENERATORS[class_name](n))
     for name in predicates:
-        stream = filter_class(stream, name)
+        stream = filter_class(stream, name)         # raises for an unknown name
+        classes = PREDICATES[name][0]
+        if class_name not in classes:
+            raise UnknownPredicate(f"predicate {name!r} applies to "
+                                   f"{' and '.join(classes)}, not {class_name}")
     return stream
 
 
@@ -353,30 +359,23 @@ def generate(class_name: str, n: int, predicates: Sequence[str] = ()) -> Iterato
 # Class filters
 # ---------------------------------------------------------------------------
 
-_MATCHINGS = ("matchings",)
 _POSETS = ("factorial_posets", "natural_posets")
+
+
+def _pattern_free(rules: frozenset):
+    """The test for none of the patterns of ``rules`` (one or two), settled once
+    per class; each test is read from ``objects`` when it runs."""
+    tests = vars(objects)
+    first, *rest = (test for rule, test in RULE_TESTS.items() if rule in rules)
+    if not rest:
+        return lambda m: not tests[first](m)
+    (second,) = rest
+    return lambda m: not (tests[first](m) or tests[second](m))
+
 
 # predicate name -> (generator classes it applies to, membership test)
 PREDICATES = {
-    "no_left_nesting": (_MATCHINGS, lambda m: not objects.has_left_nesting(m)),
-    "no_right_nesting": (_MATCHINGS, lambda m: not objects.has_right_nesting(m)),
-    "no_left_crossing": (_MATCHINGS, lambda m: not objects.has_left_crossing(m)),
-    "no_right_crossing": (_MATCHINGS, lambda m: not objects.has_right_crossing(m)),
-    "no_neighbor_nesting": (
-        _MATCHINGS,
-        lambda m: not (objects.has_left_nesting(m) or objects.has_right_nesting(m)),
-    ),
-    "no_neighbor_crossing": (
-        _MATCHINGS,
-        lambda m: not (objects.has_left_crossing(m) or objects.has_right_crossing(m)),
-    ),
-    "no_nesting": (_MATCHINGS, lambda m: not objects.has_nesting(m)),
-    "no_crossing": (_MATCHINGS, lambda m: not objects.has_crossing(m)),
-    "no_2_left_nesting": (_MATCHINGS, lambda m: objects.count_gap_nestings(m, 2) == 0),
-    "lne0_and_rcr0": (
-        _MATCHINGS,
-        lambda m: not (objects.has_left_nesting(m) or objects.has_right_crossing(m)),
-    ),
+    **{name: (("matchings",), _pattern_free(rules)) for name, rules in MATCHING_RULES.items()},
     "natural": (_POSETS, objects.is_natural),
     "factorial": (_POSETS, objects.is_factorial),
     "dually_factorial": (_POSETS, objects.is_dually_factorial),
@@ -396,8 +395,7 @@ def filter_class(stream: Iterable, predicate_name: str) -> Iterator:
     """Filter a stream by a registered predicate, preserving order."""
     if predicate_name not in PREDICATES:
         raise UnknownPredicate(f"unknown predicate {predicate_name!r}")
-    _, test = PREDICATES[predicate_name]
-    return (obj for obj in stream if test(obj))
+    return filter(PREDICATES[predicate_name][1], stream)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .errors import InvalidObject
 from .objects import (
-    Matching,
     Poset,
     TriangularMatrix,
     _bits,

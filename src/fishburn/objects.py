@@ -233,6 +233,14 @@ def has_right_nesting(m: Matching) -> bool:
 def has_right_crossing(m: Matching) -> bool:
     return first_neighbor_pair(m, left=False, nesting=False) is not None
 
+def has_gap2_nesting(m: Matching) -> bool:
+    """Whether two arcs with openers x and x + 2 nest (p[x] > p[x + 2])."""
+    p = m.partner
+    for x in m.openers:
+        if p[x] > p[x + 2] > x + 2:
+            return True
+    return False
+
 def has_nesting(m: Matching) -> bool:
     return nestings_and_crossings(m)[0] > 0
 
@@ -409,7 +417,7 @@ class Poset:
         try:
             return self._pre_vector
         except AttributeError:
-            _fill(self, "_pre_vector", tuple(mask.bit_count() for mask in self.pre_masks))
+            _fill(self, "_pre_vector", tuple([mask.bit_count() for mask in self.pre_masks]))
             return self._pre_vector
 
     def covers(self) -> tuple[tuple[int, int], ...]:

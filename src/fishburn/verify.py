@@ -207,6 +207,26 @@ def _bijection(target: tuple[str, ...], forward, backward, class_name: str,
     return fact
 
 
+def _image(forward, source: tuple[str, ...], target: tuple[str, ...]):
+    """forward maps the source class onto exactly the target class, each a
+    class followed by its predicates.  The witness is the first source member
+    whose image is no target, else the first target that is no image."""
+    singular, target_singular = jsonio.SINGULAR[source[0]], jsonio.SINGULAR[target[0]]
+
+    def fact(n):
+        targets = _objects(target[0], n, target[1:])
+        wanted, image = set(targets), set()
+        for x in _objects(source[0], n, source[1:]):
+            y = forward(x)
+            if y not in wanted:
+                return {"n": n, **_obj(singular, x), "image": jsonio.encode(target_singular, y)}
+            image.add(y)
+        for t in targets:
+            if t not in image:
+                return {"n": n, **_obj(target_singular, t), "missing": True}
+    return fact
+
+
 def _first_difference(counters: Sequence[dict]):
     keys = sorted(set().union(*counters))
     for key in keys:
@@ -247,26 +267,6 @@ def _unique_labeling(n: int):
         for sigma in sigmas:
             if canonical_labeling(relabel_poset(p, sigma)) != p:
                 return {"n": n, "relabeling": list(sigma), **_obj("poset", p)}
-
-
-def _surjective(n: int):
-    # every matrix image lies among the targets, and re-pairing the closers
-    # of each opener run lowest opener first removes every left-nesting but
-    # keeps the matrix, so the n! matchings with none have the full image
-    image = {matching_to_matrix(m) for m in _objects("matchings", n, ("no_left_nesting",))}
-    targets = set(_objects("matrices", n, ()))
-    if image != targets:
-        missing = sorted(t.rows for t in targets - image)
-        return {"n": n, "missing_rows": [list(map(list, r)) for r in missing[:1]]}
-
-
-def _catalan_images(n: int):
-    pred_nn = set(_objects("matrices", n, ("nonnesting_image",)))
-    pred_nc = set(_objects("matrices", n, ("noncrossing_image",)))
-    img_nn = {matching_to_matrix(m) for m in _objects("matchings", n, ("no_nesting",))}
-    img_nc = {matching_to_matrix(m) for m in _objects("matchings", n, ("no_crossing",))}
-    if img_nn != pred_nn or img_nc != pred_nc:
-        return {"n": n, "image_sets_match_predicates": False}
 
 
 def _nesting_pair(p) -> list[int] | None:
@@ -395,9 +395,11 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
         ("matrices",), matrix_to_matching_no_neighbor_crossing, matching_to_matrix,
         "matchings", "no_neighbor_crossing", "matchings with no neighbor crossing",
         "matchings with no neighbor crossing image"))),
-    # The interval map sends the set of all matchings onto the full set of
-    # triangular matrices.
-    "thm_matrix_map_surjective": ("theorem", 5, _facts(_surjective)),
+    # The interval map sends all matchings onto all triangular matrices; the n!
+    # with no left-nesting already do, as re-pairing the closers of each opener
+    # run, lowest opener first, removes every left-nesting but keeps the matrix.
+    "thm_matrix_map_surjective": ("theorem", 5, _facts(_image(
+        matching_to_matrix, ("matchings", "no_left_nesting"), ("matrices",)))),
     # The interval map restricted to matchings with no left-nesting and no
     # right-crossing is a bijection onto the 0-1 triangular matrices.
     "prop_zero_one_matrices": ("proposition", 5, _facts(_bijection(
@@ -411,7 +413,10 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
         _counts(catalan,
                 ("nonnesting-image matrices", "matrices", "nonnesting_image"),
                 ("noncrossing-image matrices", "matrices", "noncrossing_image")),
-        _catalan_images)),
+        _image(matching_to_matrix, ("matchings", "no_nesting"),
+               ("matrices", "nonnesting_image")),
+        _image(matching_to_matrix, ("matchings", "no_crossing"),
+               ("matrices", "noncrossing_image")))),
     # Descent correcting inversion tables are counted by the Fishburn numbers,
     # and correspond exactly to the matchings with no neighbor nesting under
     # the insertion bijection.

@@ -391,6 +391,11 @@ class TestVerify:
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nonexistent_check")
         assert code == 2
+        assert "`fishburn checks`" in err
+        # the command the hint names lists the registry
+        code, out, _ = run_cli(capsys, "checks")
+        assert code == 0
+        assert len(out.splitlines()) == len(fishburn.REGISTRY) == 27
 
     def test_json_reports_deterministic(self, capsys):
         first = run_cli(capsys, "verify", "--all", "--n-max", "2", "--json")

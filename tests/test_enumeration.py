@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -33,9 +34,12 @@ from fishburn import (
     table_to_matching,
     zero_one_matrix_to_matching,
 )
+from fishburn import objects
 from fishburn.enumeration import (
+    GENERATORS,
     MATCHING_RULES,
     PREDICATES,
+    RULE_TESTS,
     _closer_order,
     left_nesting_tallies,
     left_nesting_tally,
@@ -50,6 +54,7 @@ from helpers import (
     NO_LEFT_NESTING_N3,
     ODD_DOUBLE_FACTORIAL,
     T3_ROWS,
+    naive_counts,
     naive_matrices,
     naive_natural_posets_by_filter,
     naive_sorted_matchings,
@@ -239,6 +244,84 @@ def pairings(points):
     for i, other in enumerate(rest):
         for sub in pairings(rest[:i] + rest[i + 1:]):
             yield [(first, other)] + sub
+
+
+def naive_gap2(arcs):
+    """Nesting pairs whose openers are exactly 2 apart, every pair tested."""
+    return sum(1 for (o1, c1), (o2, c2) in itertools.combinations(sorted(arcs), 2)
+               if o2 == o1 + 2 and c2 < c1)
+
+
+# each matching class restated from raw pair counts, apart from the rule table
+NAIVE_CLASSES = {
+    "no_left_nesting": lambda k: k["lne"] == 0,
+    "no_right_nesting": lambda k: k["rne"] == 0,
+    "no_left_crossing": lambda k: k["lcr"] == 0,
+    "no_right_crossing": lambda k: k["rcr"] == 0,
+    "no_neighbor_nesting": lambda k: k["lne"] == k["rne"] == 0,
+    "no_neighbor_crossing": lambda k: k["lcr"] == k["rcr"] == 0,
+    "no_nesting": lambda k: k["ne"] == 0,
+    "no_crossing": lambda k: k["cr"] == 0,
+    "no_2_left_nesting": lambda k: k["lne"] == k["gap2"] == 0,
+    "lne0_and_rcr0": lambda k: k["lne"] == k["rcr"] == 0,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def naive_pair_counts(n):
+    """(matching, its raw pair counts with gap2) for every matching of [2n],
+    in generation order."""
+    return [(m, {**naive_counts(m.arcs), "gap2": naive_gap2(m.arcs)})
+            for m in naive_sorted_matchings(n)]
+
+
+class TestClassDefinitions:
+    """The matching classes built from the rule table are the classes the
+    raw pair counts define, and each rule's test is exact for its pattern."""
+
+    def test_every_class_is_restated(self):
+        assert set(NAIVE_CLASSES) == set(MATCHING_RULES)
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("name", sorted(NAIVE_CLASSES))
+    def test_class_equals_its_raw_definition(self, name, n):
+        pairs = naive_pair_counts(n)
+        expected = [m.arcs for m, k in pairs if NAIVE_CLASSES[name](k)]
+        assert [m.arcs for m in filter_class([m for m, _ in pairs], name)] == expected
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("rule", list(RULE_TESTS))
+    def test_rule_alone_prunes_to_its_test(self, rule, n):
+        test = getattr(objects, RULE_TESTS[rule])
+        pairs = naive_pair_counts(n)
+        for m, k in pairs:
+            assert test(m) == (k[rule] > 0), (rule, m.arcs)
+        expected = [m.arcs for m, _ in pairs if not test(m)]
+        assert [m.arcs for m in gen_matchings(n, {rule})] == expected
+
+    def test_rule_table_is_in_the_order_of_the_search_flags(self):
+        assert list(RULE_TESTS) == ["lne", "lcr", "rne", "rcr", "gap2", "ne", "cr"]
+
+
+class TestPredicateGate:
+    """``generate`` refuses a predicate of another class before it generates
+    anything, so the sizes here are far too large to enumerate."""
+
+    @pytest.mark.parametrize("class_name", sorted(GENERATORS))
+    def test_foreign_predicates_raise(self, class_name):
+        foreign = [name for name, (classes, _) in PREDICATES.items()
+                   if class_name not in classes]
+        own = [name for name, (classes, _) in PREDICATES.items() if class_name in classes]
+        assert foreign
+        for name in foreign:
+            for predicates in ([name], own[:1] + [name]):
+                with pytest.raises(UnknownPredicate, match=(
+                        f"predicate '{name}' applies to .*, not {class_name}$")):
+                    generate(class_name, 40, predicates)
+
+    def test_unknown_predicate(self):
+        with pytest.raises(UnknownPredicate, match="unknown predicate 'no_squiggles'"):
+            generate("matchings", 40, ["no_squiggles"])
 
 
 def completions(n, prefix):

@@ -1,11 +1,16 @@
 import copy
 import functools
 import itertools
+import os
 import pickle
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
+import fishburn
 from fishburn import (
     DuplicateEndpoint,
     EndpointOutOfRange,
@@ -339,6 +344,46 @@ class TestPosetMasks:
         p = Poset.from_pre_masks((0, 1, 3))
         assert p.n == 3 and p == Poset.from_relations(3, [(1, 2), (2, 3)])
         assert Poset.from_pre_masks(()) == Poset(0, ()) and Poset(0, ()).n == 0
+
+
+# Builds 4,000 posets of one n = 8 table, reads their pre_vector and prints
+# the small-object allocator's block table before and after.
+_BLOCKS_CHILD = """
+import sys
+from fishburn.bijections import table_to_poset
+sys._debugmallocstats()
+posets = [table_to_poset(tuple(range(8))) for _ in range(4000)]
+for p in posets:
+    p.pre_vector
+sys._debugmallocstats()
+"""
+
+
+class TestExactTuples:
+    def test_poset_tuples_take_blocks_of_their_size(self):
+        # tuple(genexpr) starts at 10 slots and shrinks in place, so an
+        # 8-tuple built that way keeps the block of a 10-tuple.  tracemalloc
+        # and sys.getsizeof both report the shrunk size; the allocator's
+        # block table shows the block each tuple holds.
+        package_root = os.path.dirname(os.path.dirname(fishburn.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        for name in ("PYTHONMALLOC", "PYTHONDEVMODE"):
+            env.pop(name, None)
+        child = subprocess.run([sys.executable, "-c", _BLOCKS_CHILD],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert child.returncode == 0, child.stderr
+        tables = child.stderr.split("Small block threshold")[1:]
+        if len(tables) != 2:
+            pytest.skip("this interpreter has no small-object allocator table")
+        before, after = ({int(size): int(used) for size, used in re.findall(
+            r"^\s*\d+\s+(\d+)\s+\d+\s+(\d+)\s+\d+\s*$", table, re.M)}
+            for table in tables)
+        exact, spare = (-(-sys.getsizeof(tuple(range(k))) // 16) * 16 for k in (8, 10))
+        assert exact < spare
+        # 8,000 tuples, the pre_masks and pre_vector of every poset
+        assert after[exact] - before.get(exact, 0) > 6000
+        assert after.get(spare, 0) - before.get(spare, 0) < 2000
 
 
 class TestPosetPredicates:

@@ -24,10 +24,16 @@ from fishburn import enumeration, jsonio, verify
 from fishburn.enumeration import (
     MATCHING_RULES,
     gen_factorial_posets,
+    gen_matrices,
     gen_permutations,
     generate,
 )
-from fishburn.objects import is_natural, is_two_plus_two_free_by_inclusion
+from fishburn.objects import (
+    TriangularMatrix,
+    has_right_nesting,
+    is_natural,
+    is_two_plus_two_free_by_inclusion,
+)
 from fishburn.verify import _objects, _tally
 
 
@@ -163,7 +169,10 @@ class TestFailureWitnesses:
             "thm_matrix_map_no_neighbor_nesting": {
                 "n": 3, "counted": "matchings with no neighbor nesting",
                 "expected": 5, "actual": 6},
-            "cor_catalan_matrix_images": {"n": 4, "image_sets_match_predicates": False},
+            "cor_catalan_matrix_images": {
+                "n": 4, "class": "matching",
+                "object": {"n": 4, "arcs": [[1, 3], [4, 5], [2, 7], [6, 8]]},
+                "image": {"k": 3, "rows": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]}},
             "prop_descent_correcting_fishburn": {"n": 3, "table": [0, 1, 0]},
             "prop_factorial_dually_factorial_catalan": {
                 "n": 3, "class": "poset", "object": {"n": 3, "less": [[1, 2]]}},
@@ -173,6 +182,51 @@ class TestFailureWitnesses:
             "cor_catalan_class_agreement": {
                 "n": 2, "counted": "non_nesting_matchings", "expected": 2, "actual": 3},
         }
+
+    @staticmethod
+    def run_image_check(monkeypatch, forward, source, target):
+        """``thm_matrix_map_surjective`` with its image fact taken over the
+        given map and classes."""
+        kind, n_max, _ = REGISTRY["thm_matrix_map_surjective"]
+        monkeypatch.setitem(REGISTRY, "thm_matrix_map_surjective", (
+            kind, n_max, verify._facts(verify._image(forward, source, target))))
+        report = run_check("thm_matrix_map_surjective")
+        assert report.verdict == "fail"
+        return report.witness
+
+    def test_stray_image_names_first_source_member(self, monkeypatch):
+        # a broken interval map adds one to the top left entry of every
+        # matching with a right-nesting: such an image has entry sum n + 1,
+        # so it is no target
+        def broken(m):
+            rows = [list(row) for row in matching_to_matrix(m).rows]
+            if has_right_nesting(m):
+                rows[0][0] += 1
+            return TriangularMatrix.from_rows(rows)
+
+        witness = self.run_image_check(
+            monkeypatch, broken, ("matchings", "no_left_nesting"), ("matrices",))
+        assert witness == {"n": 3, "class": "matching",
+                           "object": {"n": 3, "arcs": [[1, 3], [4, 5], [2, 6]]},
+                           "image": {"k": 2, "rows": [[2, 1], [0, 1]]}}
+        n, first = next((n, m) for n in range(6)
+                        for m in generate("matchings", n, ["no_left_nesting"])
+                        if has_right_nesting(m))
+        m = jsonio.decode(witness["class"], witness["object"])
+        assert (witness["n"], m) == (n, first)
+        assert jsonio.decode("matrix", witness["image"]) == broken(m)
+
+    def test_missing_target_names_first_matrix(self, monkeypatch):
+        # the non-nesting matchings are Catalan-many, one short of the 15
+        # matrices at n = 4
+        witness = self.run_image_check(
+            monkeypatch, matching_to_matrix, ("matchings", "no_nesting"), ("matrices",))
+        assert witness == {"n": 4, "class": "matrix",
+                           "object": {"k": 3, "rows": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]},
+                           "missing": True}
+        image = {matching_to_matrix(m) for m in generate("matchings", 4, ["no_nesting"])}
+        first = next(t for t in gen_matrices(4) if t not in image)
+        assert jsonio.decode(witness["class"], witness["object"]) == first
 
     def test_two_plus_two_oracle_that_accepts_everything_is_caught(self, monkeypatch):
         # the direct search and the inclusion chain are checked against each
