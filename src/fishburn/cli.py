@@ -35,7 +35,6 @@ from .enumeration import (
 )
 from .errors import FishburnError
 from .statistics import VOCABULARY, stats_for
-from .verify import REGISTRY, run_all, run_check
 
 _MATRIX_PREIMAGES = {
     "no_neighbor_nesting": matrix_to_matching_no_neighbor_nesting,
@@ -166,6 +165,7 @@ def _cmd_distribution(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import REGISTRY, run_all, run_check      # the registry loads here
     if args.all and args.checks:
         _die("give check names or --all, not both")
     if not args.all and not args.checks:
@@ -198,6 +198,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_list(_args) -> int:
+    from .verify import REGISTRY
     width = max(len(name) for name in REGISTRY)
     for name, (kind, default_n, _) in REGISTRY.items():
         print(f"{name:<{width}}  {kind:<11}  default n<={default_n}")

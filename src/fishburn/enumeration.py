@@ -25,7 +25,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import objects
@@ -35,7 +34,7 @@ from .bijections import (
     table_to_poset,
 )
 from .errors import UnknownClass, UnknownPredicate
-from .objects import Matching, Poset, TriangularMatrix, is_zero_one, validate_size
+from .objects import FrozenValue, Matching, Poset, TriangularMatrix, is_zero_one, validate_size
 from .statistics import stat_tuple
 
 
@@ -347,11 +346,7 @@ def generate(class_name: str, n: int, predicates: Sequence[str] = ()) -> Iterato
     stream = (gen_matchings(n, rules) if class_name == "matchings"
               else GENERATORS[class_name](n))
     for name in predicates:
-        stream = filter_class(stream, name)         # raises for an unknown name
-        classes = PREDICATES[name][0]
-        if class_name not in classes:
-            raise UnknownPredicate(f"predicate {name!r} applies to "
-                                   f"{' and '.join(classes)}, not {class_name}")
+        stream = filter(class_predicate(class_name, name), stream)
     return stream
 
 
@@ -389,6 +384,18 @@ PREDICATES = {
     "nonnesting_image": (("matrices",), matrix_is_nonnesting_image),
     "noncrossing_image": (("matrices",), matrix_is_noncrossing_image),
 }
+
+
+def class_predicate(class_name: str, predicate_name: str):
+    """The membership test of a predicate of the class; UnknownPredicate for
+    an unknown name or a predicate of another class."""
+    if predicate_name not in PREDICATES:
+        raise UnknownPredicate(f"unknown predicate {predicate_name!r}")
+    classes, test = PREDICATES[predicate_name]
+    if class_name not in classes:
+        raise UnknownPredicate(f"predicate {predicate_name!r} applies to "
+                               f"{' and '.join(classes)}, not {class_name}")
+    return test
 
 
 def filter_class(stream: Iterable, predicate_name: str) -> Iterator:
@@ -487,12 +494,13 @@ def eulerian_triangle_row(n: int) -> tuple[int, ...]:
 # Distribution tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(FrozenValue):
     """Multiset tally of statistic tuples over one object class."""
 
-    stat_names: tuple[str, ...]
-    rows: dict[tuple[int, ...], int]
+    __slots__ = _fields = ("stat_names", "rows")
+
+    def __init__(self, stat_names: tuple[str, ...], rows: dict[tuple[int, ...], int]):
+        self._init(stat_names, rows)
 
     @property
     def total(self) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -52,12 +51,53 @@ def validate_size(n) -> int:
 _fill = object.__setattr__      # sets a slot of an immutable object
 
 
+class Value:
+    """A value whose ``_fields`` are compared by ``==`` within one class, shown
+    by ``repr``, and passed back to the constructor by copies and pickles."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            _fill(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrozenValue(Value):
+    """An immutable value, hashed as the tuple of its fields; its slots are
+    filled once, by ``_fill``, and nothing can be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Matchings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
-class Matching:
+class Matching(FrozenValue):
     """Perfect matching of {1, ..., 2n}, arcs stored sorted by closer.
 
     Slotted; construction fills every slot: ``openers`` in increasing
@@ -70,7 +110,7 @@ class Matching:
     """
 
     __slots__ = ("arcs", "openers", "closers", "partner")
-    arcs: tuple[Arc, ...]
+    _fields = ("arcs",)
 
     def __init__(self, arcs: tuple[Arc, ...]):
         """The matching of an arc tuple already valid and sorted by closer,
@@ -89,8 +129,11 @@ class Matching:
         _fill(self, "partner", partner)
         return self
 
-    def __reduce__(self):
-        return Matching, (self.arcs,)
+    def __eq__(self, other):
+        return self.arcs == other.arcs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.arcs,))
 
     @property
     def n(self) -> int:
@@ -129,8 +172,7 @@ def validate_matching(raw_pairs: Iterable[Sequence[int]]) -> Matching:
     return Matching.from_pairs(raw_pairs)
 
 
-@dataclass(frozen=True)
-class NestCrossRecord:
+class NestCrossRecord(FrozenValue):
     """Counts of nestings/crossings and their neighbor variants.
 
     A nesting is an arc pair (i, l), (j, k) with i < j < k < l; it is a
@@ -139,12 +181,10 @@ class NestCrossRecord:
     variants defined the same way on adjacent openers/closers.
     """
 
-    ne: int
-    cr: int
-    lne: int
-    rne: int
-    lcr: int
-    rcr: int
+    __slots__ = _fields = ("ne", "cr", "lne", "rne", "lcr", "rcr")
+
+    def __init__(self, ne: int, cr: int, lne: int, rne: int, lcr: int, rcr: int):
+        self._init(ne, cr, lne, rne, lcr, rcr)
 
 
 def arc_statistics(m: Matching) -> NestCrossRecord:
@@ -308,8 +348,7 @@ def sequence_predicates(w: Sequence[int]) -> dict[str, bool]:
 # Posets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
-class Poset:
+class Poset(FrozenValue):
     """Strict partial order on {1, ..., n}, stored as predecessor bitmasks.
 
     Bit i-1 of ``pre_masks[j-1]`` is set exactly when i is below j; the masks
@@ -323,7 +362,7 @@ class Poset:
     """
 
     __slots__ = ("pre_masks", "_suc_masks", "_pre_vector")
-    pre_masks: tuple[int, ...]
+    _fields = ("pre_masks",)
 
     def __init__(self, n: int, less: Iterable[tuple[int, int]]):
         """The poset on [n] of a transitively closed relation, unchecked;
@@ -339,6 +378,13 @@ class Poset:
         p = object.__new__(cls)
         _fill(p, "pre_masks", masks)
         return p
+
+    def __eq__(self, other):
+        return (self.pre_masks == other.pre_masks if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.pre_masks,))
 
     def __reduce__(self):
         return Poset.from_pre_masks, (self.pre_masks,)
@@ -561,14 +607,16 @@ def poset_predicates(p: Poset) -> dict[str, object]:
 # Upper triangular matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TriangularMatrix:
+class TriangularMatrix(FrozenValue):
     """Upper triangular nonnegative integer matrix, no zero row or column.
 
     The total of the entries is the size n of the matchings it encodes.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self._init(rows)
 
     @property
     def k(self) -> int:

@@ -22,7 +22,6 @@ at small n is evidence, not proof.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterable, Sequence
@@ -48,10 +47,10 @@ from .bijections import (
 from .enumeration import (
     PREDICATES,
     catalan,
+    class_predicate,
     distribution,
     double_factorial,
     eulerian_triangle_row,
-    filter_class,
     fishburn_numbers,
     generate,
     left_nesting_tallies,
@@ -59,6 +58,7 @@ from .enumeration import (
 )
 from .errors import UnknownCheck
 from .objects import (
+    Value,
     condition_one,
     condition_one_var,
     is_ascent_correcting,
@@ -72,17 +72,17 @@ from .objects import (
 from .statistics import stat_tuple
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one registered check over n = 0..n_max."""
+class CheckReport(Value):
+    """Outcome of one registered check over n = 0..n_max: ``kind`` is theorem,
+    proposition, corollary or conjecture, ``verdict`` "pass" or "fail",
+    ``elapsed`` in seconds, and ``n_max`` None for ad hoc comparisons with
+    external streams."""
 
-    check: str
-    kind: str             # theorem | proposition | corollary | conjecture
-    n_max: int | None     # None for ad hoc comparisons with external streams
-    verdict: str          # "pass" | "fail"
-    witness: object | None
-    elapsed: float        # seconds
-    detail: str | None = None
+    __slots__ = _fields = ("check", "kind", "n_max", "verdict", "witness", "elapsed", "detail")
+
+    def __init__(self, check: str, kind: str, n_max: int | None, verdict: str,
+                 witness: object | None, elapsed: float, detail: str | None = None):
+        self._init(check, kind, n_max, verdict, witness, elapsed, detail)
 
     def to_json(self, timing: bool = False) -> dict:
         out = {
@@ -102,12 +102,13 @@ class CheckReport:
 # The two cached accessors; everything downstream treats their values as
 # immutable.  A matching class comes pruned from the search; any other class
 # is filtered once from its cached prefix, so each base class is generated
-# once per n.
+# once per n.  Both paths pass the predicate gate of ``class_predicate``.
 @lru_cache(maxsize=None)
 def _objects(class_name: str, n: int, predicates: tuple[str, ...]) -> tuple:
     if class_name == "matchings" or not predicates:
         return tuple(generate(class_name, n, predicates))
-    return tuple(filter_class(_objects(class_name, n, predicates[:-1]), predicates[-1]))
+    test = class_predicate(class_name, predicates[-1])
+    return tuple(filter(test, _objects(class_name, n, predicates[:-1])))
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +178,7 @@ def _bijection(target: tuple[str, ...], forward, backward, class_name: str,
                predicate: str, what: str, image_what: str):
     """As many members of the filtered class as targets (a class followed by
     its predicates), and forward/backward a two-sided bijection between them."""
-    test = PREDICATES[predicate][1]
+    test = class_predicate(class_name, predicate)
     singular, target_singular = jsonio.SINGULAR[class_name], jsonio.SINGULAR[target[0]]
     key = {"inversion_tables": "table", "matrices": "matrix"}[target[0]]
 

@@ -4,11 +4,20 @@ import resource
 import select
 import subprocess
 import sys
+import types
 
 import pytest
 
 import fishburn
+from fishburn import REGISTRY
 from fishburn.cli import main
+
+
+def package_env() -> dict:
+    """The environment of a child interpreter that imports this package."""
+    package_root = os.path.dirname(os.path.dirname(fishburn.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -70,13 +79,10 @@ class TestEnumerate:
         # out while the rest are still ungenerated.  The child's address
         # space is capped, so a generator that builds the whole class first
         # dies of MemoryError instead of taking the host's memory.
-        package_root = os.path.dirname(os.path.dirname(fishburn.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         cap = 1 << 30
         child = subprocess.Popen(
             [sys.executable, "-m", "fishburn.cli", "enumerate", "matchings", "11"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=package_env(),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
         try:
             ready, _, _ = select.select([child.stdout], [], [], 60)
@@ -92,6 +98,51 @@ class TestEnumerate:
         first = run_cli(capsys, "enumerate", "matchings", "3")
         second = run_cli(capsys, "enumerate", "matchings", "3")
         assert first == second
+
+
+# Run in a fresh interpreter: which of the heavy modules each step loaded,
+# then every export of the package read, the lazy ones included.
+_STARTUP = """
+import json, sys
+heavy = lambda: sorted({"fishburn.verify", "dataclasses"} & set(sys.modules))
+import fishburn.cli
+after_import = heavy()
+fishburn.cli.main(["enumerate", "matchings", "3"])
+after_enumerate = heavy()
+from fishburn import REGISTRY
+report = fishburn.run_check("thm_no_left_nesting_count", 3)
+unresolved = [name for name in fishburn.__all__ if not hasattr(fishburn, name)]
+print(json.dumps([after_import, after_enumerate, report.verdict, len(REGISTRY), unresolved]))
+"""
+
+
+class TestStartup:
+    def run_child(self, script: str):
+        child = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                               capture_output=True, text=True, check=True)
+        return json.loads(child.stdout.splitlines()[-1])
+
+    def test_cli_loads_no_registry_and_no_dataclasses(self):
+        # the standard library of some Python version may load dataclasses
+        # itself; the CLI must load nothing beyond that
+        bare = self.run_child("import argparse, json, sys\n"
+                              "print(json.dumps('dataclasses' in sys.modules))")
+        stdlib = ["dataclasses"] if bare else []
+        after_import, after_enumerate, verdict, checks, unresolved = \
+            self.run_child(_STARTUP)
+        assert after_import == after_enumerate == stdlib
+        assert (verdict, checks, unresolved) == ("pass", len(REGISTRY), [])
+
+    def test_all_lists_every_export(self):
+        public = {name for name, value in vars(fishburn).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert len(set(fishburn.__all__)) == len(fishburn.__all__)
+        assert set(fishburn.__all__) == public | {"CheckReport", "REGISTRY",
+                                                  "check_equidistribution",
+                                                  "run_all", "run_check"}
+        namespace = {}
+        exec("from fishburn import *", namespace)
+        assert set(fishburn.__all__) <= set(namespace)
 
 
 class TestConvert:
@@ -423,7 +474,6 @@ class TestVerify:
         broken = dict(verify_module.REGISTRY)
         broken["thm_intentionally_broken"] = ("theorem", 2, always_fails)
         monkeypatch.setattr(verify_module, "REGISTRY", broken)
-        monkeypatch.setattr("fishburn.cli.REGISTRY", broken)
         code, out, _ = run_cli(capsys, "verify", "thm_intentionally_broken")
         assert code == 1
         assert "FAIL" in out and "witness" in out

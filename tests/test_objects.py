@@ -12,6 +12,8 @@ import pytest
 
 import fishburn
 from fishburn import (
+    CheckReport,
+    DistributionTable,
     DuplicateEndpoint,
     EndpointOutOfRange,
     EntryOutOfRange,
@@ -19,6 +21,7 @@ from fishburn import (
     InvalidObject,
     Matching,
     NegativeEntry,
+    NestCrossRecord,
     NotAPartialOrder,
     NotAPerfectMatching,
     NotUpperTriangular,
@@ -154,9 +157,37 @@ class TestNestingsAndCrossings:
             self.check(random_matching(rng, rng.randint(20, 60)))
 
 
+# One value of each value class, with the repr the dataclass it replaced gave.
+VALUES = [
+    (Matching.from_pairs([(1, 3), (2, 4)]), "Matching(arcs=((1, 3), (2, 4)))"),
+    (Poset.from_relations(3, [(1, 2), (1, 3)]), "Poset(pre_masks=(0, 1, 1))"),
+    (NestCrossRecord(1, 3, 0, 1, 2, 1),
+     "NestCrossRecord(ne=1, cr=3, lne=0, rne=1, lcr=2, rcr=1)"),
+    (TriangularMatrix(((1, 1), (0, 2))), "TriangularMatrix(rows=((1, 1), (0, 2)))"),
+    (DistributionTable(("ne", "cr"), {(0, 1): 2, (1, 0): 1}),
+     "DistributionTable(stat_names=('ne', 'cr'), rows={(0, 1): 2, (1, 0): 1})"),
+    (CheckReport("thm", "theorem", 3, "fail", {"n": 2, "table": [0, 1]}, 0.25, "detail"),
+     "CheckReport(check='thm', kind='theorem', n_max=3, verdict='fail', "
+     "witness={'n': 2, 'table': [0, 1]}, elapsed=0.25, detail='detail')"),
+    (CheckReport("c", "conjecture", None, "pass", None, 1.5),
+     "CheckReport(check='c', kind='conjecture', n_max=None, verdict='pass', "
+     "witness=None, elapsed=1.5, detail=None)"),
+]
+FROZEN = [obj for obj, _ in VALUES if not isinstance(obj, CheckReport)]
+
+
+def hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as exc:                    # a report, or a table's dict
+        return str(exc)
+
+
 class TestSlottedMatching:
     """Built unchecked from closer-sorted arcs, a matching is the value the
-    validating from_pairs gives, with every field filled and none writable."""
+    validating from_pairs gives, with every field filled and none writable.
+    Every value class keeps the ``==``, hash, ``repr``, copies and
+    immutability of the dataclass it replaced."""
 
     @pytest.mark.parametrize("n", range(6))
     def test_value_semantics(self, n):
@@ -184,13 +215,51 @@ class TestSlottedMatching:
         m = Matching.from_pairs([(1, 2)])
         assert m != ((1, 2),) and m != Poset(1, ())
 
-    @pytest.mark.parametrize("obj", [
-        Matching.from_pairs([(1, 3), (2, 4)]),
-        Poset.from_relations(3, [(1, 2), (1, 3)]),
-    ])
+    @pytest.mark.parametrize("obj", [obj for obj, _ in VALUES])
+    def test_equal_field_by_field_and_unequal_to_other_types(self, obj):
+        assert obj.__eq__(obj._values()) is NotImplemented and obj != obj._values()
+        for other, _ in VALUES:
+            assert (obj == other) == (other is obj) and (obj != other) == (other is not obj)
+        for field in obj._fields:
+            variant = copy.copy(obj)
+            assert variant == obj and variant is not obj
+            object.__setattr__(variant, field, "changed")
+            assert variant != obj and not variant == obj
+
+    @pytest.mark.parametrize("obj,text", VALUES)
+    def test_repr_is_the_dataclass_repr(self, obj, text):
+        assert repr(obj) == text
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for m in gen_matchings(4):
+            assert hash(m) == hash((m.arcs,))
+        for p in gen_natural_posets(4):
+            assert hash(p) == hash((p.pre_masks,))
+        for obj in FROZEN:
+            assert hash_or_error(obj) == hash_or_error(obj._values())
+
+    @pytest.mark.parametrize("obj", FROZEN)
+    def test_frozen_fields_cannot_be_assigned(self, obj):
+        before = repr(obj)
+        for field in (*obj._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, ())
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+        assert repr(obj) == before and not hasattr(obj, "__dict__")
+
+    def test_reports_are_mutable_and_unhashable(self):
+        report = CheckReport("c", "conjecture", 3, "pass", None, 1.5)
+        report.verdict = "fail"
+        assert report == CheckReport("c", "conjecture", 3, "fail", None, 1.5)
+        with pytest.raises(TypeError):
+            hash(report)
+
+    @pytest.mark.parametrize("obj", [obj for obj, _ in VALUES])
     def test_copies_and_pickles_are_equal_values(self, obj):
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+            assert twin == obj and repr(twin) == repr(obj) and type(twin) is type(obj)
+            assert hash_or_error(twin) == hash_or_error(obj)
 
     @pytest.mark.parametrize("cls", [Matching, Poset])
     def test_no_cached_properties(self, cls):

@@ -10,6 +10,7 @@ from fishburn import (
     Matching,
     Poset,
     UnknownCheck,
+    UnknownPredicate,
     check_equidistribution,
     matching_to_matrix,
     matching_to_table,
@@ -273,6 +274,21 @@ class TestDataLayer:
             for n in range(6):
                 assert _objects(class_name, n, predicates) == \
                     tuple(generate(class_name, n, predicates)), (class_name, predicates, n)
+
+    @pytest.mark.parametrize("class_name", sorted(enumeration.GENERATORS))
+    def test_foreign_predicates_refused_as_by_generate(self, class_name):
+        own = [name for name, (classes, _) in enumeration.PREDICATES.items()
+               if class_name in classes]
+        foreign = [name for name in enumeration.PREDICATES if name not in own]
+        assert foreign
+        for name in foreign + ["no_such_predicate"]:
+            # alone, and after a predicate of the class (a cached prefix)
+            for predicates in [(name,)] + [(first, name) for first in own[:1]]:
+                with pytest.raises(UnknownPredicate) as from_generate:
+                    generate(class_name, 3, predicates)
+                with pytest.raises(UnknownPredicate) as from_objects:
+                    _objects(class_name, 3, predicates)
+                assert str(from_objects.value) == str(from_generate.value)
 
     def test_eulerian_tallies_each_table_once(self, monkeypatch):
         calls = Counter()
