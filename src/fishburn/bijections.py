@@ -360,7 +360,9 @@ def canonical_labels(p: Poset) -> tuple[int, ...]:
             first[low.bit_length() - 1] = t
             new ^= low
         prev = mask
-    order = sorted(range(n), key=lambda x: (first[x], masks[x].bit_count(), x))
+    # by (first[x], pre(x)), pre(x) < n; the stable sort keeps ties in label order
+    keys = [t * n + mask.bit_count() for t, mask in zip(first, masks)]
+    order = sorted(range(n), key=keys.__getitem__)
     sigma = [0] * n
     for new_label, x in enumerate(order, start=1):
         sigma[x] = new_label

@@ -490,11 +490,15 @@ def is_natural(p: Poset) -> bool:
 
 
 def is_factorial(p: Poset) -> bool:
-    """Every predecessor set is an initial segment {1, ..., pre(k)}.
+    """Every predecessor set is an initial segment {1, ..., pre(k)}: a mask
+    of low bits only, which adding 1 carries through to a disjoint mask.
 
     Equivalent to: naturally labeled and i < j below k implies i below k.
     """
-    return all(mask == (1 << mask.bit_count()) - 1 for mask in p.pre_masks)
+    for mask in p.pre_masks:
+        if mask & mask + 1:
+            return False
+    return True
 
 
 def is_dually_factorial(p: Poset) -> bool:
@@ -582,11 +586,14 @@ def rne_poset(p: Poset) -> int:
     differ = 0
     for mask in masks:
         differ |= mask ^ mask >> 1
-    return sum(
-        1
-        for x in range(1, p.n)
-        if not differ >> (x - 1) & 1 and masks[x - 1].bit_count() > masks[x].bit_count()
-    )
+    count = 0
+    pre_x = masks[0].bit_count() if masks else 0
+    for x in range(1, len(masks)):
+        pre_next = masks[x].bit_count()
+        if pre_x > pre_next and not differ >> (x - 1) & 1:
+            count += 1
+        pre_x = pre_next
+    return count
 
 
 def poset_predicates(p: Poset) -> dict[str, object]:

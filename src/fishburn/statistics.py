@@ -14,7 +14,8 @@ prefix endpoints are {1..2k}).
 function that runs the class check and each pass it needs once per object.
 Four passes are linear kernels; their pairwise definitions are test oracles:
 
-- ``inv``: each letter meets the smaller letters before it in a sorted prefix.
+- ``inv``: each letter counts the larger letters before it, a popcount of the
+  mask of the letters seen so far.
 - ``emb``: c_k - 2k arcs are open across the k-th closer c_k.
 - neighbour counts: neighbour arcs sit at adjacent positions, so one scan.
 - ``rne_poset``: one OR of every mask ^ mask >> 1 compares all successor sets.
@@ -23,8 +24,8 @@ Four passes are linear kernels; their pairwise definitions are test oracles:
 from __future__ import annotations
 
 import functools
-from bisect import bisect, bisect_left
-from operator import itemgetter
+from bisect import bisect_left
+from operator import itemgetter, lt
 from typing import Callable, Iterable, Sequence
 
 from .bijections import permutation_to_table
@@ -38,18 +39,21 @@ from .objects import Matching, Poset, is_factorial, nestings_and_crossings, rne_
 
 def count_pattern_p(pi: Sequence[int]) -> int:
     """Occurrences of the vincular pattern: adjacent letters a_i < a_{i+1}
-    with a_i - 1 appearing somewhere after position i+1.
+    with a_i - 1 appearing somewhere after position i+1.  The letters must
+    be a permutation of 1..n, unchecked: a letter above n raises IndexError.
 
     >>> count_pattern_p((3, 5, 1, 4, 2, 6))
     1
     """
     n = len(pi)
-    position = {v: idx for idx, v in enumerate(pi)}
+    position = [0] * (n + 1)
+    for idx, v in enumerate(pi):
+        position[v] = idx
     count = 0
     for i in range(n - 1):
-        if pi[i] < pi[i + 1] and pi[i] - 1 >= 1:
-            if position[pi[i] - 1] > i + 1:
-                count += 1
+        a = pi[i]
+        if a < pi[i + 1] and a > 1 and position[a - 1] > i + 1:
+            count += 1
     return count
 
 
@@ -65,17 +69,15 @@ def _perm_comp(pi: Sequence[int]) -> tuple[int]:
 
 
 def _perm_asc_des(pi: Sequence[int]) -> tuple[int, int]:
-    asc = sum(a < b for a, b in zip(pi, pi[1:]))
+    asc = sum(map(lt, pi, pi[1:]))
     return (asc, len(pi) - 1 - asc if pi else 0)
 
 
 def _perm_inv(pi: Sequence[int]) -> tuple[int]:
-    inv = len(pi) * (len(pi) - 1) // 2
-    seen: list[int] = []
+    inv = seen = 0                  # seen: bit v for each letter v so far
     for v in pi:
-        i = bisect(seen, v)
-        inv -= i
-        seen.insert(i, v)
+        inv += (seen >> v).bit_count()
+        seen |= 1 << v
     return (inv,)
 
 
@@ -118,7 +120,10 @@ def perm_stats(pi: Sequence[int]) -> dict[str, int]:
     """All permutation statistics.
 
     dent counts the distinct entries of the inversion table; last is the
-    position of n minus one; comp is the direct-sum component count.
+    position of n minus one; comp is the direct-sum component count.  The
+    letters must be a permutation of 1..n, as ``jsonio.decode`` and the
+    generators give; they are not checked here, and the passes need not
+    raise on other letters (``inv`` sets bit v for each letter v).
     """
     return stats_for("permutations", pi)
 
@@ -146,7 +151,7 @@ def _poset_comp(p: Poset) -> tuple[int]:
 
 
 def _poset_min(p: Poset) -> tuple[int]:
-    return (sum(1 for mask in p.pre_masks if mask == 0),)
+    return (p.pre_masks.count(0),)
 
 
 def _poset_pre_n(p: Poset) -> tuple[int]:
@@ -158,7 +163,7 @@ def _poset_lev(p: Poset) -> tuple[int]:
 
 
 def _poset_ip(p: Poset) -> tuple[int]:
-    return (p.n * (p.n - 1) // 2 - sum(p.pre_vector),)
+    return (p.n * (p.n - 1) // 2 - sum(map(int.bit_count, p.pre_masks)),)
 
 
 def _poset_rne(p: Poset) -> tuple[int]:
@@ -192,12 +197,12 @@ def _matching_last(m: Matching) -> tuple[int]:
 
 
 def _matching_inter(m: Matching) -> tuple[int]:
-    openers = m.openers
-    return (sum(
-        1
-        for idx, o in enumerate(openers)
-        if idx == 0 or openers[idx - 1] != o - 1
-    ),)
+    inter = after = 0               # after: the point past the last opener
+    for o in m.openers:
+        if o != after:
+            inter += 1
+        after = o + 1
+    return (inter,)
 
 
 def _matching_emb(m: Matching) -> tuple[int]:
@@ -332,22 +337,30 @@ def _compile(class_name: str, names: tuple[str, ...]) -> Callable[[object], tupl
         if pass_of[name] not in chosen:
             chosen.append(pass_of[name])
     computed = tuple(name for pass_names, _ in chosen for name in pass_names)
-    computes = tuple(compute for _, compute in chosen)
-    where = tuple(map(computed.index, names))
+    values = _concatenation(tuple(compute for _, compute in chosen))
     if computed == names:
-        pick = itemgetter(slice(None))
-    elif len(where) == 1:
+        return values
+    where = tuple(map(computed.index, names))
+    if len(where) == 1:
         pick = itemgetter(slice(where[0], where[0] + 1))
     else:
         pick = itemgetter(*where)
+    return lambda obj: pick(values(obj))
 
-    def tuple_of(obj) -> tuple[int, ...]:
-        values: tuple[int, ...] = ()
+
+def _concatenation(computes: tuple[Callable, ...]) -> Callable[[object], tuple[int, ...]]:
+    """The function from an object to the concatenated tuples of the passes;
+    a lone pass is that function itself."""
+    if len(computes) == 1:
+        return computes[0]
+
+    def values(obj) -> tuple[int, ...]:
+        out: tuple[int, ...] = ()
         for compute in computes:
-            values += compute(obj)
-        return pick(values)
+            out += compute(obj)
+        return out
 
-    return tuple_of
+    return values
 
 
 def stats_for(class_name: str, obj, names: Sequence[str] | None = None) -> dict[str, int]:

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import jsonio
 from .bijections import (
+    _relabel,
     canonical_labeling,
     crossfree_matching_to_table,
     matching_to_matrix,
@@ -37,7 +38,6 @@ from .bijections import (
     matrix_to_matching_no_neighbor_nesting,
     poset_to_matching,
     poset_to_table,
-    relabel_poset,
     table_to_crossfree_matching,
     table_to_matching,
     table_to_permutation,
@@ -67,6 +67,7 @@ from .objects import (
     is_three_plus_one_free,
     is_two_plus_two_free,
     is_two_plus_two_free_by_inclusion,
+    validate_permutation,
     validate_size,
 )
 from .statistics import stat_tuple
@@ -260,13 +261,15 @@ def _equidistributed(*rows):
 
 def _unique_labeling(n: int):
     # all n! relabelings for n <= 4; beyond, a fixed, evenly spaced sample of
-    # 24 permutations keeps the check deterministic
+    # 24 permutations keeps the check deterministic.  Each is validated once,
+    # not once per poset as relabel_poset would.
     sigmas = list(permutations(range(1, n + 1)))
     if len(sigmas) > 24:
         sigmas = sigmas[::len(sigmas) // 24][:24]
+    sigmas = list(map(validate_permutation, sigmas))
     for p in _objects("factorial_posets", n, ("condition_one",)):
         for sigma in sigmas:
-            if canonical_labeling(relabel_poset(p, sigma)) != p:
+            if canonical_labeling(_relabel(p, sigma)) != p:
                 return {"n": n, "relabeling": list(sigma), **_obj("poset", p)}
 
 

@@ -2,9 +2,9 @@
 
 Nothing here reuses the library's pair classification, interval logic or
 counting code; the oracles work on raw arc tuples so that agreement with
-the package is evidence.  The quadratic statistic definitions are the ones
-the library replaced by linear kernels; they stay here as their oracles, and
-so do the earlier bodies of the one-pass bijection kernels.
+the package is evidence.  The statistic and predicate bodies the library
+replaced by faster kernels stay here as their oracles, and so do the
+earlier bodies of the one-pass bijection kernels.
 """
 
 import itertools
@@ -77,6 +77,44 @@ def naive_counts(arcs):
 def quadratic_inv(pi):
     """Inversions of a permutation, every pair of letters compared."""
     return sum(a > b for i, a in enumerate(pi, start=1) for b in pi[i:])
+
+
+def pairwise_asc_des(pi):
+    """(asc, des) of a permutation, each adjacent pair compared in turn."""
+    asc = sum(a < b for a, b in zip(pi, pi[1:]))
+    return (asc, len(pi) - 1 - asc if pi else 0)
+
+
+def count_pattern_p_by_dict(pi):
+    """Occurrences of the vincular pattern of ``count_pattern_p``: adjacent
+    a_i < a_{i+1} with a_i - 1 after position i + 1, positions in a dict."""
+    position = {v: idx for idx, v in enumerate(pi)}
+    return sum(1 for i in range(len(pi) - 1)
+               if pi[i] < pi[i + 1] and pi[i] - 1 >= 1 and position[pi[i] - 1] > i + 1)
+
+
+def min_by_scan(p):
+    """Minimal elements of a poset: the predecessor masks equal to 0."""
+    return sum(1 for mask in p.pre_masks if mask == 0)
+
+
+def is_factorial_by_counts(p):
+    """Every predecessor mask equals the mask of its first pre(k) bits."""
+    return all(mask == (1 << mask.bit_count()) - 1 for mask in p.pre_masks)
+
+
+def pairwise_incomparable(p):
+    """Pairs i < j of a poset related neither way, every pair tested."""
+    less = p.less
+    return sum(1 for i, j in itertools.combinations(range(1, p.n + 1), 2)
+               if (i, j) not in less and (j, i) not in less)
+
+
+def opener_intervals_by_index(openers):
+    """Maximal runs of consecutive openers: each opener that does not follow
+    the one before it starts a run."""
+    return sum(1 for idx, o in enumerate(openers)
+               if idx == 0 or openers[idx - 1] != o - 1)
 
 
 def quadratic_emb(arcs):

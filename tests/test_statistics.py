@@ -14,6 +14,7 @@ from fishburn import (
     matching_stats,
     perm_stats,
     poset_stats,
+    relabel_poset,
     rne_poset,
     stat_tuple,
     stats_for,
@@ -29,9 +30,18 @@ from fishburn.enumeration import (
     gen_matchings,
     gen_natural_posets,
     gen_permutations,
+    generate,
 )
+from fishburn.objects import is_factorial
+from fishburn.statistics import PASSES
 from helpers import (
+    count_pattern_p_by_dict,
+    is_factorial_by_counts,
+    min_by_scan,
     naive_counts,
+    opener_intervals_by_index,
+    pairwise_asc_des,
+    pairwise_incomparable,
     quadratic_emb,
     quadratic_inv,
     quadratic_neighbor_counts,
@@ -74,6 +84,11 @@ class TestPatternP:
     def test_empty(self):
         assert count_pattern_p(()) == 0
 
+    def test_letter_above_n_raises(self):
+        # the letters must be 1..n: positions are a list indexed by letter
+        with pytest.raises(IndexError):
+            count_pattern_p((3, 1))
+
 
 class TestPermStats:
     def test_identity(self):
@@ -105,6 +120,19 @@ class TestPermStats:
     def test_empty(self):
         rec = perm_stats(())
         assert rec["comp"] == 0 and rec["last"] == 0 and rec["dent"] == 0
+
+    def test_letters_outside_one_to_n_are_not_a_domain(self):
+        # unchecked input: a negative letter fails in the inv pass, a letter
+        # above n in the p pass, a missing n in the last pass
+        inv = stat_tuple("permutations", ("inv",))
+        with pytest.raises(ValueError, match="negative shift count"):
+            inv((-1, 2))
+        with pytest.raises(ValueError, match="negative shift count"):
+            perm_stats((-1, 2))
+        with pytest.raises(IndexError):
+            perm_stats((2, 5, 1))
+        with pytest.raises(ValueError):
+            perm_stats((0, 1))
 
 
 class TestPosetStats:
@@ -277,14 +305,53 @@ def random_natural_posets(seed, count=25):
     return out
 
 
+def large_permutations(seed, count=10, n=200):
+    """Seeded permutations of length 200."""
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(1, n + 1), n)) for _ in range(count)]
+
+
+def large_table_posets(seed, count=10, n=40):
+    """Seeded factorial posets on 40 elements from their inversion tables,
+    each followed by a seeded relabeling of it, which is rarely factorial."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = table_to_poset([rng.randint(0, i) for i in range(n)])
+        out += [p, relabel_poset(p, rng.sample(range(1, n + 1), n))]
+    return out
+
+
+def assert_permutation_kernels(pi):
+    assert stat_tuple("permutations", ("asc", "des"))(pi) == pairwise_asc_des(pi), pi
+    assert stat_tuple("permutations", ("inv",))(pi) == (quadratic_inv(pi),), pi
+    assert count_pattern_p(pi) == count_pattern_p_by_dict(pi), pi
+    assert stat_tuple("permutations", ("p",))(pi) == (count_pattern_p_by_dict(pi),), pi
+
+
+def assert_poset_kernels(p):
+    """The factorial test and guard against the old formula; on a factorial
+    poset, min, ip and rne_poset against their oracles."""
+    factorial = is_factorial_by_counts(p)
+    assert is_factorial(p) == factorial, p.pre_masks
+    if not factorial:
+        with pytest.raises(NotFactorial):
+            stat_tuple("natural_posets", ("min",))(p)
+        return
+    assert stat_tuple("natural_posets", ("min", "ip", "rne_poset"))(p) == (
+        min_by_scan(p), pairwise_incomparable(p), rne_poset_by_successors(p)), p.pre_masks
+
+
 def matching_kernels(m):
     emb, lne, rne, lcr, rcr = stat_tuple("matchings", ("emb", "lne", "rne", "lcr", "rcr"))(m)
     return emb, (lne, rne, lcr, rcr)
 
 
 class TestKernelsAgainstOracles:
-    """The linear statistic kernels against the quadratic definitions they
-    replaced, exhaustively at small n and on seeded objects with n = 20-60."""
+    """The statistic kernels and the factorial test against the bodies they
+    replaced, kept in helpers: exhaustively at small n (n = 0 and 1
+    included), on the natural posets with n <= 6, and on seeded objects with
+    n = 20-60, permutations with n = 200 and posets with n = 40."""
 
     def test_inv_on_every_small_permutation(self):
         inv = stat_tuple("permutations", ("inv",))
@@ -340,6 +407,49 @@ class TestKernelsAgainstOracles:
             assert t[1] == w.count(0)
             assert t[4] == n * (n - 1) // 2 - sum(w)
 
+    def test_permutation_kernels_on_every_small_permutation(self):
+        for n in range(8):
+            for pi in gen_permutations(n):
+                assert_permutation_kernels(pi)
+
+    def test_permutation_kernels_on_large_permutations(self):
+        perms = large_permutations(20161)
+        for pi in perms:
+            assert_permutation_kernels(pi)
+        assert all(count_pattern_p(pi) for pi in perms)
+
+    def test_poset_kernels_on_every_small_factorial_poset(self):
+        for n in range(8):
+            for p in gen_factorial_posets(n):
+                assert_poset_kernels(p)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_guard_on_every_small_natural_poset(self, n):
+        posets = list(gen_natural_posets(n))
+        for p in posets:
+            assert_poset_kernels(p)
+        # the factorial filter keeps exactly the posets of the old formula
+        assert list(generate("natural_posets", n, ("factorial",))) == \
+            [p for p in posets if is_factorial_by_counts(p)]
+
+    def test_poset_kernels_on_large_posets(self):
+        posets = large_table_posets(20162)
+        for p in posets:
+            assert_poset_kernels(p)
+        assert {is_factorial(p) for p in posets} == {True, False}
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_opener_intervals_on_every_small_matching(self, n):
+        inter = stat_tuple("matchings", ("inter",))
+        for m in gen_matchings(n):
+            assert inter(m) == (opener_intervals_by_index(m.openers),), m.arcs
+
+    def test_opener_intervals_on_table_and_random_matchings(self):
+        inter = stat_tuple("matchings", ("inter",))
+        matchings = [table_to_matching(w) for w in gen_inversion_tables(7)]
+        for m in matchings + random_matchings(20163):
+            assert inter(m) == (opener_intervals_by_index(m.openers),), m.arcs
+
 
 class TestStatTuple:
     @pytest.mark.parametrize("class_name", sorted(STAT_CLASS_OBJECTS))
@@ -356,6 +466,20 @@ class TestStatTuple:
                 assert table.stat_names == names
                 assert table.rows == Counter(
                     tuple(record[name] for name in names) for record in records), names
+
+    @pytest.mark.parametrize("class_name", sorted(STAT_CLASS_OBJECTS))
+    def test_every_number_of_passes(self, class_name):
+        # the first name of each of the first k passes, in pass order and
+        # reversed, for each k: no pass, one pass returned itself, more
+        # through the loop, with and without a reordering of the values
+        firsts = [names[0] for names, _ in PASSES[class_name] if names]
+        for k in range(len(firsts) + 1):
+            for names in (tuple(firsts[:k]), tuple(reversed(firsts[:k]))):
+                compiled = stat_tuple(class_name, names)
+                for n in range(5):
+                    for obj in STAT_CLASS_OBJECTS[class_name](n):
+                        record = stats_for(class_name, obj)
+                        assert compiled(obj) == tuple(record[name] for name in names)
 
     def test_compiled_once_per_class_and_names(self):
         assert stat_tuple("permutations", ["des", "inv"]) is \

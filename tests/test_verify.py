@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from collections import Counter
@@ -16,6 +17,7 @@ from fishburn import (
     matching_to_table,
     matrix_to_matching_no_neighbor_crossing,
     poset_to_table,
+    relabel_poset,
     run_all,
     run_check,
     table_to_matching,
@@ -241,6 +243,43 @@ class TestFailureWitnesses:
                                   "disagreement": True}
         p = jsonio.decode("poset", report.witness["object"])
         assert is_natural(p) and not is_two_plus_two_free_by_inclusion(p)
+
+    def test_broken_canonical_labeling_is_caught(self, monkeypatch):
+        # a labeling that keeps every poset as given undoes no relabeling:
+        # the first poset and relabeling it misses are the witness
+        monkeypatch.setattr(verify, "canonical_labeling", lambda q: q)
+        report = run_check("prop_unique_labeling", 4)
+        assert report.verdict == "fail"
+        assert report.witness == {"n": 2, "relabeling": [2, 1], "class": "poset",
+                                  "object": {"n": 2, "less": [[1, 2]]}}
+
+    def test_labeling_check_relabels_as_relabel_poset(self, monkeypatch):
+        # every poset the check hands to canonical_labeling is relabel_poset
+        # of a factorial poset meeting the neighbor rule, by every sigma
+        seen = []
+        real = verify.canonical_labeling
+        monkeypatch.setattr(verify, "canonical_labeling",
+                            lambda q: seen.append(q) or real(q))
+        assert run_check("prop_unique_labeling", 4).verdict == "pass"
+        expected = [relabel_poset(p, sigma)
+                    for n in range(5)
+                    for p in generate("factorial_posets", n, ("condition_one",))
+                    for sigma in itertools.permutations(range(1, n + 1))]
+        assert seen == expected
+
+    def test_labeling_check_validates_each_sigma_once(self, monkeypatch):
+        calls = Counter()
+        real = verify.validate_permutation
+
+        def counting(sigma):
+            calls[tuple(sigma)] += 1
+            return real(sigma)
+
+        monkeypatch.setattr(verify, "validate_permutation", counting)
+        assert run_check("prop_unique_labeling", 6).verdict == "pass"
+        # all n! sigmas up to n = 4, then 24 at n = 5 and at n = 6
+        assert sum(calls.values()) == 1 + 1 + 2 + 6 + 24 + 24 + 24
+        assert set(calls.values()) == {1}
 
     def test_witness_is_minimal_and_serializable(self):
         # break a check by comparing against a deliberately wrong oracle
