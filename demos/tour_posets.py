@@ -13,12 +13,13 @@ from fishburn import (
     canonical_labels,
     gen_factorial_posets,
     matching_to_poset,
-    poset_predicates,
     poset_stats,
     poset_to_matching,
     poset_to_table,
     relabel_poset,
+    rne_poset,
 )
+from fishburn.enumeration import PREDICATES
 
 p = Poset.from_relations(4, [(1, 2), (1, 4)])
 print("poset relations:", sorted(p.less))
@@ -27,11 +28,14 @@ print("as a matching:", poset_to_matching(p).arcs)
 print("statistics:", poset_stats(p))
 print()
 
-# Predicates separate the interesting subfamilies.
+# Predicates separate the interesting subfamilies; the poset ones are the
+# PREDICATES entries that filter natural posets.
 chain_plus_point = Poset.from_relations(4, [(1, 2), (2, 4)])
 print("chain 1<2<4 with isolated 3:")
-for name, value in poset_predicates(chain_plus_point).items():
-    print(f"  {name}: {value}")
+for name, (classes, test) in PREDICATES.items():
+    if "natural_posets" in classes:
+        print(f"  {name}: {test(chain_plus_point)}")
+print(f"  rne_poset: {rne_poset(chain_plus_point)}")
 print()
 
 # A two-plus-two-free poset has exactly one labeling that is factorial and

@@ -20,9 +20,8 @@ from .objects import (
     Matching, NestCrossRecord, Poset, TriangularMatrix, arc_statistics,
     condition_one, condition_one_var, count_gap_nestings, is_ascent_correcting,
     is_descent_correcting, is_dually_factorial, is_factorial, is_natural,
-    is_three_plus_one_free, is_two_plus_two_free, is_zero_one,
-    poset_predicates, rne_poset, sequence_predicates, validate_matching,
-    validate_matrix, validate_permutation, validate_table,
+    is_three_plus_one_free, is_two_plus_two_free, is_zero_one, rne_poset,
+    validate_matching, validate_matrix, validate_permutation, validate_table,
 )
 from .bijections import (
     canonical_labeling, canonical_labels, crossfree_matching_to_table,
@@ -36,7 +35,7 @@ from .bijections import (
 )
 from .statistics import (
     VOCABULARY, count_pattern_p, matching_stats, perm_stats, poset_stats,
-    stat_tuple, stats_for, table_stats,
+    stat_tuple, stats_for,
 )
 from .enumeration import (
     DistributionTable, catalan, distribution, double_factorial,
@@ -69,8 +68,7 @@ __all__ = [
     "arc_statistics", "condition_one", "condition_one_var",
     "count_gap_nestings", "is_ascent_correcting", "is_descent_correcting",
     "is_dually_factorial", "is_factorial", "is_natural",
-    "is_three_plus_one_free", "is_two_plus_two_free", "is_zero_one",
-    "poset_predicates", "rne_poset", "sequence_predicates",
+    "is_three_plus_one_free", "is_two_plus_two_free", "is_zero_one", "rne_poset",
     "validate_matching", "validate_matrix", "validate_permutation",
     "validate_table", "canonical_labeling", "canonical_labels",
     "crossfree_matching_to_table", "matching_to_matrix", "matching_to_poset",
@@ -81,7 +79,7 @@ __all__ = [
     "table_to_crossfree_matching", "table_to_matching", "table_to_permutation",
     "table_to_poset", "zero_one_matrix_to_matching", "VOCABULARY",
     "count_pattern_p", "matching_stats", "perm_stats", "poset_stats",
-    "stat_tuple", "stats_for", "table_stats", "DistributionTable", "catalan",
+    "stat_tuple", "stats_for", "DistributionTable", "catalan",
     "distribution", "double_factorial", "eulerian_triangle_row",
     "filter_class", "fishburn_numbers", "gen_ascent_sequences",
     "gen_factorial_posets", "gen_inversion_tables", "gen_matchings",

@@ -42,6 +42,15 @@ _MATRIX_PREIMAGES = {
     "lne0_and_rcr0": zero_one_matrix_to_matching,
 }
 
+# class, or --via for a matching -> (its map to inversion tables, the inverse)
+_TABLE_MAPS = {
+    "inversion_table": (tuple, tuple),          # a table is its own table
+    "permutation": (permutation_to_table, table_to_permutation),
+    "poset": (poset_to_table, table_to_poset),
+    "no_left_nesting": (matching_to_table, table_to_matching),
+    "no_left_crossing": (crossfree_matching_to_table, table_to_crossfree_matching),
+}
+
 # singular CLI class -> statistics class
 _STAT_CLASS_SINGULAR = {
     "matching": "matchings",
@@ -92,28 +101,10 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _convert_to_table(class_name: str, obj, via: str):
-    if class_name == "inversion_table":
-        return obj
-    if class_name == "permutation":
-        return permutation_to_table(obj)
-    if class_name == "poset":
-        return poset_to_table(obj)
-    if via == "no_left_crossing":                # a matching
-        return crossfree_matching_to_table(obj)
-    return matching_to_table(obj)
-
-
-def _convert_from_table(class_name: str, w, via: str):
-    if class_name == "inversion_table":
-        return w
-    if class_name == "permutation":
-        return table_to_permutation(w)
-    if class_name == "poset":
-        return table_to_poset(w)
-    if via == "no_left_crossing":                # a matching
-        return table_to_crossfree_matching(w)
-    return table_to_matching(w)
+def _table_maps(class_name: str, via: str):
+    """(to table, from table) of a class; a matrix reaches tables through its
+    matching, and matchings take the bijection named by --via."""
+    return _TABLE_MAPS[via if class_name in ("matching", "matrix") else class_name]
 
 
 def _cmd_convert(args) -> int:
@@ -121,21 +112,16 @@ def _cmd_convert(args) -> int:
     if args.src not in known or args.dst not in known:
         _die(f"classes must be among {', '.join(sorted(known))}")
     obj = jsonio.decode(args.src, _object_json(args.object))
-    if args.dst == "matrix":
-        if args.src == "matrix":
-            result = obj
-        elif args.src == "matching":
-            result = matching_to_matrix(obj)
-        else:
-            w = _convert_to_table(args.src, obj, args.via)
-            result = matching_to_matrix(_convert_from_table("matching", w, args.via))
-    elif args.src == "matrix":
-        m = _MATRIX_PREIMAGES[args.preimage](obj)
-        result = m if args.dst == "matching" else _convert_from_table(
-            args.dst, _convert_to_table("matching", m, args.via), args.via)
+    if args.src == "matrix" and args.dst != "matrix":
+        obj = _MATRIX_PREIMAGES[args.preimage](obj)     # a matching from here on
+    if args.src == "matrix" and args.dst in ("matrix", "matching"):
+        result = obj
+    elif args.src == "matching" and args.dst == "matrix":
+        result = matching_to_matrix(obj)
     else:
-        w = _convert_to_table(args.src, obj, args.via)
-        result = _convert_from_table(args.dst, w, args.via)
+        result = _table_maps(args.dst, args.via)[1](_table_maps(args.src, args.via)[0](obj))
+        if args.dst == "matrix":
+            result = matching_to_matrix(result)
     print(json.dumps(jsonio.encode(args.dst, result)))
     return 0
 

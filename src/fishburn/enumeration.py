@@ -155,23 +155,15 @@ def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
 
 
 @_sized
-def left_nesting_tally(n: int) -> Counter:
-    """How many matchings of [2n] have each number of left-nestings, by the
-    closer-order search of ``gen_matchings`` with equivalent states merged;
-    no matching is built.
-
-    >>> sorted(left_nesting_tally(3).items())
-    [(0, 6), (1, 8), (2, 1)]
-    """
-    *_, tally = left_nesting_tallies(n)
-    return tally
-
-
-@_sized
 def left_nesting_tallies(n_max: int) -> Iterator[Counter]:
-    """``left_nesting_tally(n)`` for n = 0, 1, ..., n_max in turn, from one
-    memo: a state's completions do not depend on n, and the search for n
-    passes through the start state of every smaller n.
+    """How many matchings of [2n] have each number of left-nestings, for
+    n = 0, 1, ..., n_max in turn, by the closer-order search of
+    ``gen_matchings`` with equivalent states merged; no matching is built.
+    One memo serves every n: a state's completions do not depend on n, and
+    the search for n passes through the start state of every smaller n.
+
+    >>> sorted(list(left_nesting_tallies(3))[-1].items())
+    [(0, 6), (1, 8), (2, 1)]
 
     When a closer is placed, the unused positions below it are the open
     openers, and it adds a left-nesting exactly when the position just

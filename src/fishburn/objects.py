@@ -188,27 +188,16 @@ class NestCrossRecord(FrozenValue):
 
 
 def arc_statistics(m: Matching) -> NestCrossRecord:
-    """Classify all arc pairs of ``m`` and count (neighbor) nestings/crossings.
+    """The record of :func:`nestings_and_crossings` and :func:`neighbor_counts`.
 
     >>> arc_statistics(Matching.from_pairs([(1, 3), (2, 7), (4, 6), (5, 8)]))
     NestCrossRecord(ne=1, cr=3, lne=0, rne=1, lcr=2, rcr=1)
     """
-    ne = cr = lne = rne = lcr = rcr = 0
-    by_opener = sorted(m.arcs)
-    for (o1, c1), (o2, c2) in itertools.combinations(by_opener, 2):
-        if o2 < c2 < c1:          # o1 < o2 < c2 < c1
-            ne += 1
-            lne += o2 == o1 + 1
-            rne += c1 == c2 + 1
-        elif o2 < c1 < c2:        # o1 < o2 < c1 < c2
-            cr += 1
-            lcr += o2 == o1 + 1
-            rcr += c2 == c1 + 1
-    return NestCrossRecord(ne, cr, lne, rne, lcr, rcr)
+    return NestCrossRecord(*nestings_and_crossings(m), *neighbor_counts(m))
 
 
 def nestings_and_crossings(m: Matching) -> tuple[int, int]:
-    """(ne, cr) of :func:`arc_statistics` in O(n log n).
+    """(ne, cr): the numbers of nesting and of crossing arc pairs, in O(n log n).
 
     With the arcs in opener order, ne is the number of inversions of their
     closers.  Every opener strictly inside an arc starts an arc nested in
@@ -259,6 +248,27 @@ def first_neighbor_pair(m: Matching, left: bool, nesting: bool) -> tuple[Arc, Ar
                 return ((x, p[x]), (x + 1, y))
             return ((p[x], x), (y, x + 1))
     return None
+
+
+def neighbor_counts(m: Matching) -> tuple[int, int, int, int]:
+    """(lne, rne, lcr, rcr): the neighbour pairs of each kind, in one scan by
+    position with the rule of :func:`first_neighbor_pair`."""
+    p = m.partner
+    lne = rne = lcr = rcr = 0
+    for x in range(1, 2 * m.n):
+        a, b = p[x], p[x + 1]
+        if a > x:
+            if b > x + 1:
+                if a > b:
+                    lne += 1
+                else:
+                    lcr += 1
+        elif b < x:
+            if a > b:
+                rne += 1
+            else:
+                rcr += 1
+    return (lne, rne, lcr, rcr)
 
 
 def has_left_nesting(m: Matching) -> bool:
@@ -335,13 +345,6 @@ def is_ascent_correcting(w: Sequence[int]) -> bool:
             if not any(w[l] == i for l in range(i, n)):
                 return False
     return True
-
-
-def sequence_predicates(w: Sequence[int]) -> dict[str, bool]:
-    return {
-        "descent_correcting": is_descent_correcting(w),
-        "ascent_correcting": is_ascent_correcting(w),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -594,20 +597,6 @@ def rne_poset(p: Poset) -> int:
             count += 1
         pre_x = pre_next
     return count
-
-
-def poset_predicates(p: Poset) -> dict[str, object]:
-    """All structural predicates of a poset in one record."""
-    return {
-        "natural": is_natural(p),
-        "factorial": is_factorial(p),
-        "dually_factorial": is_dually_factorial(p),
-        "two_plus_two_free": is_two_plus_two_free(p),
-        "three_plus_one_free": is_three_plus_one_free(p),
-        "condition_one": condition_one(p),
-        "condition_one_var": condition_one_var(p),
-        "rne_poset": rne_poset(p),
-    }
 
 
 # ---------------------------------------------------------------------------

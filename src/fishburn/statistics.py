@@ -30,7 +30,9 @@ from typing import Callable, Iterable, Sequence
 
 from .bijections import permutation_to_table
 from .errors import NotFactorial, UnknownStatistic
-from .objects import Matching, Poset, is_factorial, nestings_and_crossings, rne_poset
+from .objects import (
+    Matching, Poset, is_factorial, neighbor_counts, nestings_and_crossings, rne_poset,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -210,30 +212,6 @@ def _matching_emb(m: Matching) -> tuple[int]:
     return (sum(m.closers) - m.n * (m.n + 1),)
 
 
-_matching_ne_cr = nestings_and_crossings
-
-
-def _matching_neighbors(m: Matching) -> tuple[int, int, int, int]:
-    # arcs at adjacent openers, or adjacent closers, x and x + 1 nest
-    # exactly when p[x] > p[x + 1], as in first_neighbor_pair
-    p = m.partner
-    lne = rne = lcr = rcr = 0
-    for x in range(1, 2 * m.n):
-        a, b = p[x], p[x + 1]
-        if a > x:
-            if b > x + 1:
-                if a > b:
-                    lne += 1
-                else:
-                    lcr += 1
-        elif b < x:
-            if a > b:
-                rne += 1
-            else:
-                rcr += 1
-    return (lne, rne, lcr, rcr)
-
-
 def matching_stats(m: Matching) -> dict[str, int]:
     """All matching statistics, including the nesting/crossing record.
 
@@ -250,10 +228,6 @@ def matching_stats(m: Matching) -> dict[str, int]:
 
 def _table_dent(w: Sequence[int]) -> tuple[int]:
     return (len(set(w)) if w else 0,)
-
-
-def table_stats(w: Sequence[int]) -> dict[str, int]:
-    return stats_for("inversion_tables", w)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +255,8 @@ PASSES = {
         (("last",), _matching_last),
         (("inter",), _matching_inter),
         (("emb",), _matching_emb),
-        (("ne", "cr"), _matching_ne_cr),
-        (("lne", "rne", "lcr", "rcr"), _matching_neighbors),
+        (("ne", "cr"), nestings_and_crossings),
+        (("lne", "rne", "lcr", "rcr"), neighbor_counts),
     ),
     "permutations": (
         (("comp",), _perm_comp),

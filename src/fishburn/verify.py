@@ -45,7 +45,6 @@ from .bijections import (
     zero_one_matrix_to_matching,
 )
 from .enumeration import (
-    PREDICATES,
     catalan,
     class_predicate,
     distribution,
@@ -427,7 +426,7 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
     "prop_descent_correcting_fishburn": ("proposition", 6, _facts(
         _every("inversion_tables",
                lambda w: is_descent_correcting(w)
-               == PREDICATES["no_neighbor_nesting"][1](table_to_matching(w)),
+               == class_predicate("matchings", "no_neighbor_nesting")(table_to_matching(w)),
                witness=_table_witness),
         _counts(_fishburn, ("descent correcting sequences", "inversion_tables",
                             "descent_correcting")))),
@@ -436,8 +435,8 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
     # the crossing-free insertion bijection.
     "prop_ascent_correcting_fishburn": ("proposition", 6, _facts(
         _every("inversion_tables",
-               lambda w: is_ascent_correcting(w)
-               == PREDICATES["no_neighbor_crossing"][1](table_to_crossfree_matching(w)),
+               lambda w: is_ascent_correcting(w) == class_predicate(
+                   "matchings", "no_neighbor_crossing")(table_to_crossfree_matching(w)),
                witness=_table_witness),
         _counts(_fishburn, ("ascent correcting sequences", "inversion_tables",
                             "ascent_correcting")))),
@@ -449,7 +448,7 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
                           "factorial", "dually_factorial")),
         _every("factorial_posets",
                lambda p: is_dually_factorial(p)
-               == PREDICATES["no_nesting"][1](poset_to_matching(p))))),
+               == class_predicate("matchings", "no_nesting")(poset_to_matching(p))))),
     # On factorial posets meeting the neighbor rule, dually factorial is the
     # same as three-plus-one-free.
     "prop_three_plus_one_free_equivalence": ("proposition", 6, _facts(_every(

@@ -44,7 +44,6 @@ from fishburn.enumeration import (
     generate,
 )
 from fishburn.objects import (
-    arc_statistics,
     condition_one,
     has_left_crossing,
     has_left_nesting,
@@ -328,19 +327,19 @@ class TestMatrixPreimages:
     def test_round_trips_over_all_matrices(self, n):
         for t in gen_matrices(n):
             m = matrix_to_matching_no_neighbor_nesting(t)
-            rec = arc_statistics(m)
-            assert rec.lne == 0 and rec.rne == 0
+            rec = naive_counts(m.arcs)
+            assert rec["lne"] == 0 and rec["rne"] == 0
             assert matching_to_matrix(m) == t
 
             m = matrix_to_matching_no_neighbor_crossing(t)
-            rec = arc_statistics(m)
-            assert rec.lcr == 0 and rec.rcr == 0
+            rec = naive_counts(m.arcs)
+            assert rec["lcr"] == 0 and rec["rcr"] == 0
             assert matching_to_matrix(m) == t
 
             if is_zero_one(t):
                 m = zero_one_matrix_to_matching(t)
-                rec = arc_statistics(m)
-                assert rec.lne == 0 and rec.rcr == 0
+                rec = naive_counts(m.arcs)
+                assert rec["lne"] == 0 and rec["rcr"] == 0
                 assert matching_to_matrix(m) == t
 
 
@@ -507,10 +506,10 @@ class TestMatrixImagePredicates:
         image_nonnesting = set()
         image_noncrossing = set()
         for m in gen_matchings(n):
-            rec = arc_statistics(m)
-            if rec.ne == 0:
+            rec = naive_counts(m.arcs)
+            if rec["ne"] == 0:
                 image_nonnesting.add(matching_to_matrix(m))
-            if rec.cr == 0:
+            if rec["cr"] == 0:
                 image_noncrossing.add(matching_to_matrix(m))
         assert image_nonnesting == {t for t in matrices if matrix_is_nonnesting_image(t)}
         assert image_noncrossing == {t for t in matrices if matrix_is_noncrossing_image(t)}

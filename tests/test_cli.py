@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import resource
@@ -145,6 +146,73 @@ class TestStartup:
         assert set(fishburn.__all__) <= set(namespace)
 
 
+# One object of each class, the table (0, 1, 0, 2) of n = 4 and a matrix of
+# total 3, and what `convert src dst OBJECT --via V --preimage P` gives for
+# it: the stripped stdout, or the exit code 2 with nothing on stdout.  A key
+# with None for an option stands for either value of it.
+CONVERT_OBJECTS = {
+    "inversion_table": "[0, 1, 0, 2]",
+    "permutation": "[3, 1, 4, 2]",
+    "poset": '{"n": 4, "less": [[1, 2], [1, 4], [2, 4]]}',
+    "matching": '{"n": 4, "arcs": [[1, 3], [4, 5], [2, 7], [6, 8]]}',
+    "matrix": '{"k": 2, "rows": [[1, 1], [0, 1]]}',
+}
+CONVERT_RESULTS = {
+    ('inversion_table', 'inversion_table', None, None): '[0, 1, 0, 2]',
+    ('inversion_table', 'permutation', None, None): '[3, 1, 4, 2]',
+    ('inversion_table', 'poset', None, None): '{"n": 4, "less": [[1, 2], [1, 4], [2, 4]]}',
+    ('inversion_table', 'matching', 'no_left_nesting', None): '{"n": 4, "arcs": [[1, 3], [4, 5], [2, 7], [6, 8]]}',
+    ('inversion_table', 'matching', 'no_left_crossing', None): '{"n": 4, "arcs": [[2, 3], [4, 5], [1, 7], [6, 8]]}',
+    ('inversion_table', 'matrix', None, None): '{"k": 3, "rows": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]}',
+    ('permutation', 'inversion_table', None, None): '[0, 1, 0, 2]',
+    ('permutation', 'permutation', None, None): '[3, 1, 4, 2]',
+    ('permutation', 'poset', None, None): '{"n": 4, "less": [[1, 2], [1, 4], [2, 4]]}',
+    ('permutation', 'matching', 'no_left_nesting', None): '{"n": 4, "arcs": [[1, 3], [4, 5], [2, 7], [6, 8]]}',
+    ('permutation', 'matching', 'no_left_crossing', None): '{"n": 4, "arcs": [[2, 3], [4, 5], [1, 7], [6, 8]]}',
+    ('permutation', 'matrix', None, None): '{"k": 3, "rows": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]}',
+    ('poset', 'inversion_table', None, None): '[0, 1, 0, 2]',
+    ('poset', 'permutation', None, None): '[3, 1, 4, 2]',
+    ('poset', 'poset', None, None): '{"n": 4, "less": [[1, 2], [1, 4], [2, 4]]}',
+    ('poset', 'matching', 'no_left_nesting', None): '{"n": 4, "arcs": [[1, 3], [4, 5], [2, 7], [6, 8]]}',
+    ('poset', 'matching', 'no_left_crossing', None): '{"n": 4, "arcs": [[2, 3], [4, 5], [1, 7], [6, 8]]}',
+    ('poset', 'matrix', None, None): '{"k": 3, "rows": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]}',
+    ('matching', 'inversion_table', 'no_left_nesting', None): '[0, 1, 0, 2]',
+    ('matching', 'inversion_table', 'no_left_crossing', None): 2,
+    ('matching', 'permutation', 'no_left_nesting', None): '[3, 1, 4, 2]',
+    ('matching', 'permutation', 'no_left_crossing', None): 2,
+    ('matching', 'poset', 'no_left_nesting', None): '{"n": 4, "less": [[1, 2], [1, 4], [2, 4]]}',
+    ('matching', 'poset', 'no_left_crossing', None): 2,
+    ('matching', 'matching', 'no_left_nesting', None): '{"n": 4, "arcs": [[1, 3], [4, 5], [2, 7], [6, 8]]}',
+    ('matching', 'matching', 'no_left_crossing', None): 2,
+    ('matching', 'matrix', None, None): '{"k": 3, "rows": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]}',
+    ('matrix', 'inversion_table', 'no_left_nesting', 'no_neighbor_nesting'): '[0, 0, 1]',
+    ('matrix', 'inversion_table', 'no_left_nesting', 'no_neighbor_crossing'): 2,
+    ('matrix', 'inversion_table', 'no_left_nesting', 'lne0_and_rcr0'): '[0, 1, 0]',
+    ('matrix', 'inversion_table', 'no_left_crossing', 'no_neighbor_nesting'): 2,
+    ('matrix', 'inversion_table', 'no_left_crossing', 'no_neighbor_crossing'): '[0, 1, 0]',
+    ('matrix', 'inversion_table', 'no_left_crossing', 'lne0_and_rcr0'): 2,
+    ('matrix', 'permutation', 'no_left_nesting', 'no_neighbor_nesting'): '[2, 3, 1]',
+    ('matrix', 'permutation', 'no_left_nesting', 'no_neighbor_crossing'): 2,
+    ('matrix', 'permutation', 'no_left_nesting', 'lne0_and_rcr0'): '[3, 1, 2]',
+    ('matrix', 'permutation', 'no_left_crossing', 'no_neighbor_nesting'): 2,
+    ('matrix', 'permutation', 'no_left_crossing', 'no_neighbor_crossing'): '[3, 1, 2]',
+    ('matrix', 'permutation', 'no_left_crossing', 'lne0_and_rcr0'): 2,
+    ('matrix', 'poset', 'no_left_nesting', 'no_neighbor_nesting'): '{"n": 3, "less": [[1, 3]]}',
+    ('matrix', 'poset', 'no_left_nesting', 'no_neighbor_crossing'): 2,
+    ('matrix', 'poset', 'no_left_nesting', 'lne0_and_rcr0'): '{"n": 3, "less": [[1, 2]]}',
+    ('matrix', 'poset', 'no_left_crossing', 'no_neighbor_nesting'): 2,
+    ('matrix', 'poset', 'no_left_crossing', 'no_neighbor_crossing'): '{"n": 3, "less": [[1, 2]]}',
+    ('matrix', 'poset', 'no_left_crossing', 'lne0_and_rcr0'): 2,
+    ('matrix', 'matching', None, 'no_neighbor_nesting'): '{"n": 3, "arcs": [[1, 3], [2, 5], [4, 6]]}',
+    ('matrix', 'matching', None, 'no_neighbor_crossing'): '{"n": 3, "arcs": [[2, 3], [4, 5], [1, 6]]}',
+    ('matrix', 'matching', None, 'lne0_and_rcr0'): '{"n": 3, "arcs": [[1, 3], [4, 5], [2, 6]]}',
+    ('matrix', 'matrix', None, None): '{"k": 2, "rows": [[1, 1], [0, 1]]}',
+}
+CONVERT_ROUTES = list(itertools.product(
+    CONVERT_OBJECTS, CONVERT_OBJECTS, ("no_left_nesting", "no_left_crossing"),
+    ("no_neighbor_nesting", "no_neighbor_crossing", "lne0_and_rcr0")))
+
+
 class TestConvert:
     def test_table_to_matching(self, capsys):
         code, out, _ = run_cli(
@@ -282,6 +350,18 @@ class TestConvert:
         assert code == 2
         assert out == ""
         assert "InvalidObject" in err
+
+    @pytest.mark.parametrize("src, dst, via, preimage", CONVERT_ROUTES)
+    def test_every_route_pinned(self, capsys, src, dst, via, preimage):
+        expected = next(CONVERT_RESULTS[key] for key in (
+            (src, dst, via, preimage), (src, dst, via, None),
+            (src, dst, None, preimage), (src, dst, None, None)) if key in CONVERT_RESULTS)
+        code, out, err = run_cli(capsys, "convert", src, dst, CONVERT_OBJECTS[src],
+                                 "--via", via, "--preimage", preimage)
+        if expected == 2:
+            assert (code, out) == (2, "") and err.startswith("error: ")
+        else:
+            assert (code, out) == (0, expected + "\n")
 
 
 class TestStats:

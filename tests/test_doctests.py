@@ -11,4 +11,4 @@ def test_doctests():
                    fishburn.enumeration, fishburn.statistics):
         result = doctest.testmod(module)
         assert result.failed == 0, f"doctest failures in {module.__name__}"
-        assert result.attempted > 0 or module is fishburn.statistics
+        assert result.attempted > 0, f"no doctests run in {module.__name__}"

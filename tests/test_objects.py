@@ -31,9 +31,8 @@ from fishburn import (
     arc_statistics,
     count_gap_nestings,
     is_zero_one,
-    poset_predicates,
     relabel_poset,
-    sequence_predicates,
+    rne_poset,
     table_to_poset,
     validate_matching,
     validate_matrix,
@@ -51,9 +50,11 @@ from fishburn.objects import (
     is_factorial,
     is_two_plus_two_free,
     is_two_plus_two_free_by_inclusion,
+    neighbor_counts,
     nestings_and_crossings,
 )
 from fishburn.enumeration import (
+    PREDICATES,
     gen_factorial_posets,
     gen_inversion_tables,
     gen_matchings,
@@ -139,12 +140,14 @@ def random_matching(rng, n):
 
 
 class TestNestingsAndCrossings:
-    """The O(n log n) kernel against the pairwise arc_statistics."""
+    """The O(n log n) kernel and the neighbour scan against the pairwise
+    naive_counts."""
 
     def check(self, m):
-        rec = arc_statistics(m)
-        assert nestings_and_crossings(m) == (rec.ne, rec.cr), m
-        assert (has_nesting(m), has_crossing(m)) == (rec.ne > 0, rec.cr > 0)
+        rec = naive_counts(m.arcs)
+        assert nestings_and_crossings(m) == (rec["ne"], rec["cr"]), m
+        assert neighbor_counts(m) == (rec["lne"], rec["rne"], rec["lcr"], rec["rcr"]), m
+        assert (has_nesting(m), has_crossing(m)) == (rec["ne"] > 0, rec["cr"] > 0)
 
     @pytest.mark.parametrize("n", range(7))
     def test_every_small_matching(self, n):
@@ -300,6 +303,12 @@ class TestGapNestings:
             count_gap_nestings(Matching(()), 0)
 
 
+def table_predicate_values(w):
+    """Every ``PREDICATES`` entry of inversion tables on w, by name."""
+    return {name: test(w) for name, (classes, test) in PREDICATES.items()
+            if "inversion_tables" in classes}
+
+
 class TestInversionTables:
     def test_valid(self):
         assert validate_table([0, 1, 0, 1]) == (0, 1, 0, 1)
@@ -314,11 +323,11 @@ class TestInversionTables:
             validate_table([0, -1])
 
     def test_sequence_predicates(self):
-        assert sequence_predicates((0, 1, 2)) == {
+        assert table_predicate_values((0, 1, 2)) == {
             "descent_correcting": True, "ascent_correcting": True}
-        assert sequence_predicates((0, 1, 0))["descent_correcting"] is False
-        assert sequence_predicates((0, 0, 1))["ascent_correcting"] is False
-        assert sequence_predicates((0, 0, 0)) == {
+        assert table_predicate_values((0, 1, 0))["descent_correcting"] is False
+        assert table_predicate_values((0, 0, 1))["ascent_correcting"] is False
+        assert table_predicate_values((0, 0, 0)) == {
             "descent_correcting": True, "ascent_correcting": True}
 
 
@@ -455,25 +464,31 @@ class TestExactTuples:
         assert after.get(spare, 0) - before.get(spare, 0) < 2000
 
 
+def poset_predicate_values(p):
+    """Every ``PREDICATES`` entry of posets on p, in table order, and rne_poset."""
+    return {**{name: test(p) for name, (classes, test) in PREDICATES.items()
+               if "natural_posets" in classes}, "rne_poset": rne_poset(p)}
+
+
 class TestPosetPredicates:
     def test_chain(self):
         p = Poset.from_relations(3, [(1, 2), (2, 3)])
-        record = poset_predicates(p)
-        assert record == {
-            "natural": True,
-            "factorial": True,
-            "dually_factorial": True,
-            "two_plus_two_free": True,
-            "three_plus_one_free": True,
-            "condition_one": True,
-            "condition_one_var": True,
-            "rne_poset": 0,
-        }
+        record = poset_predicate_values(p)
+        assert list(record.items()) == [
+            ("natural", True),
+            ("factorial", True),
+            ("dually_factorial", True),
+            ("two_plus_two_free", True),
+            ("three_plus_one_free", True),
+            ("condition_one", True),
+            ("condition_one_var", True),
+            ("rne_poset", 0),
+        ]
 
     def test_not_dually_factorial(self):
         # single relation 1 below 2 with 3 isolated: 3 > 2 above 1 but 3 not above 1
         p = Poset.from_relations(3, [(1, 2)])
-        record = poset_predicates(p)
+        record = poset_predicate_values(p)
         assert record["factorial"] is True
         assert record["dually_factorial"] is False
         assert record["condition_one"] is False
@@ -483,7 +498,7 @@ class TestPosetPredicates:
         # chain 1 < 2 < 4 with 3 isolated: the smallest factorial poset that
         # meets the neighbor rule without being dually factorial
         p = Poset.from_relations(4, [(1, 2), (2, 4)])
-        record = poset_predicates(p)
+        record = poset_predicate_values(p)
         assert record["factorial"] is True
         assert record["condition_one"] is True
         assert record["dually_factorial"] is False

@@ -18,7 +18,6 @@ from fishburn import (
     rne_poset,
     stat_tuple,
     stats_for,
-    table_stats,
     table_to_matching,
     table_to_permutation,
     table_to_poset,
@@ -231,8 +230,8 @@ class TestStatsFor:
             stats_for("widgets", (1, 2))
 
     def test_table_stats(self):
-        assert table_stats((0, 1, 1)) == {"dent": 2}
-        assert table_stats(()) == {"dent": 0}
+        assert stats_for("inversion_tables", (0, 1, 1)) == {"dent": 2}
+        assert stats_for("inversion_tables", ()) == {"dent": 0}
 
     def test_vocabulary_is_the_record_key_order(self):
         assert VOCABULARY == RECORD_KEYS
