@@ -207,30 +207,16 @@ def matching_to_matrix(m: Matching) -> TriangularMatrix:
     >>> matching_to_matrix(Matching.from_pairs([(1, 3), (2, 5), (4, 6)])).rows
     ((1, 1), (0, 1))
     """
-    n = m.n
-    if n == 0:
-        return TriangularMatrix(())
-    openers = set(m.openers)
-    opener_block = {}
-    closer_block = {}
-    o_idx = c_idx = -1
-    prev_kind = None
-    for pos in range(1, 2 * n + 1):
-        kind = pos in openers
-        if kind != prev_kind:
-            if kind:
-                o_idx += 1
-            else:
-                c_idx += 1
-            prev_kind = kind
-        if kind:
-            opener_block[pos] = o_idx
-        else:
-            closer_block[pos] = c_idx
-    k = o_idx + 1
+    p = m.partner                       # x is an opener exactly when p[x] > x
+    block, runs = [0] * len(p), 0       # runs so far; they alternate, openers first
+    for x in range(1, len(p) - 1):
+        if (p[x] > x) != (p[x - 1] > x - 1):
+            runs += 1
+        block[x] = (runs - 1) >> 1      # the index of x's run among those of its kind
+    k = runs >> 1
     t = [[0] * k for _ in range(k)]
     for o, c in m.arcs:
-        t[opener_block[o]][closer_block[c]] += 1
+        t[block[o]][block[c]] += 1
     return TriangularMatrix.from_rows(t)
 
 

@@ -114,7 +114,7 @@ def _cmd_convert(args) -> int:
     obj = jsonio.decode(args.src, _object_json(args.object))
     if args.src == "matrix" and args.dst != "matrix":
         obj = _MATRIX_PREIMAGES[args.preimage](obj)     # a matching from here on
-    if args.src == "matrix" and args.dst in ("matrix", "matching"):
+    if args.src == args.dst or (args.src, args.dst) == ("matrix", "matching"):
         result = obj
     elif args.src == "matching" and args.dst == "matrix":
         result = matching_to_matrix(obj)

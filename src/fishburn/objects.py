@@ -10,7 +10,8 @@ function, so objects can be shared and evaluated in parallel freely.
 Matchings and posets are slotted, with no per-object ``__dict__``: a
 matching fills its openers, closers and ``partner`` (a tuple indexed by
 position) when it is built, in the one filler ``Matching._set``, and a poset
-fills its derived masks on first read.
+keeps only its predecessor masks, from which every other view is built on
+each read.
 """
 
 from __future__ import annotations
@@ -355,17 +356,15 @@ class Poset(FrozenValue):
     """Strict partial order on {1, ..., n}, stored as predecessor bitmasks.
 
     Bit i-1 of ``pre_masks[j-1]`` is set exactly when i is below j; the masks
-    are transitively closed, and they alone are compared and hashed.  The
-    relation ``less`` and the cover relation are views built on each read.
-    The object is slotted: the successor masks and ``pre_vector`` fill their
-    slots on first read and are kept.
+    are transitively closed, and they are the one slot, compared and hashed.
+    The relation ``less``, the successor masks, ``pre_vector`` and the cover
+    relation are views built from them on each read.
 
     >>> Poset(3, {(1, 2), (2, 3), (1, 3)}).pre_masks
     (0, 1, 3)
     """
 
-    __slots__ = ("pre_masks", "_suc_masks", "_pre_vector")
-    _fields = ("pre_masks",)
+    __slots__ = _fields = ("pre_masks",)
 
     def __init__(self, n: int, less: Iterable[tuple[int, int]]):
         """The poset on [n] of a transitively closed relation, unchecked;
@@ -443,37 +442,32 @@ class Poset(FrozenValue):
 
     @property
     def suc_masks(self) -> tuple[int, ...]:
-        """Successor bitmask per element; bit j-1 set iff j is above."""
-        try:
-            return self._suc_masks
-        except AttributeError:
-            masks = [0] * self.n
-            for j, mask in enumerate(self.pre_masks):
-                for i in _bits(mask):
-                    masks[i] |= 1 << j
-            _fill(self, "_suc_masks", tuple(masks))
-            return self._suc_masks
+        """Successor bitmask per element, built on each read; bit j-1 set
+        iff j is above."""
+        masks = [0] * self.n
+        for j, mask in enumerate(self.pre_masks):
+            for i in _bits(mask):
+                masks[i] |= 1 << j
+        return tuple(masks)
 
     def pre(self, j: int) -> int:
         return self.pre_masks[j - 1].bit_count()
 
     def suc(self, j: int) -> int:
-        return self.suc_masks[j - 1].bit_count()
+        """The number of predecessor masks that hold bit j - 1."""
+        return sum([mask >> (j - 1) & 1 for mask in self.pre_masks])
 
     @property
     def pre_vector(self) -> tuple[int, ...]:
-        """(pre(1), ..., pre(n))."""
-        try:
-            return self._pre_vector
-        except AttributeError:
-            _fill(self, "_pre_vector", tuple([mask.bit_count() for mask in self.pre_masks]))
-            return self._pre_vector
+        """(pre(1), ..., pre(n)), built on each read."""
+        return tuple([mask.bit_count() for mask in self.pre_masks])
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover relation (i, j): i below j with nothing strictly between."""
+        suc = self.suc_masks
         out = []
         for i, j in sorted(self.less):
-            between = self.suc_masks[i - 1] & self.pre_masks[j - 1]
+            between = suc[i - 1] & self.pre_masks[j - 1]
             if not between:
                 out.append((i, j))
         return tuple(out)
@@ -560,10 +554,9 @@ def is_three_plus_one_free(p: Poset) -> bool:
 
 def condition_one(p: Poset) -> bool:
     """For every i in [n-1]: pre(i) <= pre(i+1) or suc(i) > suc(i+1)."""
-    return all(
-        p.pre(i) <= p.pre(i + 1) or p.suc(i) > p.suc(i + 1)
-        for i in range(1, p.n)
-    )
+    pre = p.pre_vector
+    suc = [mask.bit_count() for mask in p.suc_masks]
+    return all(pre[i] <= pre[i + 1] or suc[i] > suc[i + 1] for i in range(p.n - 1))
 
 
 def condition_one_var(p: Poset) -> bool:

@@ -103,6 +103,15 @@ def is_factorial_by_counts(p):
     return all(mask == (1 << mask.bit_count()) - 1 for mask in p.pre_masks)
 
 
+def condition_one_by_counts(p):
+    """The rule of condition_one read element by element: pre(i) <= pre(i+1)
+    or suc(i) > suc(i+1) for every i in [n-1], four counts per i."""
+    return all(
+        p.pre(i) <= p.pre(i + 1) or p.suc(i) > p.suc(i + 1)
+        for i in range(1, p.n)
+    )
+
+
 def pairwise_incomparable(p):
     """Pairs i < j of a poset related neither way, every pair tested."""
     less = p.less

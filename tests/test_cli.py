@@ -182,8 +182,7 @@ CONVERT_RESULTS = {
     ('matching', 'permutation', 'no_left_crossing', None): 2,
     ('matching', 'poset', 'no_left_nesting', None): '{"n": 4, "less": [[1, 2], [1, 4], [2, 4]]}',
     ('matching', 'poset', 'no_left_crossing', None): 2,
-    ('matching', 'matching', 'no_left_nesting', None): '{"n": 4, "arcs": [[1, 3], [4, 5], [2, 7], [6, 8]]}',
-    ('matching', 'matching', 'no_left_crossing', None): 2,
+    ('matching', 'matching', None, None): '{"n": 4, "arcs": [[1, 3], [4, 5], [2, 7], [6, 8]]}',
     ('matching', 'matrix', None, None): '{"k": 3, "rows": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]}',
     ('matrix', 'inversion_table', 'no_left_nesting', 'no_neighbor_nesting'): '[0, 0, 1]',
     ('matrix', 'inversion_table', 'no_left_nesting', 'no_neighbor_crossing'): 2,
@@ -362,6 +361,16 @@ class TestConvert:
             assert (code, out) == (2, "") and err.startswith("error: ")
         else:
             assert (code, out) == (0, expected + "\n")
+
+    def test_same_class_returns_the_object(self, capsys):
+        # a left-nesting beside a left-crossing, and a non-factorial poset:
+        # neither has an inversion table under either --via
+        matching = '{"n": 3, "arcs": [[2, 4], [1, 5], [3, 6]]}'
+        poset = '{"n": 3, "less": [[2, 3]]}'
+        for cls, obj in (("matching", matching), ("poset", poset)):
+            for via in ("no_left_nesting", "no_left_crossing"):
+                code, out, _ = run_cli(capsys, "convert", cls, cls, obj, "--via", via)
+                assert (code, out) == (0, obj + "\n"), (cls, via)
 
 
 class TestStats:

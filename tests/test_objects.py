@@ -62,7 +62,12 @@ from fishburn.enumeration import (
 )
 from fishburn.jsonio import encode
 
-from helpers import naive_counts, naive_matchings, naive_natural_posets_by_filter
+from helpers import (
+    condition_one_by_counts,
+    naive_counts,
+    naive_matchings,
+    naive_natural_posets_by_filter,
+)
 
 
 class TestValidateMatching:
@@ -353,13 +358,10 @@ class TestPoset:
         assert p.suc_masks == (0b110, 0b100, 0b000)
         assert (p.suc(1), p.pre(3)) == (2, 2)
 
-    def test_derived_masks_fill_their_slots_once(self):
+    def test_predecessor_masks_are_the_one_slot(self):
         p = Poset.from_relations(3, [(1, 2), (2, 3)])
+        assert Poset.__slots__ == ("pre_masks",)
         assert not hasattr(p, "__dict__")
-        assert not hasattr(p, "_suc_masks") and not hasattr(p, "_pre_vector")
-        suc, pre = p.suc_masks, p.pre_vector
-        assert p.suc_masks is suc and p.pre_vector is pre
-        assert (p._suc_masks, p._pre_vector) == (suc, pre)
         assert p == Poset.from_pre_masks(p.pre_masks)
         with pytest.raises(AttributeError):
             p.pre_masks = ()
@@ -424,15 +426,14 @@ class TestPosetMasks:
         assert Poset.from_pre_masks(()) == Poset(0, ()) and Poset(0, ()).n == 0
 
 
-# Builds 4,000 posets of one n = 8 table, reads their pre_vector and prints
+# Builds 4,000 posets of one n = 8 table, keeps their pre_vector and prints
 # the small-object allocator's block table before and after.
 _BLOCKS_CHILD = """
 import sys
 from fishburn.bijections import table_to_poset
 sys._debugmallocstats()
 posets = [table_to_poset(tuple(range(8))) for _ in range(4000)]
-for p in posets:
-    p.pre_vector
+vectors = [p.pre_vector for p in posets]
 sys._debugmallocstats()
 """
 
@@ -524,6 +525,22 @@ class TestPosetPredicates:
     def test_condition_one_equivalent_to_variant(self, n):
         for p in gen_factorial_posets(n):
             assert condition_one(p) == condition_one_var(p)
+
+    def test_successor_views_against_counts_and_relations(self):
+        # condition_one, suc(j) and suc_masks against the body condition_one
+        # replaced, and against successor masks rebuilt from less
+        values = set()
+        for n in range(7):
+            for p in gen_natural_posets(n):
+                suc = [0] * n
+                for i, j in p.less:
+                    suc[i - 1] |= 1 << (j - 1)
+                assert p.suc_masks == tuple(suc), p.pre_masks
+                assert [p.suc(j) for j in range(1, n + 1)] == [
+                    mask.bit_count() for mask in suc], p.pre_masks
+                values.add(condition_one(p))
+                assert condition_one(p) == condition_one_by_counts(p), p.pre_masks
+        assert values == {True, False}
 
     @pytest.mark.parametrize("n", range(6))
     def test_dual_closure_against_naive_oracle(self, n):
