@@ -14,15 +14,17 @@ first closer when a_i = 0).
 
 Either way a_i counts the closers left of arc i's opener, so both inverses
 read the table back the same way.  The maps run on every object of a class
-are one pass each: the insertions fill the matching's fields as they place
-arcs, and :func:`matching_to_poset` sweeps the positions once.
+are one pass each: the insertions fill the matching's partner tuple as they
+place arcs, and the maps from a matching (:func:`matching_to_table`,
+:func:`matching_to_poset`, :func:`matching_to_matrix`) sweep its positions
+once, the first two after :func:`~fishburn.objects.first_neighbor_pair`
+finds no left pair outside the image.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -51,27 +53,30 @@ def _insert(w: Sequence[int], last: bool) -> Matching:
         gaps[a].append(i)               # arrival order; read reversed for "first"
     opener_of = [0] * n
     partner = [0] * (2 * n + 2)
-    openers, closers, arcs = [], [], []  # lists: a tuple of one has no spare slots
     pos = 0
     for i, gap in enumerate(gaps):
         for arc in gap if last else reversed(gap):
             pos += 1
             opener_of[arc] = pos
-            openers.append(pos)
         pos += 1
         # arc i's opener sits in gaps[a_i] with a_i <= i, so it is placed
         o = opener_of[i]
         partner[o], partner[pos] = pos, o
-        closers.append(pos)
-        arcs.append((o, pos))
-    # arcs come in closer order, so the tuple is already canonical
-    return object.__new__(Matching)._set(
-        tuple(arcs), tuple(openers), tuple(closers), tuple(partner))
+    return Matching.from_partner(tuple(partner))
 
 
 def _read_table(m: Matching) -> tuple[int, ...]:
-    closers = m.closers
-    return tuple(bisect_left(closers, o) for o, _ in m.arcs)
+    """a_i, the closers left of the opener of the i-th arc, in one sweep."""
+    p = m.partner
+    before = [0] * len(p)               # before[o]: the closers left of opener o
+    table: list[int] = []
+    for x in range(1, len(p) - 1):
+        o = p[x]
+        if o > x:
+            before[x] = len(table)
+        else:
+            table.append(before[o])
+    return tuple(table)
 
 
 def table_to_matching(w: Sequence[int]) -> Matching:
@@ -208,15 +213,24 @@ def matching_to_matrix(m: Matching) -> TriangularMatrix:
     ((1, 1), (0, 1))
     """
     p = m.partner                       # x is an opener exactly when p[x] > x
-    block, runs = [0] * len(p), 0       # runs so far; they alternate, openers first
+    block = [0] * len(p)                # block[o]: the index of opener o's run
+    cells = []                          # (opener run, closer run) of each arc
+    runs = -1                           # opener runs so far, less one
+    closing = True                      # whether x - 1 is a closer, or x is 1
     for x in range(1, len(p) - 1):
-        if (p[x] > x) != (p[x - 1] > x - 1):
-            runs += 1
-        block[x] = (runs - 1) >> 1      # the index of x's run among those of its kind
-    k = runs >> 1
+        y = p[x]
+        if y > x:
+            if closing:
+                runs += 1
+                closing = False
+            block[x] = runs
+        else:
+            cells.append((block[y], runs))   # runs alternate, openers first
+            closing = True
+    k = runs + 1
     t = [[0] * k for _ in range(k)]
-    for o, c in m.arcs:
-        t[block[o]][block[c]] += 1
+    for i, j in cells:
+        t[i][j] += 1
     return TriangularMatrix.from_rows(t)
 
 
@@ -245,12 +259,11 @@ def _preimage(t: TriangularMatrix, openers_cross: bool, closers_cross: bool) -> 
         for i in range(a + 1) if closers_cross else range(a, -1, -1):
             closers[i, a] = range(pos, pos + rows[i][a])
             pos += rows[i][a]
-    arcs = [
-        arc
-        for block, xs in openers.items()
-        for arc in zip(xs, closers[block] if openers_cross else reversed(closers[block]))
-    ]
-    return Matching(tuple(sorted(arcs, key=itemgetter(1))))
+    partner = [0] * (pos + 1)           # positions 0 to 2n + 1, as pos is 2n + 1
+    for block, xs in openers.items():
+        for o, c in zip(xs, closers[block] if openers_cross else reversed(closers[block])):
+            partner[o], partner[c] = c, o
+    return Matching.from_partner(tuple(partner))
 
 
 def matrix_to_matching_no_neighbor_nesting(t: TriangularMatrix) -> Matching:

@@ -11,7 +11,9 @@ pattern, and its predicate is built from the two.  The same rules prune
 ``gen_matchings``, a depth-first search in closer order, to exactly the
 class; ``generate`` still runs the predicates on every object it yields,
 so they post-check every pruned stream, and over the unpruned stream they
-are the oracle the tests hold the rules to.
+are the oracle the tests hold the rules to.  The search keeps the partner
+list of the arcs placed so far, and each matching it yields is that list
+as a tuple, the one slot of a ``Matching``; it builds no arc tuple.
 
 The counting sequences (factorials, Catalan, the Fishburn series, the
 second-order Eulerian rows) are computed by formula or recurrence,
@@ -84,21 +86,22 @@ def _sized(gen):
 
 def _closer_order(n: int, rules: frozenset, prefix: tuple = ()) -> Iterator[tuple]:
     """Depth-first search over the matchings of [2n] that break none of the
-    rules, yielding the canonical arc tuple of each.
+    rules, yielding the partner tuple of each (``Matching.partner``); a
+    ``prefix`` of arcs in closer order starts the search at its node.
 
     Arc k takes the lexicographically next (opener, closer) pair whose
     closer follows the closer of arc k - 1; the unused positions below that
     closer are the openers still open.  At most n openers come before the
     k-th closer, so it is at most n + k, and without rules every branch
-    within that bound completes; the arc tuples come in lexicographic order
-    with no sort.
+    within that bound completes; the matchings come in lexicographic order
+    of their arc tuples, sorted by closer, with no sort.
     """
     if n <= 1:              # no two arcs, so no rule applies
-        yield ((1, 2),) * n
+        yield (0, 2, 1, 0) if n else (0, 0)
         return
     top = 2 * n
     total = top * (top + 1) // 2        # the sum of all positions
-    p = [0] * (top + 1)                 # partner of each position, 0 if unused
+    p = [0] * (top + 2)                 # partner of each position, 0 if unused
     lne, lcr, rne, rcr, gap2, ne, cr = (rule in rules for rule in RULE_TESTS)
 
     def breaks(o: int, c: int) -> bool:
@@ -110,7 +113,7 @@ def _closer_order(n: int, rules: frozenset, prefix: tuple = ()) -> Iterator[tupl
                     or (q and q < c - 1 and (rne if q > o else rcr))
                     or (ne and not all(p[1:o])) or (cr and not all(p[o + 1:c])))
 
-    def place(k: int, last: int, used: int, arcs: tuple):
+    def place(k: int, last: int, used: int):
         # arcs 1..k-1 are placed, the last closing at ``last``; ``used`` is
         # the sum of their ends
         for o in range(1, n + k):
@@ -122,18 +125,21 @@ def _closer_order(n: int, rules: frozenset, prefix: tuple = ()) -> Iterator[tupl
                 p[o] = c
                 p[c] = o
                 if k < n - 1:
-                    yield from place(k + 1, c, used + o + c, arcs + ((o, c),))
+                    yield from place(k + 1, c, used + o + c)
                 else:
                     # arc n joins the one position left to top
                     u = total - used - o - c - top
                     if not (rules and breaks(u, top)):
-                        yield arcs + ((o, c), (u, top))
+                        p[u] = top
+                        p[top] = u
+                        yield tuple(p)
+                        p[u] = p[top] = 0
                 p[o] = p[c] = 0
 
     for o, c in prefix:                 # start at the node of a prefix of <= n - 2 arcs
         p[o], p[c] = c, o
     last = prefix[-1][1] if prefix else 0
-    yield from place(len(prefix) + 1, last, sum(map(sum, prefix)), prefix)
+    yield from place(len(prefix) + 1, last, sum(map(sum, prefix)))
 
 
 @_sized
@@ -151,7 +157,7 @@ def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
     rules = frozenset(rules)
     if not rules <= RULE_TESTS.keys():
         raise ValueError(f"unknown matching rules {sorted(rules - RULE_TESTS.keys())}")
-    return map(Matching, _closer_order(n, rules))
+    return map(Matching.from_partner, _closer_order(n, rules))
 
 
 @_sized

@@ -7,17 +7,17 @@ arc-indexed statistic ("the last arc" is the arc whose closer is 2n).
 
 All types are immutable value objects; every operation here is a pure
 function, so objects can be shared and evaluated in parallel freely.
-Matchings and posets are slotted, with no per-object ``__dict__``: a
-matching fills its openers, closers and ``partner`` (a tuple indexed by
-position) when it is built, in the one filler ``Matching._set``, and a poset
-keeps only its predecessor masks, from which every other view is built on
-each read.
+Matchings and posets are slotted, with no per-object ``__dict__``, and each
+keeps one slot: a matching its ``partner`` tuple, indexed by position, and a
+poset its predecessor masks.  Every other view of either (arcs, openers and
+closers; relations, successor masks and counts) is built from that slot on
+each read, and the kernels that run on every object scan the slot itself.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -99,50 +99,73 @@ class FrozenValue(Value):
 # ---------------------------------------------------------------------------
 
 class Matching(FrozenValue):
-    """Perfect matching of {1, ..., 2n}, arcs stored sorted by closer.
+    """Perfect matching of {1, ..., 2n}, stored as its partner tuple.
 
-    Slotted; construction fills every slot: ``openers`` in increasing
-    order, ``closers`` (the arc order), and ``partner``, a tuple indexed by
-    position with ``partner[x]`` the other end of the arc at x and 0 at
-    positions 0 and 2n + 1.  Only the arcs are compared and hashed.
+    ``partner[x]`` is the other end of the arc at x, and 0 at positions 0
+    and 2n + 1; it is the one slot, compared and hashed.  The arcs sorted
+    by closer, the openers and the closers are views built from it on each
+    read.
 
     >>> Matching.from_pairs([[1, 3], [2, 7], [4, 6], [5, 8]]).arcs
     ((1, 3), (4, 6), (2, 7), (5, 8))
     """
 
-    __slots__ = ("arcs", "openers", "closers", "partner")
-    _fields = ("arcs",)
+    __slots__ = _fields = ("partner",)
 
     def __init__(self, arcs: tuple[Arc, ...]):
-        """The matching of an arc tuple already valid and sorted by closer,
+        """The matching of an arc tuple already valid, in any order,
         unchecked; :meth:`from_pairs` validates raw pairs."""
         partner = [0] * (2 * len(arcs) + 2)
         for o, c in arcs:
             partner[o], partner[c] = c, o
-        openers, closers = zip(*arcs) if arcs else ((), ())
-        self._set(arcs, tuple(sorted(openers)), closers, tuple(partner))
+        _fill(self, "partner", tuple(partner))
 
-    def _set(self, arcs, openers, closers, partner) -> "Matching":
-        """Fill every slot from fields that already agree, unchecked."""
-        _fill(self, "arcs", arcs)
-        _fill(self, "openers", openers)
-        _fill(self, "closers", closers)
-        _fill(self, "partner", partner)
-        return self
+    @classmethod
+    def from_partner(cls, partner: tuple[int, ...]) -> "Matching":
+        """The matching of a partner tuple already valid, unchecked."""
+        m = object.__new__(cls)
+        _fill(m, "partner", partner)
+        return m
 
     def __eq__(self, other):
-        return self.arcs == other.arcs if other.__class__ is self.__class__ else NotImplemented
+        return (self.partner == other.partner if other.__class__ is self.__class__
+                else NotImplemented)
 
     def __hash__(self) -> int:
-        return hash((self.arcs,))
+        return hash((self.partner,))
+
+    def __repr__(self) -> str:
+        return f"Matching(arcs={self.arcs!r})"
+
+    def __reduce__(self):
+        return Matching.from_partner, (self.partner,)
 
     @property
     def n(self) -> int:
-        return len(self.arcs)
+        return len(self.partner) // 2 - 1
+
+    @property
+    def closers(self) -> tuple[int, ...]:
+        """The closers in increasing order, built on each read."""
+        p = self.partner
+        return tuple([x for x in range(1, len(p) - 1) if p[x] < x])
+
+    @property
+    def openers(self) -> tuple[int, ...]:
+        """The openers in increasing order, built on each read."""
+        p = self.partner
+        return tuple([x for x in range(1, len(p) - 1) if p[x] > x])
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The (opener, closer) arcs sorted by closer, built on each read."""
+        p = self.partner
+        return tuple([(p[x], x) for x in range(1, len(p) - 1) if p[x] < x])
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[int]]) -> "Matching":
-        """Validate and canonicalize raw integer pairs into a Matching.
+        """Validate raw integer pairs, in any order and orientation, into a
+        Matching.
 
         Raises DuplicateEndpoint, EndpointOutOfRange or NotAPerfectMatching.
         """
@@ -154,18 +177,17 @@ class Matching(FrozenValue):
             a, b = seq
             if a == b:
                 raise DuplicateEndpoint(f"endpoint {a} used twice in one arc")
-            arcs.append((min(a, b), max(a, b)))
+            arcs.append((a, b) if a < b else (b, a))
         top = 2 * len(arcs)
-        seen = set()
+        partner = [0] * (top + 2)
         for a, b in arcs:
             for x in (a, b):
                 if not 1 <= x <= top:
                     raise EndpointOutOfRange(f"endpoint {x} outside [1, {top}]")
-                if x in seen:
+                if partner[x]:
                     raise DuplicateEndpoint(f"endpoint {x} used twice")
-                seen.add(x)
-        arcs.sort(key=lambda arc: arc[1])
-        return cls(tuple(arcs))
+            partner[a], partner[b] = b, a
+        return cls.from_partner(tuple(partner))
 
 
 def validate_matching(raw_pairs: Iterable[Sequence[int]]) -> Matching:
@@ -198,24 +220,26 @@ def arc_statistics(m: Matching) -> NestCrossRecord:
 
 
 def nestings_and_crossings(m: Matching) -> tuple[int, int]:
-    """(ne, cr): the numbers of nesting and of crossing arc pairs, in O(n log n).
+    """(ne, cr): the numbers of nesting and of crossing arc pairs, in one
+    sweep by position.
 
-    With the arcs in opener order, ne is the number of inversions of their
-    closers.  Every opener strictly inside an arc starts an arc nested in
-    it or crossing it, so those openers, summed over the arcs, are ne + cr.
-    An arc with the k-th closer c_k and the i-th opener (both from 1) has
-    c_k - k openers before c_k, i of them up to its own, so the sum is
-    sum(c_k - k) - sum(i) = sum(closers) - n(n + 1).
+    At each closer, the arcs still open that opened before its opener
+    contain its arc, and those that opened after cross it; so each pair is
+    counted once, at the first of its two closers.
     """
     p = m.partner
-    seen: list[int] = []                # closers so far, sorted
-    ne = 0
-    for o in m.openers:
-        c = p[o]
-        i = bisect(seen, c)
-        ne += len(seen) - i
-        seen.insert(i, c)
-    return ne, sum(m.closers) - m.n * (m.n + 1) - ne
+    open_: list[int] = []               # openers not yet closed, increasing
+    ne = cr = 0
+    for x in range(1, len(p) - 1):
+        o = p[x]
+        if o > x:
+            open_.append(x)
+        else:
+            i = bisect_left(open_, o)
+            ne += i
+            cr += len(open_) - 1 - i
+            del open_[i]
+    return ne, cr
 
 
 def count_gap_nestings(m: Matching, gap: int) -> int:
@@ -225,11 +249,51 @@ def count_gap_nestings(m: Matching, gap: int) -> int:
     """
     if gap < 1:
         raise ValueError("gap must be >= 1")
+    p = m.partner
+    by_opener = [(o, p[o]) for o in range(1, len(p) - 1) if p[o] > o]
     count = 0
-    for (o1, c1), (o2, c2) in itertools.combinations(sorted(m.arcs), 2):
+    for (o1, c1), (o2, c2) in itertools.combinations(by_opener, 2):
         if o2 < c2 < c1 and o2 - o1 <= gap:
             count += 1
     return count
+
+
+def _neighbor_at(p: tuple[int, ...], left: bool, nesting: bool) -> int:
+    """The first x at which the arcs at x and x + 1 of the partner tuple p
+    are a neighbour pair of the given kind, or 0.
+
+    With a = p[x] and b = p[x + 1], the two are openers when a > x and
+    b > x + 1, closers when a < x and b < x, and they nest exactly when
+    a > b; so each kind is one chained comparison, made as b is read.  No
+    position partners itself, so b > x + 1 is b > x.  The pairs that take
+    in a 0 at either end of p fail every test, the last one by 0 < b.
+    """
+    a, x = 0, -1                        # a = p[x] as b = p[x + 1] is read
+    if left and nesting:
+        for b in p:
+            if a > b > x:
+                return x
+            a = b
+            x += 1
+    elif left:
+        for b in p:
+            if x < a < b:
+                return x
+            a = b
+            x += 1
+    elif nesting:
+        for b in p:
+            if 0 < b < a < x:
+                return x
+            a = b
+            x += 1
+    else:
+        for b in p:
+            if a < b < x:
+                return x
+            a = b
+            x += 1
+    return 0
 
 
 def first_neighbor_pair(m: Matching, left: bool, nesting: bool) -> tuple[Arc, Arc] | None:
@@ -242,13 +306,12 @@ def first_neighbor_pair(m: Matching, left: bool, nesting: bool) -> tuple[Arc, Ar
     (opener, closer) arcs, the one at x first.
     """
     p = m.partner
-    for x in m.openers if left else m.closers:
-        y = p[x + 1]                    # 0 past the last position
-        if y and (y > x) == left and (p[x] > y) == nesting:
-            if left:
-                return ((x, p[x]), (x + 1, y))
-            return ((p[x], x), (y, x + 1))
-    return None
+    x = _neighbor_at(p, left, nesting)
+    if not x:
+        return None
+    if left:
+        return ((x, p[x]), (x + 1, p[x + 1]))
+    return ((p[x], x), (p[x + 1], x + 1))
 
 
 def neighbor_counts(m: Matching) -> tuple[int, int, int, int]:
@@ -256,7 +319,7 @@ def neighbor_counts(m: Matching) -> tuple[int, int, int, int]:
     position with the rule of :func:`first_neighbor_pair`."""
     p = m.partner
     lne = rne = lcr = rcr = 0
-    for x in range(1, 2 * m.n):
+    for x in range(1, len(p) - 2):
         a, b = p[x], p[x + 1]
         if a > x:
             if b > x + 1:
@@ -273,21 +336,21 @@ def neighbor_counts(m: Matching) -> tuple[int, int, int, int]:
 
 
 def has_left_nesting(m: Matching) -> bool:
-    return first_neighbor_pair(m, left=True, nesting=True) is not None
+    return _neighbor_at(m.partner, True, True) > 0
 
 def has_left_crossing(m: Matching) -> bool:
-    return first_neighbor_pair(m, left=True, nesting=False) is not None
+    return _neighbor_at(m.partner, True, False) > 0
 
 def has_right_nesting(m: Matching) -> bool:
-    return first_neighbor_pair(m, left=False, nesting=True) is not None
+    return _neighbor_at(m.partner, False, True) > 0
 
 def has_right_crossing(m: Matching) -> bool:
-    return first_neighbor_pair(m, left=False, nesting=False) is not None
+    return _neighbor_at(m.partner, False, False) > 0
 
 def has_gap2_nesting(m: Matching) -> bool:
-    """Whether two arcs with openers x and x + 2 nest (p[x] > p[x + 2])."""
+    """Whether two arcs with openers x and x + 2 nest (p[x] > p[x + 2] > x + 2)."""
     p = m.partner
-    for x in m.openers:
+    for x in range(1, len(p) - 3):
         if p[x] > p[x + 2] > x + 2:
             return True
     return False

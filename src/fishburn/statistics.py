@@ -12,19 +12,24 @@ prefix endpoints are {1..2k}).
 
 ``stat_tuple`` compiles a requested tuple once per (class, names) into one
 function that runs the class check and each pass it needs once per object.
-Four passes are linear kernels; their pairwise definitions are test oracles:
+These passes are linear kernels; their pairwise definitions are test oracles:
 
 - ``inv``: each letter counts the larger letters before it, a popcount of the
   mask of the letters seen so far.
 - ``emb``: c_k - 2k arcs are open across the k-th closer c_k.
 - neighbour counts: neighbour arcs sit at adjacent positions, so one scan.
 - ``rne_poset``: one OR of every mask ^ mask >> 1 compares all successor sets.
+
+Every matching pass scans ``Matching.partner`` by position and builds no
+arc, opener or closer tuple.  Telling an opener from a closer costs a
+comparison per position, so ``comp``, ``min``, ``last`` and ``inter`` come
+from one sweep that tells them apart once; ``emb``, asked for alone by
+``cor_mahonian``, is its own pass, a sum of the closers.
 """
 
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from operator import itemgetter, lt
 from typing import Callable, Iterable, Sequence
 
@@ -185,31 +190,44 @@ def poset_stats(p: Poset) -> dict[str, int]:
 # Matchings
 # ---------------------------------------------------------------------------
 
-def _matching_comp(m: Matching) -> tuple[int]:
-    # points 1..2k are a union of arcs exactly when the k-th closer is 2k
-    return (sum(1 for k, c in enumerate(m.closers, start=1) if c == 2 * k),)
+def _matching_sweep(m: Matching) -> tuple[int, int, int, int]:
+    """(comp, min, last, inter) in one sweep by position.
 
-
-def _matching_min(m: Matching) -> tuple[int]:
-    return (m.closers[0] - 1 if m.n else 0,)
-
-
-def _matching_last(m: Matching) -> tuple[int]:
-    return (bisect_left(m.closers, m.arcs[-1][0]) if m.n else 0,)
-
-
-def _matching_inter(m: Matching) -> tuple[int]:
-    inter = after = 0               # after: the point past the last opener
-    for o in m.openers:
-        if o != after:
-            inter += 1
-        after = o + 1
-    return (inter,)
+    Position x opens an arc when p[x] > x.  With k the closers up to x, the
+    points 1..x are a union of arcs exactly when x is a closer and x = 2k;
+    min is x - 1 at the first closer; last is k at the opener p[2n] of the
+    last arc; and a run of openers starts at 1 and after each closer.
+    """
+    p = m.partner
+    o_last = p[-2]
+    comp = least = last = inter = twice_k = 0
+    after_closer = True                 # whether x - 1 is a closer, or x is 1
+    for x in range(1, len(p) - 1):
+        if p[x] > x:
+            if after_closer:
+                inter += 1
+                after_closer = False
+            if x == o_last:
+                last = twice_k >> 1
+        else:
+            if not twice_k:
+                least = x - 1
+            twice_k += 2
+            if x == twice_k:
+                comp += 1
+            after_closer = True
+    return (comp, least, last, inter)
 
 
 def _matching_emb(m: Matching) -> tuple[int]:
     # before the k-th closer c_k lie c_k - k openers and k - 1 closers
-    return (sum(m.closers) - m.n * (m.n + 1),)
+    p = m.partner
+    total = 0
+    for x in range(1, len(p) - 1):
+        if p[x] < x:
+            total += x
+    n = len(p) // 2 - 1
+    return (total - n * (n + 1),)
 
 
 def matching_stats(m: Matching) -> dict[str, int]:
@@ -250,10 +268,7 @@ _POSET_PASSES = (
 
 PASSES = {
     "matchings": (
-        (("comp",), _matching_comp),
-        (("min",), _matching_min),
-        (("last",), _matching_last),
-        (("inter",), _matching_inter),
+        (("comp", "min", "last", "inter"), _matching_sweep),
         (("emb",), _matching_emb),
         (("ne", "cr"), nestings_and_crossings),
         (("lne", "rne", "lcr", "rcr"), neighbor_counts),

@@ -154,16 +154,68 @@ def rne_poset_by_successors(p):
 
 
 def rebuilt(m):
-    """The matching of ``m``'s arcs alone, its openers, closers and partner
-    derived afresh by ``Matching(arcs)``: the oracle of the maps that fill
-    those fields as they place the arcs."""
+    """The matching of ``m``'s arcs alone, its partner tuple derived afresh
+    by ``Matching(arcs)``: the oracle of the maps that build the partner
+    tuple as they place the arcs."""
     return Matching(m.arcs)
 
 
 def same_fields(m, oracle):
-    """Whether two matchings agree in every slot, not only in their arcs."""
+    """Whether two matchings agree in their partner tuple and in every view
+    built from it, not only in their arcs."""
     return ((m.arcs, m.openers, m.closers, m.partner)
             == (oracle.arcs, oracle.openers, oracle.closers, oracle.partner))
+
+
+def raw_table(arcs):
+    """a_i = closers left of the i-th arc's opener, arcs taken by closer."""
+    closers = sorted(c for _, c in arcs)
+    return tuple(sum(c < o for c in closers) for o, _ in sorted(arcs, key=lambda a: a[1]))
+
+
+def inserted_arcs(w, last):
+    """The arcs that the table rule places, read off a word of tokens: for
+    each i, arc i's opener goes into the gap after the a_i-th closer, last
+    in it or first, and then its closer at the end of the word."""
+    word = []                                   # ("o" or "c", arc index)
+    for i, a in enumerate(w):
+        closer_at = [k for k, (kind, _) in enumerate(word) if kind == "c"]
+        start = closer_at[a - 1] + 1 if a else 0
+        end = closer_at[a] if a < len(closer_at) else len(word)
+        word.insert(end if last else start, ("o", i))
+        word.append(("c", i))
+    ends = {}
+    for pos, token in enumerate(word, start=1):
+        ends[token] = pos
+    return tuple((ends["o", i], ends["c", i]) for i in range(len(w)))
+
+
+def first_neighbor_pair_by_arcs(arcs, left, nesting):
+    """First pair of arcs with adjacent openers (``left``) or closers, by
+    the first position, that nests or crosses, every pair classified."""
+    end = 0 if left else 1
+    found = []
+    for a, b in itertools.permutations(arcs, 2):
+        if b[end] == a[end] + 1 and (classify_pair(a, b) == "nest") == nesting:
+            found.append((a[end], a, b))
+    return min(found)[1:] if found else None
+
+
+def has_gap2_nesting_by_pairs(arcs):
+    """Two arcs whose openers are exactly two apart nest, every pair tested."""
+    return any(o2 == o1 + 2 and c2 < c1 for (o1, c1), (o2, c2) in itertools.permutations(arcs, 2))
+
+
+def shape_by_views(m):
+    """(comp, min, last, inter, emb) from the arc, opener and closer views,
+    one definition each, as the statistic passes read them before they
+    scanned the partner tuple."""
+    arcs, openers, closers, n = m.arcs, m.openers, m.closers, m.n
+    comp = sum(1 for k, c in enumerate(closers, start=1) if c == 2 * k)
+    least = closers[0] - 1 if n else 0
+    last = sum(1 for c in closers if c < arcs[-1][0]) if n else 0
+    return (comp, least, last, opener_intervals_by_index(openers),
+            sum(closers) - n * (n + 1))
 
 
 def quadratic_matching_to_poset(m):

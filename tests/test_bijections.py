@@ -64,6 +64,7 @@ from helpers import (
     random_matrices,
     random_natural_posets,
     random_tables,
+    raw_table,
     rebuilt,
     same_fields,
 )
@@ -346,12 +347,6 @@ class TestMatrixPreimages:
                 rec = naive_counts(m.arcs)
                 assert rec["lne"] == 0 and rec["rcr"] == 0
                 assert matching_to_matrix(m) == t
-
-
-def raw_table(arcs):
-    """a_i = closers left of the i-th arc's opener, arcs taken by closer."""
-    closers = sorted(c for _, c in arcs)
-    return tuple(sum(c < o for c in closers) for o, _ in sorted(arcs, key=lambda a: a[1]))
 
 
 def first_raw_left_pair(arcs, kind):

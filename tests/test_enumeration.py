@@ -393,7 +393,8 @@ class TestCloserOrderPrefixes:
             prefix = m.arcs[:m.n - rng.randint(2, 5)]
             expected = sorted(c.arcs for c in completions(m.n, prefix) if test(c))
             assert m.arcs in expected
-            assert list(_closer_order(m.n, MATCHING_RULES[name], prefix)) == expected
+            found = _closer_order(m.n, MATCHING_RULES[name], prefix)
+            assert [Matching.from_partner(p).arcs for p in found] == expected
 
 
 class TestFilters:

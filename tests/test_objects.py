@@ -210,6 +210,16 @@ class TestSlottedMatching:
             assert m.openers == tuple(sorted(o for o, _ in arcs))
             assert m.closers == tuple(c for _, c in m.arcs)
 
+    def test_partner_is_the_one_slot(self):
+        assert Matching.__slots__ == Matching._fields == ("partner",)
+        for n in range(6):
+            for m in gen_matchings(n):
+                assert not hasattr(m, "__dict__")
+                assert Matching.from_partner(m.partner) == m
+                assert repr(m) == f"Matching(arcs={m.arcs!r})"
+                for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+                    assert type(twin) is Matching and twin.partner == m.partner
+
     def test_fields_cannot_be_assigned(self):
         m = Matching.from_pairs([(1, 3), (2, 4)])
         for field in ("arcs", "openers", "closers", "partner", "other"):
@@ -240,7 +250,7 @@ class TestSlottedMatching:
 
     def test_hash_is_the_field_tuple_hash(self):
         for m in gen_matchings(4):
-            assert hash(m) == hash((m.arcs,))
+            assert hash(m) == hash((m.partner,))
         for p in gen_natural_posets(4):
             assert hash(p) == hash((p.pre_masks,))
         for obj in FROZEN:
