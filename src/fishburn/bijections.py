@@ -40,6 +40,7 @@ from .objects import (
     Poset,
     TriangularMatrix,
     first_neighbor_pair,
+    is_factorial,
     is_zero_one,
     validate_permutation,
 )
@@ -123,12 +124,9 @@ def crossfree_matching_to_table(m: Matching) -> tuple[int, ...]:
 
 def poset_to_table(p: Poset) -> tuple[int, ...]:
     """(pre(1), ..., pre(n)) of a factorial poset; raises NotFactorial."""
-    table = []
-    for mask in p.pre_masks:
-        if mask & mask + 1:             # {1, ..., pre(k)} is one below a power of two
-            raise NotFactorial(f"poset on [{p.n}] is not factorial")
-        table.append(mask.bit_length())
-    return tuple(table)
+    if not is_factorial(p):
+        raise NotFactorial(f"poset on [{p.n}] is not factorial")
+    return tuple([mask.bit_length() for mask in p.pre_masks])
 
 
 def table_to_poset(w: Sequence[int]) -> Poset:

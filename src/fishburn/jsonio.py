@@ -33,13 +33,7 @@ MAX_DECODED_SIZE = 1000
 
 def encode(class_name: str, obj) -> object:
     if class_name == "matching":
-        # the arcs sorted by closer: x > 1 closes an arc exactly when p[x] < x
-        p, arcs = obj.partner, []
-        for x in range(2, len(p) - 1):
-            o = p[x]
-            if o < x:
-                arcs.append([o, x])
-        return {"n": len(arcs), "arcs": arcs}
+        return {"n": obj.n, "arcs": [list(arc) for arc in obj.arcs]}
     if class_name in ("inversion_table", "ascent_sequence", "permutation"):
         return list(obj)
     if class_name == "poset":

@@ -262,37 +262,19 @@ def _neighbor_at(p: tuple[int, ...], left: bool, nesting: bool) -> int:
     """The first x at which the arcs at x and x + 1 of the partner tuple p
     are a neighbour pair of the given kind, or 0.
 
-    With a = p[x] and b = p[x + 1], the two are openers when a > x and
-    b > x + 1, closers when a < x and b < x, and they nest exactly when
-    a > b; so each kind is one chained comparison, made as b is read.  No
-    position partners itself, so b > x + 1 is b > x.  The pairs that take
-    in a 0 at either end of p fail every test, the last one by 0 < b.
+    With a = p[x] carried as b = p[x + 1] is read, the two are openers when
+    x < a and x < b (b > x is b > x + 1: no position partners itself),
+    closers when 0 < b < x and a < x; they nest when a > b, cross when a < b.
+    The first pair, 0 and 0 at x = -1, is openers, and the strict a < b keeps
+    it from crossing; any other pair holding an end 0 of p is neither.
     """
-    a, x = 0, -1                        # a = p[x] as b = p[x + 1] is read
-    if left and nesting:
-        for b in p:
-            if a > b > x:
+    a, x = 0, -1
+    for b in p:
+        if (x < a and x < b) if left else (a < x and 0 < b < x):
+            if a > b if nesting else a < b:
                 return x
-            a = b
-            x += 1
-    elif left:
-        for b in p:
-            if x < a < b:
-                return x
-            a = b
-            x += 1
-    elif nesting:
-        for b in p:
-            if 0 < b < a < x:
-                return x
-            a = b
-            x += 1
-    else:
-        for b in p:
-            if a < b < x:
-                return x
-            a = b
-            x += 1
+        a = b
+        x += 1
     return 0
 
 
@@ -420,8 +402,8 @@ class Poset(FrozenValue):
 
     Bit i-1 of ``pre_masks[j-1]`` is set exactly when i is below j; the masks
     are transitively closed, and they are the one slot, compared and hashed.
-    The relation ``less``, the successor masks, ``pre_vector`` and the cover
-    relation are views built from them on each read.
+    The relation ``less``, the successor masks and ``pre_vector`` are views
+    built from them on each read.
 
     >>> Poset(3, {(1, 2), (2, 3), (1, 3)}).pre_masks
     (0, 1, 3)
@@ -513,27 +495,25 @@ class Poset(FrozenValue):
                 masks[i] |= 1 << j
         return tuple(masks)
 
+    def _index(self, j: int) -> int:
+        """j - 1 for an element j; IndexError unless 1 <= j <= n."""
+        if not 1 <= j <= len(self.pre_masks):
+            raise IndexError(f"element {j!r} outside [1, {self.n}]")
+        return j - 1
+
     def pre(self, j: int) -> int:
-        return self.pre_masks[j - 1].bit_count()
+        """The number of elements below j."""
+        return self.pre_masks[self._index(j)].bit_count()
 
     def suc(self, j: int) -> int:
         """The number of predecessor masks that hold bit j - 1."""
-        return sum([mask >> (j - 1) & 1 for mask in self.pre_masks])
+        i = self._index(j)
+        return sum([mask >> i & 1 for mask in self.pre_masks])
 
     @property
     def pre_vector(self) -> tuple[int, ...]:
         """(pre(1), ..., pre(n)), built on each read."""
         return tuple([mask.bit_count() for mask in self.pre_masks])
-
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover relation (i, j): i below j with nothing strictly between."""
-        suc = self.suc_masks
-        out = []
-        for i, j in sorted(self.less):
-            between = suc[i - 1] & self.pre_masks[j - 1]
-            if not between:
-                out.append((i, j))
-        return tuple(out)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -701,12 +681,6 @@ class TriangularMatrix(FrozenValue):
             if not any(t[i][j] for i in range(k)):
                 raise ZeroRowOrColumn(f"column {j + 1} is all zeros")
         return cls(t)
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
-
-    def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row[j] for row in self.rows) for j in range(self.k))
 
 
 def validate_matrix(rows: Iterable[Sequence[int]]) -> TriangularMatrix:

@@ -162,7 +162,7 @@ def _poset_min(p: Poset) -> tuple[int]:
 
 
 def _poset_pre_n(p: Poset) -> tuple[int]:
-    return (p.pre(p.n) if p.n else 0,)
+    return (p.pre_masks[-1].bit_count() if p.pre_masks else 0,)
 
 
 def _poset_lev(p: Poset) -> tuple[int]:

@@ -534,6 +534,15 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
 }
 
 
+def _timed_report(check: str, kind: str, n_max: int | None, fn, *args) -> CheckReport:
+    """The report of ``fn(*args)``, which returns (ok, witness, detail), with
+    the seconds it took."""
+    start = time.perf_counter()
+    ok, witness, detail = fn(*args)
+    return CheckReport(check, kind, n_max, "pass" if ok else "fail", witness,
+                       time.perf_counter() - start, detail)
+
+
 def run_check(name: str, n_max: int | None = None) -> CheckReport:
     """Execute one registered check for all n up to n_max (or its default);
     ValueError unless n_max is None or a nonnegative integer."""
@@ -541,18 +550,7 @@ def run_check(name: str, n_max: int | None = None) -> CheckReport:
         raise UnknownCheck(f"unknown check {name!r}")
     kind, default_n, fn = REGISTRY[name]
     limit = validate_size(default_n if n_max is None else n_max)
-    start = time.perf_counter()
-    ok, witness, detail = fn(limit)
-    elapsed = time.perf_counter() - start
-    return CheckReport(
-        check=name,
-        kind=kind,
-        n_max=limit,
-        verdict="pass" if ok else "fail",
-        witness=witness,
-        elapsed=elapsed,
-        detail=detail,
-    )
+    return _timed_report(name, kind, limit, fn, limit)
 
 
 def run_all(n_max: int | None = None) -> list[CheckReport]:
@@ -574,15 +572,9 @@ def check_equidistribution(
     arities = {len(names) for _, _, names in classes}
     if len(arities) != 1:
         raise ValueError(f"statistic tuples have mixed arities: {sorted(arities)}")
-    start = time.perf_counter()
-    diff = _first_difference([distribution(stream, class_name, names).rows
-                              for class_name, stream, names in classes])
-    elapsed = time.perf_counter() - start
-    return CheckReport(
-        check="equidistribution",
-        kind="proposition",
-        n_max=None,
-        verdict="pass" if diff is None else "fail",
-        witness=diff,
-        elapsed=elapsed,
-    )
+
+    def compare():
+        diff = _first_difference([distribution(stream, class_name, names).rows
+                                  for class_name, stream, names in classes])
+        return diff is None, diff, None
+    return _timed_report("equidistribution", "proposition", None, compare)

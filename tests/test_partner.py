@@ -91,6 +91,34 @@ PREIMAGES = {"nesting": matrix_to_matching_no_neighbor_nesting,
              "crossing": matrix_to_matching_no_neighbor_crossing,
              "zero_one": zero_one_matrix_to_matching}
 
+NEIGHBOR_TESTS = {(True, True): ("lne", has_left_nesting), (True, False): ("lcr", has_left_crossing),
+                  (False, True): ("rne", has_right_nesting), (False, False): ("rcr", has_right_crossing)}
+
+
+def seeded_preimages(m):
+    """(name, rules, matrix, preimage) for the three restricted preimages of
+    the matrix of m; the zero-one preimage reads that matrix with every
+    entry cut to 1, which keeps its shape."""
+    t = matching_to_matrix(m)
+    ones = validate_matrix([[min(v, 1) for v in row] for row in t.rows])
+    return [(name, rules, source, PREIMAGES[name](source))
+            for name, rules, source in (("nesting", ("lne", "rne"), t),
+                                        ("crossing", ("lcr", "rcr"), t),
+                                        ("zero_one", ("lne", "rcr"), ones))]
+
+
+def check_neighbor_readers(m, arcs):
+    """The four neighbour tests, :func:`first_neighbor_pair` and
+    :func:`neighbor_counts` of m against the pair-by-pair oracles on its
+    arcs; returns the oracle's counts."""
+    counts = naive_counts(arcs)
+    for (left, nesting), (rule, test) in NEIGHBOR_TESTS.items():
+        assert test(m) == (counts[rule] > 0), (arcs, rule)
+        assert first_neighbor_pair(m, left, nesting) == \
+            first_neighbor_pair_by_arcs(arcs, left, nesting), (arcs, rule)
+    assert neighbor_counts(m) == tuple(counts[k] for k in ("lne", "rne", "lcr", "rcr")), arcs
+    return counts
+
 
 class TestConstructorsAgree:
     @pytest.mark.parametrize("n", SMALL)
@@ -132,13 +160,7 @@ class TestConstructorsAgree:
                 shuffled = list(m.arcs)
                 random.Random(len(w)).shuffle(shuffled)
                 assert Matching.from_pairs(shuffled).partner == m.partner
-                t = matching_to_matrix(m)
-                # the matrix keeps its shape with every entry cut to 1
-                ones = validate_matrix([[min(v, 1) for v in row] for row in t.rows])
-                for name, rules, source in (("nesting", ("lne", "rne"), t),
-                                            ("crossing", ("lcr", "rcr"), t),
-                                            ("zero_one", ("lne", "rcr"), ones)):
-                    pre = PREIMAGES[name](source)
+                for name, rules, source, pre in seeded_preimages(m):
                     assert pre.partner == derived(pre.arcs)
                     assert matching_to_matrix(pre) == source
                     assert not any(naive_counts(pre.arcs)[rule] for rule in rules)
@@ -155,20 +177,13 @@ class TestPartnerScanReaders:
                 for arcs in naive_matchings(request.param)]
 
     def test_neighbor_tests_and_first_pairs(self, matchings):
-        tests = {(True, True): ("lne", has_left_nesting), (True, False): ("lcr", has_left_crossing),
-                 (False, True): ("rne", has_right_nesting), (False, False): ("rcr", has_right_crossing)}
         for m, arcs in matchings:
-            counts = naive_counts(arcs)
-            for (left, nesting), (rule, test) in tests.items():
-                assert test(m) == (counts[rule] > 0), (arcs, rule)
-                assert first_neighbor_pair(m, left, nesting) == \
-                    first_neighbor_pair_by_arcs(arcs, left, nesting), (arcs, rule)
+            check_neighbor_readers(m, arcs)
 
     def test_counts(self, matchings):
         for m, arcs in matchings:
             counts = naive_counts(arcs)
             assert nestings_and_crossings(m) == (counts["ne"], counts["cr"]), arcs
-            assert neighbor_counts(m) == tuple(counts[k] for k in ("lne", "rne", "lcr", "rcr"))
             assert has_gap2_nesting(m) == has_gap2_nesting_by_pairs(arcs), arcs
 
     def test_statistic_passes(self, matchings):
@@ -205,3 +220,16 @@ class TestPartnerScanReaders:
             assert m.arcs == arcs and m.n == len(arcs)
             assert m.openers == tuple(sorted(o for o, _ in arcs))
             assert m.closers == tuple(c for _, c in arcs)
+
+
+class TestLargeNeighborReaders:
+    def test_against_pair_oracles(self):
+        # both insertions of seeded tables with n = 30..50 and the three
+        # preimages of their matrices; every kind is met present and absent
+        seen = set()
+        for w in seeded_tables(20192):
+            for m in (table_to_matching(w), table_to_crossfree_matching(w)):
+                for q in (m, *(pre for *_, pre in seeded_preimages(m))):
+                    counts = check_neighbor_readers(q, q.arcs)
+                    seen |= {(rule, counts[rule] > 0) for rule in ("lne", "rne", "lcr", "rcr")}
+        assert len(seen) == 8
