@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
@@ -160,54 +161,84 @@ def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
     return map(Matching.from_partner, _closer_order(n, rules))
 
 
+# Step tests of ``merged_tallies``: a step closes the O at w[i], with j O's
+# before it, w ending with its r new openers; k O's precede the mark
+STEP_TESTS = {"lne": lambda w, i, j, r, k: w[i - 1:i] == "O",
+              "lcr": lambda w, i, j, r, k: w[i + 1:i + 2] == "O",
+              "rne": lambda w, i, j, r, k: not r and j < k,
+              "rcr": lambda w, i, j, r, k: not r and j >= k,
+              "gap2": lambda w, i, j, r, k: i > 1 and w[i - 2] == "O",
+              "ne": lambda w, i, j, r, k: j > 0,
+              "cr": lambda w, i, j, r, k: "O" in w[i + 1:]}
+
+
+def merged_tallies(rules: Iterable[str] = (), names: Sequence[str] = ()):
+    """The function from n to the tally of the statistics ``names`` (lne, rne,
+    comp, inter, min) over ``gen_matchings(n, rules)``, as its distribution
+    rows: the closer-order search with equivalent states merged, one memo for
+    every n.  A state is the word of the positions up to the last closer, "O"
+    for an opener still open and "X" else, the number k of O's before the
+    mark (the last closer's opener) and the ``free`` positions above.  A step
+    appends r new openers and closes an O: ``STEP_TESTS`` decide the rules
+    and count lne and rne, comp counts the steps that leave no O, inter those
+    with r > 0, and min is the first r.  A state keeps what a test can see:
+    no leading X, X runs of 1 (2 under gap2), k only if rne or rcr is read,
+    and its runs of O's sorted unless rne, rcr, ne, cr or gap2 is read.
+
+    >>> merged_tallies({"lne", "gap2"})(6), merged_tallies({"lne"}, ("rne",))(3)
+    ({(): 217}, {(0,): 5, (1,): 1})
+    """
+    rules, names = frozenset(rules), tuple(names)
+    if not rules <= STEP_TESTS.keys() or not set(names) <= {"lne", "rne", "comp", "inter", "min"}:
+        raise ValueError(f"the merged search has no rules {sorted(rules)} or names {names}")
+    shift = {name: 16 * place for place, name in enumerate(dict.fromkeys(names))}
+    comp, inter, least = (1 << shift[x] if x in shift else 0 for x in ("comp", "inter", "min"))
+    # the rules' tests with no bit, then the counted statistics' with theirs
+    checks = [(STEP_TESTS[rule], 0) for rule in rules] + [
+        (STEP_TESTS[x], 1 << shift[x]) for x in ("lne", "rne") if x in shift]
+    mark = bool(rules & {"rne", "rcr"}) or "rne" in shift
+    ordered = mark or rules & {"ne", "cr", "gap2"}
+    cut = functools.partial(re.compile("(XX)X+" if "gap2" in rules else "(X)X+").sub, r"\1")
+
+    @functools.cache
+    def future(word: str, k: int, free: int) -> dict[int, int]:
+        # statistics, 16 bits each -> the completions adding them; k < 0 at start
+        if not free:
+            return {0: 1}
+        opens, steps, out = word.count("O"), {}, {}
+        for r in range((free - opens) // 2 + 1):        # each O needs a closer
+            w, i = word + "O" * r, -1
+            gain = (r and inter) + (k < 0 and least * r) + (opens + r == 1 and comp)
+            for j in range(opens + r):
+                i = w.index("O", i + 1)
+                gained = gain
+                for test, bit in checks:
+                    if test(w, i, j, r, k):
+                        if not bit:         # a rule, broken
+                            break
+                        gained += bit
+                else:
+                    after = cut(f"{w[:i]}X{w[i + 1:]}X") if ordered else "X".join(
+                        sorted(f"{w[:i]}X{w[i + 1:]}".split("X"))) + "X"
+                    step = (after.lstrip("X"), j if mark else 0, free - r - 1, gained)
+                    steps[step] = steps.get(step, 0) + 1
+        for (after, k, free, gain), copies in steps.items():
+            for key, count in future(after, k, free).items():
+                key += gain
+                out[key] = out.get(key, 0) + copies * count
+        return out
+
+    return _sized(lambda n: {tuple(key >> shift[x] & 0xFFFF for x in names): count
+                             for key, count in future("", -1, 2 * n).items()})
+
+
 @_sized
 def left_nesting_tallies(n_max: int) -> Iterator[Counter]:
-    """How many matchings of [2n] have each number of left-nestings, for
-    n = 0, 1, ..., n_max in turn, by the closer-order search of
-    ``gen_matchings`` with equivalent states merged; no matching is built.
-    One memo serves every n: a state's completions do not depend on n, and
-    the search for n passes through the start state of every smaller n.
-
-    >>> sorted(list(left_nesting_tallies(3))[-1].items())
-    [(0, 6), (1, 8), (2, 1)]
-
-    When a closer is placed, the unused positions below it are the open
-    openers, and it adds a left-nesting exactly when the position just
-    before its opener is still open.  So what a partial matching can still
-    gain depends only on the multiset of lengths of the maximal runs of
-    consecutive open openers, and on ``free``, the number of positions above
-    its last closer.  The next closer comes after r new openers, which form
-    a run of their own, the last closer separating it from the older runs.
-    It then closes element j (from 0) of some run of length L, adding a
-    left-nesting iff j > 0 and splitting the run into runs of lengths j and
-    L - j - 1; equal runs give equal states, so one is counted with the
-    number of them.  The open openers must still find closers above, so
-    ``free`` never falls below their number, and the search ends with
-    ``free`` 0 and nothing open.
-    """
-    @functools.cache
-    def future(runs: tuple[int, ...], free: int) -> tuple[int, ...]:
-        # entry k: the completions that add k more left-nestings
-        if not free:
-            return (1,)
-        open_ = sum(runs)
-        # (free + open_) / 2 closers are left, each adding at most one
-        out = [0] * ((free + open_) // 2 + 1)
-        for r in range((free - open_) // 2 + 1):
-            pool = tuple(sorted(runs + (r,))) if r else runs
-            for length, copies in Counter(pool).items():
-                i = pool.index(length)
-                rest = pool[:i] + pool[i + 1:]
-                for j in range(length):
-                    split = tuple(sorted(rest + tuple(x for x in (j, length - j - 1) if x)))
-                    for lnes, count in enumerate(future(split, free - r - 1), j > 0):
-                        out[lnes] += copies * count
-        while not out[-1]:          # every state here has a completion
-            out.pop()
-        return tuple(out)
-
-    for n in range(n_max + 1):
-        yield Counter({lnes: count for lnes, count in enumerate(future((), 2 * n)) if count})
+    """How many matchings of [2n] have each number of left-nestings, for n =
+    0, 1, ..., n_max in turn, by one ``merged_tallies`` counter."""
+    tally = merged_tallies((), ("lne",))
+    return (Counter({lnes: count for (lnes,), count in tally(n).items()})
+            for n in range(n_max + 1))
 
 
 @_sized
@@ -233,29 +264,20 @@ def gen_factorial_posets(n: int) -> Iterator[Poset]:
 def gen_natural_posets(n: int) -> Iterator[Poset]:
     """All naturally labeled posets on [n], independently of any bijection.
 
-    Element k+1 is appended with its predecessor set ranging over the down
-    sets of the poset built so far; this reaches every naturally labeled
-    poset exactly once.  Counts run 1, 1, 2, 7, 40, 357, 4824, 96428.
+    Element k+1 takes each down set s of the poset so far, in increasing
+    order, as its predecessor set: each poset once, 1, 1, 2, 7, 40, 357, 4824,
+    96428 of them.  Its down sets: the old d, then d | bit(k+1) if d & s == s.
     """
-    def extend(masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        k = len(masks)
-        if k == n:
-            yield masks
+    def extend(masks: tuple[int, ...], downs: list[int]) -> Iterator[tuple[int, ...]]:
+        if len(masks) == n - 1:         # the last element needs no down sets
+            for s in downs:
+                yield masks + (s,)
             return
-        for s in range(1 << k):
-            closed = True
-            bits = s
-            while bits:
-                low = bits & -bits
-                if masks[low.bit_length() - 1] & ~s:
-                    closed = False
-                    break
-                bits ^= low
-            if closed:
-                yield from extend(masks + (s,))
+        bit = 1 << len(masks)
+        for s in downs:
+            yield from extend(masks + (s,), downs + [d | bit for d in downs if d & s == s])
 
-    for masks in extend(()):
-        yield Poset.from_pre_masks(masks)
+    return map(Poset.from_pre_masks, extend((), [0]) if n else [()])
 
 
 @_sized

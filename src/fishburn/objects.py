@@ -338,10 +338,21 @@ def has_gap2_nesting(m: Matching) -> bool:
     return False
 
 def has_nesting(m: Matching) -> bool:
-    return nestings_and_crossings(m)[0] > 0
+    return _closes_out_of_order(m.partner, 0)
 
 def has_crossing(m: Matching) -> bool:
-    return nestings_and_crossings(m)[1] > 0
+    return _closes_out_of_order(m.partner, -1)
+
+def _closes_out_of_order(p: tuple[int, ...], end: int) -> bool:
+    """Whether a closer's opener is not the earliest (``end`` 0) or the latest
+    (-1) opener still open: arcs nest, or cross, exactly when one is not."""
+    open_ = []
+    for x in range(1, len(p) - 1):
+        if p[x] > x:
+            open_.append(x)
+        elif open_.pop(end) != p[x]:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ serialized so it can be fed back through the CLI.
 
 A check is a ``REGISTRY`` row of per-n *facts*, each mapping n to a witness
 or to None when it holds; ``_facts`` runs n on the outside and the facts on
-the inside.  Facts read their data through two caches: ``_objects`` for a
-class filtered by named ``PREDICATES`` entries, and ``_tally`` for the
-distribution of a statistic tuple over a class or a stream.
+the inside.  Facts read their data through two caches, ``_objects`` for a
+class filtered by named ``PREDICATES`` entries and ``_tally`` for statistic
+tallies, which ``_merged`` counts for a matching class without building it.
 
 Conjecture checks are flagged ``conjecture`` even when they pass: passing
 at small n is evidence, not proof.
@@ -45,6 +45,7 @@ from .bijections import (
     zero_one_matrix_to_matching,
 )
 from .enumeration import (
+    MATCHING_RULES,
     catalan,
     class_predicate,
     distribution,
@@ -53,6 +54,7 @@ from .enumeration import (
     fishburn_numbers,
     generate,
     left_nesting_tallies,
+    merged_tallies,
     second_order_eulerian,
 )
 from .errors import UnknownCheck
@@ -111,10 +113,15 @@ def _objects(class_name: str, n: int, predicates: tuple[str, ...]) -> tuple:
     return tuple(filter(test, _objects(class_name, n, predicates[:-1])))
 
 
+_merged = lru_cache(maxsize=None)(merged_tallies)     # one memo for every n
+
+
 @lru_cache(maxsize=None)
 def _tally(class_name: str, n: int, source, names: tuple[str, ...]) -> dict:
     """The tally of a statistic tuple over a source: a predicate tuple naming
-    a cached class, or a function of n giving a stream of the class."""
+    a class (by ``_merged`` for matchings), or a function of n giving a stream."""
+    if class_name == "matchings" and isinstance(source, tuple):
+        return _merged(frozenset().union(*map(MATCHING_RULES.get, source)), names)(n)
     stream = _objects(class_name, n, source) if isinstance(source, tuple) else source(n)
     return distribution(stream, class_name, names).rows
 
@@ -151,12 +158,12 @@ def _facts(*facts, start: int = 0):
     return check
 
 
-def _counts(expected_of: Callable[[int], int], *rows):
+def _counts(expected_of: Callable[[int], int], *rows, count=lambda *c: len(_objects(*c))):
     """Each row (what, class, *predicate names) has expected_of(n) members."""
     def fact(n):
         expected = expected_of(n)
         for what, class_name, *predicates in rows:
-            actual = len(_objects(class_name, n, tuple(predicates)))
+            actual = count(class_name, n, tuple(predicates))
             if actual != expected:
                 return _count_witness(n, what, expected, actual)
     return fact
@@ -323,13 +330,11 @@ def check_lne_second_order_eulerian(n_max: int):
     the second-order Eulerian row, compared as multisets; row sums must be
     the odd double factorial.  The detected orientation is reported."""
     orientations = set()
-    tallies = left_nesting_tallies(n_max)
-    for n in range(n_max + 1):
+    for n, dist in enumerate(left_nesting_tallies(n_max)):
         row = second_order_eulerian(n)
         if sum(row) != double_factorial(2 * n - 1):
             return False, {"n": n, "row": list(row), "expected_sum":
                            double_factorial(2 * n - 1)}, None
-        dist = next(tallies)
         counts = [dist.get(k, 0) for k in range(max(n, 1))]
         if sorted(counts) != sorted(row):
             return False, {"n": n, "lne_counts": counts, "row": list(row)}, None
@@ -509,7 +514,8 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
     # Conjectured: matchings with no nesting whose openers are 1 or 2 apart
     # are counted by the Fishburn numbers.
     "conj3_no_2_left_nestings": ("conjecture", 6, _facts(_counts(
-        _fishburn, ("matchings with no 2-left-nesting", "matchings", "no_2_left_nesting")))),
+        _fishburn, ("matchings with no 2-left-nesting", "matchings", "no_2_left_nesting"),
+        count=lambda *c: sum(_tally(*c, ()).values())))),
     "conj4_lne_second_order_eulerian":
         ("conjecture", 6, check_lne_second_order_eulerian),
     # Seven class cardinalities agree with the series coefficients

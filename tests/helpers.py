@@ -418,3 +418,29 @@ T3_ROWS = {
     ((1, 1), (0, 1)),
     ((3,),),
 }
+
+
+def subset_scan_natural_posets(n):
+    """The naturally labeled posets on [n] as ``gen_natural_posets`` yielded
+    them before it carried the down-set lists: element k+1 takes each subset
+    of the k earlier elements, in increasing order of its mask, that is
+    closed downwards."""
+    def extend(masks):
+        k = len(masks)
+        if k == n:
+            yield masks
+            return
+        for s in range(1 << k):
+            closed = True
+            bits = s
+            while bits:
+                low = bits & -bits
+                if masks[low.bit_length() - 1] & ~s:
+                    closed = False
+                    break
+                bits ^= low
+            if closed:
+                yield from extend(masks + (s,))
+
+    for masks in extend(()):
+        yield Poset.from_pre_masks(masks)

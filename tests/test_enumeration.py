@@ -40,8 +40,10 @@ from fishburn.enumeration import (
     MATCHING_RULES,
     PREDICATES,
     RULE_TESTS,
+    STEP_TESTS,
     _closer_order,
     left_nesting_tallies,
+    merged_tallies,
 )
 from fishburn.objects import Matching, is_factorial, validate_matrix
 from fishburn.statistics import perm_stats
@@ -58,6 +60,7 @@ from helpers import (
     naive_natural_posets_by_filter,
     naive_sorted_matchings,
     random_matrices,
+    subset_scan_natural_posets,
 )
 
 
@@ -107,6 +110,12 @@ class TestGenerators:
     @pytest.mark.parametrize("n", range(7))
     def test_natural_poset_counts(self, n):
         assert sum(1 for _ in gen_natural_posets(n)) == NATURAL_POSET_COUNTS[n]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_natural_posets_equal_the_subset_scan_in_order(self, n):
+        # the carried down-set lists give the stream of the 2^k subset scan
+        assert [p.pre_masks for p in gen_natural_posets(n)] == \
+            [p.pre_masks for p in subset_scan_natural_posets(n)]
 
     @pytest.mark.parametrize("n", range(5))
     def test_natural_posets_against_filter_oracle(self, n):
@@ -280,6 +289,54 @@ def naive_pair_counts(n):
     in generation order."""
     return [(m, {**naive_counts(m.arcs), "gap2": naive_gap2(m.arcs)})
             for m in naive_sorted_matchings(n)]
+
+
+class TestMergedTallies:
+    """The merged-state counter against the closer-order search it merges."""
+
+    @pytest.mark.parametrize("name", sorted(MATCHING_RULES))
+    def test_counts_equal_the_search_for_every_class(self, name):
+        tally = merged_tallies(MATCHING_RULES[name])
+        for n in range(8):
+            count = sum(1 for _ in gen_matchings(n, MATCHING_RULES[name]))
+            assert tally(n) == {(): count}, n
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_no_left_nesting_tally_equals_the_enumerated_distribution(self, n):
+        names = ("rne", "comp", "min", "inter")
+        expected = distribution(generate("matchings", n, ["no_left_nesting"]),
+                                "matchings", names).rows
+        assert merged_tallies(MATCHING_RULES["no_left_nesting"], names)(n) == expected
+
+    @pytest.mark.parametrize("rules", [(), ("lne",), ("lne", "gap2"), ("rcr",),
+                                       ("lne", "rne"), ("ne",), ("cr",)])
+    def test_every_statistic_under_ordered_and_sorted_states(self, rules):
+        # with rne the word keeps its order and its mark; without, lne and the
+        # step statistics read runs sorted (unless a rule needs the order);
+        # a repeated name is tallied twice
+        for names in [("lne", "rne", "comp", "inter", "min"), ("lne", "comp", "inter", "min"),
+                      ("min", "lne", "min")]:
+            tally = merged_tallies(rules, names)
+            for n in range(7):
+                expected = distribution(gen_matchings(n, rules), "matchings", names).rows
+                assert tally(n) == expected, (names, n)
+
+    def test_conj3_class_follows_fishburn_to_fifteen(self):
+        tally = merged_tallies(MATCHING_RULES["no_2_left_nesting"])
+        assert [tally(n) for n in range(16)] == [{(): f} for f in fishburn_numbers(15)]
+
+    def test_every_rule_has_a_step_test(self):
+        assert STEP_TESTS.keys() == RULE_TESTS.keys()
+
+    @pytest.mark.parametrize("rules, names", [(("lnx",), ()), ((), ("emb",)), ((), ("lcr",))])
+    def test_unknown_rules_and_statistics_refused(self, rules, names):
+        with pytest.raises(ValueError):
+            merged_tallies(rules, names)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0])
+    def test_size_must_be_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError):
+            merged_tallies({"lne"})(n)
 
 
 class TestClassDefinitions:

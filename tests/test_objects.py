@@ -164,6 +164,13 @@ class TestNestingsAndCrossings:
         for _ in range(40):
             self.check(random_matching(rng, rng.randint(20, 60)))
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_early_exit_tests_agree_with_the_sweep(self, n):
+        # has_nesting and has_crossing stop at the first closer out of order
+        for m in gen_matchings(n):
+            ne, cr = nestings_and_crossings(m)
+            assert (has_nesting(m), has_crossing(m)) == (ne > 0, cr > 0), m
+
 
 # One value of each value class, with the repr the dataclass it replaced gave.
 VALUES = [

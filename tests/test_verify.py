@@ -23,7 +23,7 @@ from fishburn import (
     table_to_matching,
     table_to_poset,
 )
-from fishburn import enumeration, jsonio, verify
+from fishburn import enumeration, jsonio, statistics, verify
 from fishburn.enumeration import (
     MATCHING_RULES,
     gen_factorial_posets,
@@ -289,6 +289,70 @@ class TestFailureWitnesses:
         diff = _first_difference([Counter({(0,): 1, (2,): 3}), Counter({(0,): 1, (2,): 4})])
         assert diff == {"tuple": [2], "counts": [3, 4]}
         json.dumps(diff)
+
+
+def _break_pass(monkeypatch, class_name, name, compute):
+    """Compute the statistic ``name`` of the class by ``compute`` alone."""
+    monkeypatch.setitem(statistics._PASS_OF[class_name], name, ((name,), compute))
+
+
+# check -> (the fault, which makes it fail at n <= 5, and the witness it gives)
+FAULTS = {
+    "conj1_equidistribution": (
+        lambda mp: mp.setitem(enumeration.STEP_TESTS, "rne",
+                              lambda w, i, j, r, k: not r and j >= k),   # mark test inverted
+        {"n": 2, "tuple": [0, 1, 2], "counts": [1, 1, 0]}),
+    "conj2_equidistribution": (
+        lambda mp: _break_pass(mp, "permutations", "des",                # counts ascents
+                               lambda pi: (sum(map(int.__lt__, pi, pi[1:])),)),
+        {"n": 2, "tuple": [0, 1, 0], "counts": [0, 1, 0]}),
+    "conj3_no_2_left_nestings": (
+        lambda mp: mp.setitem(enumeration.STEP_TESTS, "gap2", lambda w, i, j, r, k: False),
+        {"n": 3, "counted": "matchings with no 2-left-nesting", "expected": 5, "actual": 6}),
+    "conj4_lne_second_order_eulerian": (
+        lambda mp: mp.setitem(enumeration.STEP_TESTS, "lne",             # two letters back
+                              lambda w, i, j, r, k: i > 1 and w[i - 2] == "O"),
+        {"n": 2, "lne_counts": [3, 0], "row": [1, 2]}),
+    "cor_mahonian": (
+        lambda mp: _break_pass(mp, "permutations", "inv",                # adjacent pairs only
+                               lambda pi: (sum(map(int.__gt__, pi, pi[1:])),)),
+        {"n": 3, "tuple": [1], "counts": [2, 4, 2]}),
+    "cor_eulerian": (
+        lambda mp: _break_pass(mp, "inversion_tables", "dent",           # misses the entry 0
+                               lambda w: (len(set(w) - {0}),)),
+        {"n": 1, "tuple": [0], "counts": [0, 0, 1]}),
+    "prop_triple_statistics": (
+        lambda mp: mp.setattr(verify, "_perm_quintuple", statistics.stat_tuple(
+            "permutations", ("comp", "lmax", "last", "dent", "inv"))),  # lmax for lmin
+        {"n": 2, "table": [0, 0], "poset_tuple": [1, 2, 0, 1, 1],
+         "perm_tuple": [1, 1, 0, 1, 1], "matching_tuple": [1, 2, 0, 1, 1]}),
+}
+
+
+class TestInjectedFaults:
+    """Each of these checks fails under one named fault in the statistic,
+    kernel or engine rule it reads, with a pinned witness."""
+
+    @pytest.fixture
+    def clear_caches(self):
+        # so nothing computed before the fault is read under it, or after it
+        def clear():
+            for cache in (_objects, _tally, verify._merged, statistics._compile):
+                cache.cache_clear()
+        yield clear
+        clear()
+
+    @pytest.mark.parametrize("check", sorted(FAULTS))
+    def test_fault_fails_the_check_with_its_witness(self, monkeypatch, clear_caches, check):
+        inject, witness = FAULTS[check]
+        assert run_check(check, 5).verdict == "pass"
+        clear_caches()
+        inject(monkeypatch)
+        report = run_check(check, 5)
+        assert (report.verdict, report.witness) == ("fail", witness)
+        assert json.loads(json.dumps(report.witness)) == witness
+        if "table" in witness:          # the one witness that names an object
+            jsonio.decode("inversion_table", witness["table"])
 
 
 class TestDataLayer:
