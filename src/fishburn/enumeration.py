@@ -7,13 +7,15 @@ failure reported by index is reproducible.
 Class membership is decided by the named predicates in ``PREDICATES``.
 A matching class forbids some neighbour patterns: ``MATCHING_RULES`` names
 its rules, ``RULE_TESTS`` the test of a whole matching for each rule's
-pattern, and its predicate is built from the two.  The same rules prune
-``gen_matchings``, a depth-first search in closer order, to exactly the
-class; ``generate`` still runs the predicates on every object it yields,
-so they post-check every pruned stream, and over the unpruned stream they
-are the oracle the tests hold the rules to.  The search keeps the partner
-list of the arcs placed so far, and each matching it yields is that list
-as a tuple, the one slot of a ``Matching``; it builds no arc tuple.
+pattern, and its predicate is built from the two.  ``STEP_TESTS``, the one
+table of local rules, tests each arc as it is placed in closer order: it
+prunes ``gen_matchings``, a depth-first search, to exactly the class, and
+``merged_tallies`` counts the class by the same search with equivalent
+states merged.  ``generate`` still runs the predicates on every object it
+yields, so they post-check every pruned stream, and over the unpruned stream
+they are the oracle the tests hold the step tests to.  The search keeps the
+partner list of the arcs placed so far, and each matching it yields is that
+list as a tuple, the one slot of a ``Matching``.
 
 The counting sequences (factorials, Catalan, the Fishburn series, the
 second-order Eulerian rows) are computed by formula or recurrence,
@@ -45,21 +47,27 @@ from .statistics import stat_tuple
 # Generators
 # ---------------------------------------------------------------------------
 
-# Local rules of the matching search.  Each forbids one pattern of two arcs
-# and is decided when an arc (o, c) is placed, with p the partner map of the
-# arcs placed before it; a position below c still unused then is an opener
-# that closes after c.
-#   lne, lcr  arcs with adjacent openers x, x + 1 that nest, cross (they nest
-#             exactly when p[x] > p[x + 1]): o - 1, o + 1 is still open
-#   rne, rcr  the same on adjacent closers: c - 1 closed an arc opened after,
-#             before o
-#   gap2      arcs with openers x, x + 2 that nest: o - 2 is still open
-#   ne, cr    any nesting, crossing: an opener before o, between o and c is
-#             still open, so only the earliest, latest open opener may close
-# rule -> the ``objects`` test of a whole matching for its pattern, in flag order
+# rule -> the ``objects`` test of a whole matching for its pattern of two arcs
 RULE_TESTS = {"lne": "has_left_nesting", "lcr": "has_left_crossing",
               "rne": "has_right_nesting", "rcr": "has_right_crossing",
               "gap2": "has_gap2_nesting", "ne": "has_nesting", "cr": "has_crossing"}
+
+# rule -> its step test (p, o, c): does the arc (o, c), placed next in closer
+# order, form the rule's pattern with an arc already placed?  p is the partner
+# list of the arcs placed, so a position below c with p 0 is still open.
+#   lne, lcr  openers x, x + 1 that nest, cross: o - 1, o + 1 is still open
+#   rne, rcr  closers x, x + 1 that nest, cross: c - 1 closed an arc opened
+#             after, before o
+#   gap2      openers x, x + 2 that nest: o - 2 is still open
+#   ne, cr    any nesting, crossing: an opener before o, between o and c is
+#             still open, so only the earliest, latest open opener may close
+STEP_TESTS = {"lne": lambda p, o, c: o > 1 and not p[o - 1],
+              "lcr": lambda p, o, c: o + 1 < c and not p[o + 1],
+              "rne": lambda p, o, c: o < p[c - 1] < c - 1,
+              "rcr": lambda p, o, c: 0 < p[c - 1] < o,
+              "gap2": lambda p, o, c: o > 2 and not p[o - 2],
+              "ne": lambda p, o, c: not all(p[1:o]),
+              "cr": lambda p, o, c: not all(p[o + 1:c])}
 
 # matching predicate -> the rules that cut out its class
 MATCHING_RULES = {
@@ -103,16 +111,12 @@ def _closer_order(n: int, rules: frozenset, prefix: tuple = ()) -> Iterator[tupl
     top = 2 * n
     total = top * (top + 1) // 2        # the sum of all positions
     p = [0] * (top + 2)                 # partner of each position, 0 if unused
-    lne, lcr, rne, rcr, gap2, ne, cr = (rule in rules for rule in RULE_TESTS)
-
-    def breaks(o: int, c: int) -> bool:
-        # whether the arc (o, c), placed next, breaks a rule
-        q = p[c - 1]
-        return bool((lne and o > 1 and not p[o - 1])
-                    or (lcr and o + 1 < c and not p[o + 1])
-                    or (gap2 and o > 2 and not p[o - 2])
-                    or (q and q < c - 1 and (rne if q > o else rcr))
-                    or (ne and not all(p[1:o])) or (cr and not all(p[o + 1:c])))
+    # the class's step tests, composed once
+    tests = [test for rule, test in STEP_TESTS.items() if rule in rules]
+    if len(tests) == 2:
+        first, second = tests
+        tests = [lambda p, o, c: first(p, o, c) or second(p, o, c)]
+    breaks = tests[0] if len(tests) == 1 else lambda p, o, c: any(t(p, o, c) for t in tests)
 
     def place(k: int, last: int, used: int):
         # arcs 1..k-1 are placed, the last closing at ``last``; ``used`` is
@@ -121,7 +125,7 @@ def _closer_order(n: int, rules: frozenset, prefix: tuple = ()) -> Iterator[tupl
             if p[o]:
                 continue
             for c in range(max(o, last) + 1, n + k + 1):
-                if rules and breaks(o, c):
+                if rules and breaks(p, o, c):
                     continue
                 p[o] = c
                 p[c] = o
@@ -130,7 +134,7 @@ def _closer_order(n: int, rules: frozenset, prefix: tuple = ()) -> Iterator[tupl
                 else:
                     # arc n joins the one position left to top
                     u = total - used - o - c - top
-                    if not (rules and breaks(u, top)):
+                    if not (rules and breaks(p, u, top)):
                         p[u] = top
                         p[top] = u
                         yield tuple(p)
@@ -161,29 +165,19 @@ def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
     return map(Matching.from_partner, _closer_order(n, rules))
 
 
-# Step tests of ``merged_tallies``: a step closes the O at w[i], with j O's
-# before it, w ending with its r new openers; k O's precede the mark
-STEP_TESTS = {"lne": lambda w, i, j, r, k: w[i - 1:i] == "O",
-              "lcr": lambda w, i, j, r, k: w[i + 1:i + 2] == "O",
-              "rne": lambda w, i, j, r, k: not r and j < k,
-              "rcr": lambda w, i, j, r, k: not r and j >= k,
-              "gap2": lambda w, i, j, r, k: i > 1 and w[i - 2] == "O",
-              "ne": lambda w, i, j, r, k: j > 0,
-              "cr": lambda w, i, j, r, k: "O" in w[i + 1:]}
-
-
 def merged_tallies(rules: Iterable[str] = (), names: Sequence[str] = ()):
     """The function from n to the tally of the statistics ``names`` (lne, rne,
-    comp, inter, min) over ``gen_matchings(n, rules)``, as its distribution
-    rows: the closer-order search with equivalent states merged, one memo for
-    every n.  A state is the word of the positions up to the last closer, "O"
-    for an opener still open and "X" else, the number k of O's before the
-    mark (the last closer's opener) and the ``free`` positions above.  A step
-    appends r new openers and closes an O: ``STEP_TESTS`` decide the rules
-    and count lne and rne, comp counts the steps that leave no O, inter those
-    with r > 0, and min is the first r.  A state keeps what a test can see:
-    no leading X, X runs of 1 (2 under gap2), k only if rne or rcr is read,
-    and its runs of O's sorted unless rne, rcr, ne, cr or gap2 is read.
+    comp, inter, min) over ``gen_matchings(n, rules)``, as distribution rows:
+    the closer-order search with equivalent states merged, one memo for every
+    n.  A state is the word of the positions up to the last closer ("O" an
+    opener still open, "M" the last closer's opener, "X" any other) and the
+    ``free`` positions above.  A step appends r new openers and closes an O:
+    ``STEP_TESTS`` decide the rules and count lne and rne on the partner list
+    of the word's shape (M's position for the last closer), comp counts steps
+    leaving no O, inter those with r > 0, and min is the first r.  A state
+    keeps what a test can see: no leading X, X runs of 1 (2 under gap2), M
+    only if rne or rcr is read, its run cut to M (MX at the end) without
+    gap2, and its O runs sorted unless rne, rcr, ne, cr or gap2 is read.
 
     >>> merged_tallies({"lne", "gap2"})(6), merged_tallies({"lne"}, ("rne",))(3)
     ({(): 217}, {(0,): 5, (1,): 1})
@@ -196,40 +190,46 @@ def merged_tallies(rules: Iterable[str] = (), names: Sequence[str] = ()):
     # the rules' tests with no bit, then the counted statistics' with theirs
     checks = [(STEP_TESTS[rule], 0) for rule in rules] + [
         (STEP_TESTS[x], 1 << shift[x]) for x in ("lne", "rne") if x in shift]
-    mark = bool(rules & {"rne", "rcr"}) or "rne" in shift
-    ordered = mark or rules & {"ne", "cr", "gap2"}
-    cut = functools.partial(re.compile("(XX)X+" if "gap2" in rules else "(X)X+").sub, r"\1")
+    mark = "M" if rules & {"rne", "rcr"} or "rne" in shift else "X"
+    ordered = mark == "M" or rules & {"ne", "cr", "gap2"}
+    # delete the closed letters no test can see
+    cut = functools.partial(re.compile("(?<=XX)X+" if "gap2" in rules
+                                       else "(?<=X)X+|X+(?=M)|(?<=M)X+(?=O)").sub, "")
 
     @functools.cache
-    def future(word: str, k: int, free: int) -> dict[int, int]:
-        # statistics, 16 bits each -> the completions adding them; k < 0 at start
+    def future(word: str, free: int, start: bool) -> dict[int, int]:
+        # statistics, 16 bits each -> the completions adding them
         if not free:
             return {0: 1}
-        opens, steps, out = word.count("O"), {}, {}
+        size, opens, steps, out = len(word), word.count("O"), {}, {}
+        p = [0] + [letter != "O" for letter in word] + [0] * ((free - opens) // 2 + 1)
+        if "M" in word:
+            p[size] = word.index("M") + 1
+        at, base = [x for x in range(1, size + 1) if not p[x]], word.replace("M", "X")
         for r in range((free - opens) // 2 + 1):        # each O needs a closer
-            w, i = word + "O" * r, -1
-            gain = (r and inter) + (k < 0 and least * r) + (opens + r == 1 and comp)
-            for j in range(opens + r):
-                i = w.index("O", i + 1)
+            c, w = size + r + 1, base + "O" * r
+            closed = mark if opens + r > 1 else "X"     # no O is left to read M
+            gain = (r and inter) + (start and least * r) + (opens + r == 1 and comp)
+            for o in at + [*range(size + 1, c)]:
                 gained = gain
                 for test, bit in checks:
-                    if test(w, i, j, r, k):
+                    if test(p, o, c):
                         if not bit:         # a rule, broken
                             break
                         gained += bit
                 else:
-                    after = cut(f"{w[:i]}X{w[i + 1:]}X") if ordered else "X".join(
-                        sorted(f"{w[:i]}X{w[i + 1:]}".split("X"))) + "X"
-                    step = (after.lstrip("X"), j if mark else 0, free - r - 1, gained)
+                    after = cut(f"{w[:o - 1]}{closed}{w[o:]}X") if ordered else "X".join(
+                        sorted(f"{w[:o - 1]}X{w[o:]}".split("X"))) + "X"
+                    step = (after.lstrip("X"), free - r - 1, gained)
                     steps[step] = steps.get(step, 0) + 1
-        for (after, k, free, gain), copies in steps.items():
-            for key, count in future(after, k, free).items():
+        for (after, free, gain), copies in steps.items():
+            for key, count in future(after, free, False).items():
                 key += gain
                 out[key] = out.get(key, 0) + copies * count
         return out
 
     return _sized(lambda n: {tuple(key >> shift[x] & 0xFFFF for x in names): count
-                             for key, count in future("", -1, 2 * n).items()})
+                             for key, count in future("", 2 * n, True).items()})
 
 
 @_sized

@@ -296,23 +296,81 @@ def _break_pass(monkeypatch, class_name, name, compute):
     monkeypatch.setitem(statistics._PASS_OF[class_name], name, ((name,), compute))
 
 
+def _set_step_test(rule, test):
+    """Replace the step test of ``rule``."""
+    return lambda mp: mp.setitem(enumeration.STEP_TESTS, rule, test)
+
+
+# a fault in the step table, which the search and the merged counter share,
+# -> (the fault, every check it fails at n <= 5 with the witness it gives)
+STEP_FAULTS = {
+    "rne inverted": (
+        _set_step_test("rne", lambda p, o, c: 0 < p[c - 1] < o),      # the rcr test
+        {"thm_matrix_map_no_neighbor_nesting": {
+            "n": 2, "counted": "matchings with no neighbor nesting", "expected": 2, "actual": 1},
+         "conj1_equidistribution": {"n": 2, "tuple": [0, 1, 2], "counts": [1, 1, 0]},
+         "conj2_equidistribution": {"n": 2, "tuple": [0, 2, 0], "counts": [1, 1, 0]},
+         "cor_fishburn_class_agreement": {
+             "n": 2, "counted": "no_neighbor_nesting_matchings", "expected": 2, "actual": 1}}),
+    "gap2 off": (
+        _set_step_test("gap2", lambda p, o, c: False),
+        {"conj3_no_2_left_nestings": {
+            "n": 3, "counted": "matchings with no 2-left-nesting", "expected": 5, "actual": 6}}),
+    "lne two back": (
+        _set_step_test("lne", lambda p, o, c: o > 2 and not p[o - 2]),
+        {"thm_no_left_nesting_count": {
+            "n": 3, "counted": "matchings with no left-nesting", "expected": 6, "actual": 5},
+         "thm_matrix_map_no_neighbor_nesting": {
+             "n": 4, "counted": "matchings with no neighbor nesting", "expected": 15, "actual": 14},
+         "thm_matrix_map_surjective": {
+             "n": 4, "class": "matrix", "missing": True,
+             "object": {"k": 3, "rows": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]}},
+         "prop_zero_one_matrices": {
+             "n": 3, "counted": "matchings with no left-nesting and no right-crossing",
+             "expected": 2, "actual": 1},
+         "conj1_equidistribution": {"n": 2, "tuple": [1, 1, 2], "counts": [0, 0, 1]},
+         "conj2_equidistribution": {"n": 2, "tuple": [1, 2, 0], "counts": [0, 0, 1]},
+         "conj3_no_2_left_nestings": {
+             "n": 2, "counted": "matchings with no 2-left-nesting", "expected": 2, "actual": 3},
+         "conj4_lne_second_order_eulerian": {"n": 2, "lne_counts": [3, 0], "row": [1, 2]},
+         "cor_fishburn_class_agreement": {
+             "n": 4, "counted": "no_neighbor_nesting_matchings", "expected": 15, "actual": 14}}),
+    # conj4 alone cannot tell the two: the left-crossings of all matchings
+    # have the same rows at n <= 5
+    "lcr for lne": (
+        _set_step_test("lne", enumeration.STEP_TESTS["lcr"]),
+        {"thm_no_left_nesting_count": {
+            "n": 2, "counted": "matchings with no left-nesting", "expected": 2, "actual": 1},
+         "thm_matrix_map_no_neighbor_nesting": {
+             "n": 2, "counted": "matchings with no neighbor nesting", "expected": 2, "actual": 1},
+         "thm_matrix_map_surjective": {
+             "n": 2, "class": "matrix", "missing": True, "object": {"k": 1, "rows": [[2]]}},
+         "prop_zero_one_matrices": {
+             "n": 3, "counted": "matchings with no left-nesting and no right-crossing",
+             "expected": 2, "actual": 1},
+         "conj1_equidistribution": {"n": 2, "tuple": [0, 1, 2], "counts": [1, 1, 0]},
+         "conj2_equidistribution": {"n": 2, "tuple": [0, 2, 0], "counts": [1, 1, 0]},
+         "cor_fishburn_class_agreement": {
+             "n": 2, "counted": "no_neighbor_nesting_matchings", "expected": 2, "actual": 1}}),
+}
+
+
+def _step_fault(fault, check):
+    """The step-table fault with the witness it gives for one check."""
+    inject, failures = STEP_FAULTS[fault]
+    return inject, failures[check]
+
+
 # check -> (the fault, which makes it fail at n <= 5, and the witness it gives)
 FAULTS = {
-    "conj1_equidistribution": (
-        lambda mp: mp.setitem(enumeration.STEP_TESTS, "rne",
-                              lambda w, i, j, r, k: not r and j >= k),   # mark test inverted
-        {"n": 2, "tuple": [0, 1, 2], "counts": [1, 1, 0]}),
+    "conj1_equidistribution": _step_fault("rne inverted", "conj1_equidistribution"),
     "conj2_equidistribution": (
         lambda mp: _break_pass(mp, "permutations", "des",                # counts ascents
                                lambda pi: (sum(map(int.__lt__, pi, pi[1:])),)),
         {"n": 2, "tuple": [0, 1, 0], "counts": [0, 1, 0]}),
-    "conj3_no_2_left_nestings": (
-        lambda mp: mp.setitem(enumeration.STEP_TESTS, "gap2", lambda w, i, j, r, k: False),
-        {"n": 3, "counted": "matchings with no 2-left-nesting", "expected": 5, "actual": 6}),
-    "conj4_lne_second_order_eulerian": (
-        lambda mp: mp.setitem(enumeration.STEP_TESTS, "lne",             # two letters back
-                              lambda w, i, j, r, k: i > 1 and w[i - 2] == "O"),
-        {"n": 2, "lne_counts": [3, 0], "row": [1, 2]}),
+    "conj3_no_2_left_nestings": _step_fault("gap2 off", "conj3_no_2_left_nestings"),
+    "conj4_lne_second_order_eulerian": _step_fault(
+        "lne two back", "conj4_lne_second_order_eulerian"),
     "cor_mahonian": (
         lambda mp: _break_pass(mp, "permutations", "inv",                # adjacent pairs only
                                lambda pi: (sum(map(int.__gt__, pi, pi[1:])),)),
@@ -353,6 +411,18 @@ class TestInjectedFaults:
         assert json.loads(json.dumps(report.witness)) == witness
         if "table" in witness:          # the one witness that names an object
             jsonio.decode("inversion_table", witness["table"])
+
+    @pytest.mark.parametrize("fault", sorted(STEP_FAULTS))
+    def test_step_fault_fails_exactly_these_checks(self, monkeypatch, clear_caches, fault):
+        inject, failures = STEP_FAULTS[fault]
+        assert all(report.verdict == "pass" for report in run_all(5))
+        clear_caches()
+        inject(monkeypatch)
+        assert {report.check: report.witness for report in run_all(5)
+                if report.verdict == "fail"} == failures
+        for witness in failures.values():
+            if "object" in witness:
+                jsonio.decode(witness["class"], witness["object"])
 
 
 class TestDataLayer:
