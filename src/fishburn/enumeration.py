@@ -167,26 +167,27 @@ def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
 
 def merged_tallies(rules: Iterable[str] = (), names: Sequence[str] = ()):
     """The function from n to the tally of the statistics ``names`` (lne, rne,
-    comp, inter, min) over ``gen_matchings(n, rules)``, as distribution rows:
-    the closer-order search with equivalent states merged, one memo for every
-    n.  A state is the word of the positions up to the last closer ("O" an
-    opener still open, "M" the last closer's opener, "X" any other) and the
+    comp, inter, min, emb) over ``gen_matchings(n, rules)``, as distribution
+    rows: the closer-order search with equivalent states merged, one memo for
+    every n.  A state is the word of the positions up to the last closer ("O"
+    an opener still open, "M" the last closer's opener, "X" any other) and the
     ``free`` positions above.  A step appends r new openers and closes an O:
     ``STEP_TESTS`` decide the rules and count lne and rne on the partner list
     of the word's shape (M's position for the last closer), comp counts steps
-    leaving no O, inter those with r > 0, and min is the first r.  A state
-    keeps what a test can see: no leading X, X runs of 1 (2 under gap2), M
-    only if rne or rcr is read, its run cut to M (MX at the end) without
-    gap2, and its O runs sorted unless rne, rcr, ne, cr or gap2 is read.
+    leaving no O, inter those with r > 0, min is the first r, and emb adds the
+    O's left open, which embrace the step's closer.  A state keeps what a test
+    can see: no leading X, X runs of 1 (2 under gap2), M only if rne or rcr is
+    read, its run cut to M (MX at the end) without gap2, and its O runs sorted
+    unless rne, rcr, ne, cr or gap2 is read.
 
     >>> merged_tallies({"lne", "gap2"})(6), merged_tallies({"lne"}, ("rne",))(3)
     ({(): 217}, {(0,): 5, (1,): 1})
     """
-    rules, names = frozenset(rules), tuple(names)
-    if not rules <= STEP_TESTS.keys() or not set(names) <= {"lne", "rne", "comp", "inter", "min"}:
+    rules, names, per_step = frozenset(rules), tuple(names), ("comp", "inter", "min", "emb")
+    if not rules <= STEP_TESTS.keys() or not set(names) <= {"lne", "rne", *per_step}:
         raise ValueError(f"the merged search has no rules {sorted(rules)} or names {names}")
     shift = {name: 16 * place for place, name in enumerate(dict.fromkeys(names))}
-    comp, inter, least = (1 << shift[x] if x in shift else 0 for x in ("comp", "inter", "min"))
+    comp, inter, least, emb = (1 << shift[x] if x in shift else 0 for x in per_step)
     # the rules' tests with no bit, then the counted statistics' with theirs
     checks = [(STEP_TESTS[rule], 0) for rule in rules] + [
         (STEP_TESTS[x], 1 << shift[x]) for x in ("lne", "rne") if x in shift]
@@ -207,9 +208,9 @@ def merged_tallies(rules: Iterable[str] = (), names: Sequence[str] = ()):
             p[size] = word.index("M") + 1
         at, base = [x for x in range(1, size + 1) if not p[x]], word.replace("M", "X")
         for r in range((free - opens) // 2 + 1):        # each O needs a closer
-            c, w = size + r + 1, base + "O" * r
-            closed = mark if opens + r > 1 else "X"     # no O is left to read M
-            gain = (r and inter) + (start and least * r) + (opens + r == 1 and comp)
+            c, w, left = size + r + 1, base + "O" * r, opens + r - 1    # left open
+            closed = mark if left else "X"              # no O is left to read M
+            gain = (r and inter) + (start and least * r) + (not left and comp) + left * emb
             for o in at + [*range(size + 1, c)]:
                 gained = gain
                 for test, bit in checks:
@@ -230,15 +231,6 @@ def merged_tallies(rules: Iterable[str] = (), names: Sequence[str] = ()):
 
     return _sized(lambda n: {tuple(key >> shift[x] & 0xFFFF for x in names): count
                              for key, count in future("", 2 * n, True).items()})
-
-
-@_sized
-def left_nesting_tallies(n_max: int) -> Iterator[Counter]:
-    """How many matchings of [2n] have each number of left-nestings, for n =
-    0, 1, ..., n_max in turn, by one ``merged_tallies`` counter."""
-    tally = merged_tallies((), ("lne",))
-    return (Counter({lnes: count for (lnes,), count in tally(n).items()})
-            for n in range(n_max + 1))
 
 
 @_sized

@@ -33,7 +33,7 @@ MAX_DECODED_SIZE = 1000
 
 def encode(class_name: str, obj) -> object:
     if class_name == "matching":
-        return {"n": obj.n, "arcs": [list(arc) for arc in obj.arcs]}
+        return {"n": obj.n, "arcs": [[o, x] for x, o in enumerate(obj.partner) if 0 < o < x]}
     if class_name in ("inversion_table", "ascent_sequence", "permutation"):
         return list(obj)
     if class_name == "poset":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEndpoint,
@@ -380,14 +380,20 @@ def validate_permutation(values: Iterable[int]) -> tuple[int, ...]:
     return pi
 
 
+def _corrected(w: Sequence[int], flagged: Callable[[int, int, int], bool]) -> bool:
+    """Every position i that ``flagged(a_i, a_{i+1}, i)`` picks has a later
+    entry equal to i: one pass right to left, keeping the later entries."""
+    later = set()
+    for i in range(len(w) - 1, 0, -1):          # 1-based position i
+        later.add(w[i])
+        if flagged(w[i - 1], w[i], i) and i not in later:
+            return False
+    return True
+
+
 def is_descent_correcting(w: Sequence[int]) -> bool:
     """Every descent position i (a_i > a_{i+1}) has a later entry equal to i."""
-    n = len(w)
-    for i in range(1, n):                       # 1-based position i
-        if w[i - 1] > w[i]:
-            if not any(w[l] == i for l in range(i, n)):
-                return False
-    return True
+    return _corrected(w, lambda a, b, i: a > b)
 
 
 def is_ascent_correcting(w: Sequence[int]) -> bool:
@@ -396,12 +402,7 @@ def is_ascent_correcting(w: Sequence[int]) -> bool:
     For valid inversion tables a_{i+1} <= i, so the exclusion clause never
     fires and the rule is simply "every ascent gets corrected".
     """
-    n = len(w)
-    for i in range(1, n):
-        if w[i - 1] < w[i] and w[i] != i + 1:
-            if not any(w[l] == i for l in range(i, n)):
-                return False
-    return True
+    return _corrected(w, lambda a, b, i: a < b != i + 1)
 
 
 # ---------------------------------------------------------------------------

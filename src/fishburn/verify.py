@@ -11,9 +11,10 @@ serialized so it can be fed back through the CLI.
 
 A check is a ``REGISTRY`` row of per-n *facts*, each mapping n to a witness
 or to None when it holds; ``_facts`` runs n on the outside and the facts on
-the inside.  Facts read their data through two caches, ``_objects`` for a
-class filtered by named ``PREDICATES`` entries and ``_tally`` for statistic
-tallies, which ``_merged`` counts for a matching class without building it.
+the inside.  Facts read their data through two caches, keyed by a class and
+a tuple of named ``PREDICATES`` entries: ``_objects`` for its members and
+``_tally`` for statistic tallies, which ``_merged`` counts for every matching
+class without building it.
 
 Conjecture checks are flagged ``conjecture`` even when they pass: passing
 at small n is evidence, not proof.
@@ -53,7 +54,6 @@ from .enumeration import (
     eulerian_triangle_row,
     fishburn_numbers,
     generate,
-    left_nesting_tallies,
     merged_tallies,
     second_order_eulerian,
 )
@@ -117,13 +117,12 @@ _merged = lru_cache(maxsize=None)(merged_tallies)     # one memo for every n
 
 
 @lru_cache(maxsize=None)
-def _tally(class_name: str, n: int, source, names: tuple[str, ...]) -> dict:
-    """The tally of a statistic tuple over a source: a predicate tuple naming
-    a class (by ``_merged`` for matchings), or a function of n giving a stream."""
-    if class_name == "matchings" and isinstance(source, tuple):
-        return _merged(frozenset().union(*map(MATCHING_RULES.get, source)), names)(n)
-    stream = _objects(class_name, n, source) if isinstance(source, tuple) else source(n)
-    return distribution(stream, class_name, names).rows
+def _tally(class_name: str, n: int, predicates: tuple[str, ...], names: tuple[str, ...]):
+    """The tally of a statistic tuple over the class filtered by the predicates,
+    by ``_merged`` for matchings."""
+    if class_name == "matchings":
+        return _merged(frozenset().union(*map(MATCHING_RULES.get, predicates)), names)(n)
+    return distribution(_objects(class_name, n, predicates), class_name, names).rows
 
 
 def _obj(class_name: str, obj) -> dict:
@@ -245,13 +244,12 @@ def _first_difference(counters: Sequence[dict]):
 
 
 def _equidistributed(*rows):
-    """Each row (class, source, names[, shift]) tallies alike, where the
-    source is as in :func:`_tally` and a shift is added to every statistic
-    tuple of its row."""
+    """Each row (class, predicates, names[, shift]) tallies alike, where a
+    shift is added to every statistic tuple of its row."""
     def fact(n):
         counters = []
-        for class_name, source, names, *shift in rows:
-            tally = _tally(class_name, n, source, names)
+        for class_name, predicates, names, *shift in rows:
+            tally = _tally(class_name, n, predicates, names)
             if shift:
                 tally = {tuple(v + d for v, d in zip(key, shift[0])): count
                          for key, count in tally.items()}
@@ -306,10 +304,6 @@ def _triple_statistics(n: int):
             return {"n": n, "table": list(w), "tuple": list(t_poset)}
 
 
-def _matchings_of_tables(n: int) -> Iterable:
-    return map(table_to_matching, _objects("inversion_tables", n, ()))
-
-
 def _eulerian_recurrence(n: int):
     if n == 0:
         return None
@@ -330,12 +324,13 @@ def check_lne_second_order_eulerian(n_max: int):
     the second-order Eulerian row, compared as multisets; row sums must be
     the odd double factorial.  The detected orientation is reported."""
     orientations = set()
-    for n, dist in enumerate(left_nesting_tallies(n_max)):
+    for n in range(n_max + 1):
+        dist = _tally("matchings", n, (), ("lne",))
         row = second_order_eulerian(n)
         if sum(row) != double_factorial(2 * n - 1):
             return False, {"n": n, "row": list(row), "expected_sum":
                            double_factorial(2 * n - 1)}, None
-        counts = [dist.get(k, 0) for k in range(max(n, 1))]
+        counts = [dist.get((k,), 0) for k in range(max(n, 1))]
         if sorted(counts) != sorted(row):
             return False, {"n": n, "lne_counts": counts, "row": list(row)}, None
         if n >= 2:
@@ -484,7 +479,7 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
     "cor_mahonian": ("corollary", 7, _facts(_equidistributed(
         ("factorial_posets", (), ("ip",)),
         ("permutations", (), ("inv",)),
-        ("matchings", _matchings_of_tables, ("emb",))))),
+        ("matchings", ("no_left_nesting",), ("emb",))))),
     # Levels of factorial posets, opener intervals of matchings with no
     # left-nesting and distinct table entries are all Eulerian: their common
     # distribution matches descents (shifted by one) and the distinct-entry
@@ -492,7 +487,7 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
     "cor_eulerian": ("corollary", 7, _facts(
         _equidistributed(
             ("factorial_posets", (), ("lev",)),
-            ("matchings", _matchings_of_tables, ("inter",)),
+            ("matchings", ("no_left_nesting",), ("inter",)),
             ("inversion_tables", (), ("dent",))),
         _eulerian_recurrence)),
     # Conjectured: neighbor violations, components and minima on factorial

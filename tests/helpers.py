@@ -206,6 +206,28 @@ def has_gap2_nesting_by_pairs(arcs):
     return any(o2 == o1 + 2 and c2 < c1 for (o1, c1), (o2, c2) in itertools.permutations(arcs, 2))
 
 
+def quadratic_descent_correcting(w):
+    """Every descent position i (a_i > a_{i+1}) has a later entry equal to i,
+    each later entry scanned anew."""
+    n = len(w)
+    for i in range(1, n):                       # 1-based position i
+        if w[i - 1] > w[i]:
+            if not any(w[l] == i for l in range(i, n)):
+                return False
+    return True
+
+
+def quadratic_ascent_correcting(w):
+    """Every ascent position i with a_{i+1} != i+1 has a later entry equal to
+    i, each later entry scanned anew."""
+    n = len(w)
+    for i in range(1, n):
+        if w[i - 1] < w[i] and w[i] != i + 1:
+            if not any(w[l] == i for l in range(i, n)):
+                return False
+    return True
+
+
 def shape_by_views(m):
     """(comp, min, last, inter, emb) from the arc, opener and closer views,
     one definition each, as the statistic passes read them before they

@@ -42,7 +42,6 @@ from fishburn.enumeration import (
     RULE_TESTS,
     STEP_TESTS,
     _closer_order,
-    left_nesting_tallies,
     merged_tallies,
 )
 from fishburn.objects import Matching, is_factorial, validate_matrix
@@ -64,11 +63,11 @@ from helpers import (
 )
 
 
-def lne_tally(n):
-    """The tally of left-nestings over the matchings of [2n]: the last one of
-    ``left_nesting_tallies(n)``."""
-    *_, tally = left_nesting_tallies(n)
-    return tally
+def lne_tally(n, counter=None):
+    """The tally of left-nestings over the matchings of [2n], by ``counter``
+    (a ``merged_tallies((), ("lne",))``), else by a counter of its own."""
+    counter = counter or merged_tallies((), ("lne",))
+    return {lnes: count for (lnes,), count in counter(n).items()}
 
 
 MATCHING_PREDICATES = [name for name, (classes, _) in PREDICATES.items()
@@ -179,7 +178,7 @@ class TestGenerators:
         (gen_permutations, -1), (gen_inversion_tables, -1),
         (gen_factorial_posets, -1), (gen_matchings, -2), (gen_matchings, True),
         (gen_natural_posets, -1), (gen_ascent_sequences, -1), (gen_matrices, -1),
-        (left_nesting_tallies, -1)])
+        (merged_tallies((), ("lne",)), -1)])
     def test_generators_refuse_bad_sizes_when_called(self, gen, n):
         # these once yielded an empty object, ((1, 2),) for True, or died
         # in RecursionError
@@ -228,7 +227,8 @@ class TestCloserOrderSearch:
         assert 0 not in tally.values()
 
     def test_shared_memo_tallies_equal_separate_tallies(self):
-        assert list(left_nesting_tallies(12)) == [lne_tally(n) for n in range(13)]
+        shared = merged_tallies((), ("lne",))
+        assert [lne_tally(n, shared) for n in range(13)] == [lne_tally(n) for n in range(13)]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_left_nesting_tally_of_at_most_one_arc(self, n):
@@ -314,8 +314,8 @@ class TestMergedTallies:
         # with rne the word keeps its order and its mark; without, lne and the
         # step statistics read runs sorted (unless a rule needs the order);
         # a repeated name is tallied twice
-        for names in [("lne", "rne", "comp", "inter", "min"), ("lne", "comp", "inter", "min"),
-                      ("min", "lne", "min")]:
+        for names in [("lne", "rne", "comp", "inter", "min", "emb"),
+                      ("lne", "comp", "inter", "min", "emb"), ("min", "lne", "emb", "min")]:
             tally = merged_tallies(rules, names)
             for n in range(7):
                 expected = distribution(gen_matchings(n, rules), "matchings", names).rows
@@ -325,7 +325,7 @@ class TestMergedTallies:
         tally = merged_tallies(MATCHING_RULES["no_2_left_nesting"])
         assert [tally(n) for n in range(16)] == [{(): f} for f in fishburn_numbers(15)]
 
-    @pytest.mark.parametrize("rules, names", [(("lnx",), ()), ((), ("emb",)), ((), ("lcr",))])
+    @pytest.mark.parametrize("rules, names", [(("lnx",), ()), ((), ("last",)), ((), ("lcr",))])
     def test_unknown_rules_and_statistics_refused(self, rules, names):
         with pytest.raises(ValueError):
             merged_tallies(rules, names)

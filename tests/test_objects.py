@@ -47,6 +47,8 @@ from fishburn.objects import (
     has_nesting,
     has_right_crossing,
     has_right_nesting,
+    is_ascent_correcting,
+    is_descent_correcting,
     is_factorial,
     is_two_plus_two_free,
     is_two_plus_two_free_by_inclusion,
@@ -67,6 +69,8 @@ from helpers import (
     naive_counts,
     naive_matchings,
     naive_natural_posets_by_filter,
+    quadratic_ascent_correcting,
+    quadratic_descent_correcting,
 )
 
 
@@ -351,6 +355,25 @@ class TestInversionTables:
         assert table_predicate_values((0, 0, 1))["ascent_correcting"] is False
         assert table_predicate_values((0, 0, 0)) == {
             "descent_correcting": True, "ascent_correcting": True}
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_correcting_rules_equal_quadratic_scans_on_tables(self, n):
+        for w in gen_inversion_tables(n):
+            assert is_descent_correcting(w) == quadratic_descent_correcting(w), w
+            assert is_ascent_correcting(w) == quadratic_ascent_correcting(w), w
+
+    def test_correcting_rules_equal_quadratic_scans_off_tables(self):
+        # entries up to n + 1, so a_{i+1} = i + 1 occurs and the ascent
+        # rule's exclusion clause fires
+        rng = random.Random(23)
+        fired = 0
+        for _ in range(3000):
+            n = rng.randint(0, 9)
+            w = tuple(rng.randint(0, n + 1) for _ in range(n))
+            fired += any(a < b == i + 1 for i, (a, b) in enumerate(zip(w, w[1:]), 1))
+            assert is_descent_correcting(w) == quadratic_descent_correcting(w), w
+            assert is_ascent_correcting(w) == quadratic_ascent_correcting(w), w
+        assert fired
 
 
 class TestPoset:

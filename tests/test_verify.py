@@ -333,6 +333,8 @@ STEP_FAULTS = {
          "conj3_no_2_left_nestings": {
              "n": 2, "counted": "matchings with no 2-left-nesting", "expected": 2, "actual": 3},
          "conj4_lne_second_order_eulerian": {"n": 2, "lne_counts": [3, 0], "row": [1, 2]},
+         "cor_mahonian": {"n": 2, "tuple": [1], "counts": [1, 1, 2]},
+         "cor_eulerian": {"n": 2, "tuple": [1], "counts": [1, 2, 1]},
          "cor_fishburn_class_agreement": {
              "n": 4, "counted": "no_neighbor_nesting_matchings", "expected": 15, "actual": 14}}),
     # conj4 alone cannot tell the two: the left-crossings of all matchings
