@@ -11,9 +11,10 @@ pattern, and its predicate is built from the two.  ``STEP_TESTS``, the one
 table of local rules, tests each arc as it is placed in closer order: it
 prunes ``gen_matchings``, a depth-first search, to exactly the class, and
 ``merged_tallies`` counts the class by the same search with equivalent
-states merged.  ``generate`` still runs the predicates on every object it
-yields, so they post-check every pruned stream, and over the unpruned stream
-they are the oracle the tests hold the step tests to.  The search keeps the
+states merged; ``tally``, the one route for a count or a distribution of a
+class, reads it for the matchings.  ``generate`` still runs the predicates on
+every object it yields, so they post-check every pruned stream, and over the
+unpruned stream they are the oracle the tests hold the step tests to.  The search keeps the
 partner list of the arcs placed so far, and each matching it yields is that
 list as a tuple, the one slot of a ``Matching``.
 
@@ -165,6 +166,10 @@ def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
     return map(Matching.from_partner, _closer_order(n, rules))
 
 
+# the statistics ``merged_tallies`` counts
+MERGED_NAMES = frozenset({"lne", "rne", "comp", "inter", "min", "emb"})
+
+
 def merged_tallies(rules: Iterable[str] = (), names: Sequence[str] = ()):
     """The function from n to the tally of the statistics ``names`` (lne, rne,
     comp, inter, min, emb) over ``gen_matchings(n, rules)``, as distribution
@@ -184,7 +189,7 @@ def merged_tallies(rules: Iterable[str] = (), names: Sequence[str] = ()):
     ({(): 217}, {(0,): 5, (1,): 1})
     """
     rules, names, per_step = frozenset(rules), tuple(names), ("comp", "inter", "min", "emb")
-    if not rules <= STEP_TESTS.keys() or not set(names) <= {"lne", "rne", *per_step}:
+    if not rules <= STEP_TESTS.keys() or not set(names) <= MERGED_NAMES:
         raise ValueError(f"the merged search has no rules {sorted(rules)} or names {names}")
     shift = {name: 16 * place for place, name in enumerate(dict.fromkeys(names))}
     comp, inter, least, emb = (1 << shift[x] if x in shift else 0 for x in per_step)
@@ -531,3 +536,27 @@ def distribution(stream: Iterable, class_name: str,
     """Tally the named statistic tuple over every object in the stream."""
     names = tuple(stat_names)
     return DistributionTable(names, dict(Counter(map(stat_tuple(class_name, names), stream))))
+
+
+_merged = functools.cache(merged_tallies)       # one memo for every n
+
+
+def tally(class_name: str, n: int, predicates: Sequence[str] = (),
+          names: Sequence[str] = ()) -> DistributionTable:
+    """The tally of the statistics ``names`` over the class at size n filtered
+    by the predicates; with no names, the count as the one row ().  The
+    predicates, the class and n are refused as by ``generate``.  A matching
+    class tallied by names of ``MERGED_NAMES`` comes from ``merged_tallies``
+    without building a matching (one memo per rule set and names serves every
+    n); any other tally runs over ``generate``'s stream.
+
+    >>> tally("matchings", 3, ["no_left_nesting"], ["rne"]).rows
+    {(0,): 5, (1,): 1}
+    """
+    stream, names = generate(class_name, n, predicates), tuple(names)
+    if class_name == "matchings" and MERGED_NAMES.issuperset(names):
+        rules = frozenset().union(*map(MATCHING_RULES.get, predicates))
+        return DistributionTable(names, _merged(rules, names)(n))
+    if not names:       # a count: no statistic pass, nor its class check
+        return DistributionTable((), {(): sum(1 for _ in stream)})
+    return distribution(stream, class_name, names)

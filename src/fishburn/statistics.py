@@ -15,7 +15,8 @@ function that runs the class check and each pass it needs once per object.
 These passes are linear kernels; their pairwise definitions are test oracles:
 
 - ``inv``: each letter counts the larger letters before it, a popcount of the
-  mask of the letters seen so far.
+  mask of the letters seen so far; the same left-to-right pass counts the
+  descents, so ``asc``, ``des`` and ``inv`` are one kernel.
 - ``emb``: c_k - 2k arcs are open across the k-th closer c_k.
 - neighbour counts: neighbour arcs sit at adjacent positions, so one scan.
 - ``rne_poset``: one OR of every mask ^ mask >> 1 compares all successor sets.
@@ -30,7 +31,7 @@ from one sweep that tells them apart once; ``emb``, asked for alone by
 from __future__ import annotations
 
 import functools
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .bijections import permutation_to_table
@@ -75,17 +76,15 @@ def _perm_comp(pi: Sequence[int]) -> tuple[int]:
     return (comp,)
 
 
-def _perm_asc_des(pi: Sequence[int]) -> tuple[int, int]:
-    asc = sum(map(lt, pi, pi[1:]))
-    return (asc, len(pi) - 1 - asc if pi else 0)
-
-
-def _perm_inv(pi: Sequence[int]) -> tuple[int]:
-    inv = seen = 0                  # seen: bit v for each letter v so far
+def _perm_asc_des_inv(pi: Sequence[int]) -> tuple[int, int, int]:
+    des = inv = seen = prev = 0     # seen: bit v for each letter v so far
     for v in pi:
         inv += (seen >> v).bit_count()
         seen |= 1 << v
-    return (inv,)
+        if prev > v:
+            des += 1
+        prev = v
+    return (len(pi) - 1 - des if pi else 0, des, inv)
 
 
 def _records(values: Iterable[int], n: int) -> tuple[int, int]:
@@ -275,8 +274,7 @@ PASSES = {
     ),
     "permutations": (
         (("comp",), _perm_comp),
-        (("asc", "des"), _perm_asc_des),
-        (("inv",), _perm_inv),
+        (("asc", "des", "inv"), _perm_asc_des_inv),
         (("lmin", "lmax"), _perm_left_records),
         (("rmin", "rmax"), _perm_right_records),
         (("dent",), _perm_dent),

@@ -13,8 +13,8 @@ A check is a ``REGISTRY`` row of per-n *facts*, each mapping n to a witness
 or to None when it holds; ``_facts`` runs n on the outside and the facts on
 the inside.  Facts read their data through two caches, keyed by a class and
 a tuple of named ``PREDICATES`` entries: ``_objects`` for its members and
-``_tally`` for statistic tallies, which ``_merged`` counts for every matching
-class without building it.
+``_tally`` for statistic tallies, which ``enumeration.tally`` counts for
+every matching class without building it.
 
 Conjecture checks are flagged ``conjecture`` even when they pass: passing
 at small n is evidence, not proof.
@@ -46,7 +46,6 @@ from .bijections import (
     zero_one_matrix_to_matching,
 )
 from .enumeration import (
-    MATCHING_RULES,
     catalan,
     class_predicate,
     distribution,
@@ -54,8 +53,8 @@ from .enumeration import (
     eulerian_triangle_row,
     fishburn_numbers,
     generate,
-    merged_tallies,
     second_order_eulerian,
+    tally,
 )
 from .errors import UnknownCheck
 from .objects import (
@@ -113,15 +112,12 @@ def _objects(class_name: str, n: int, predicates: tuple[str, ...]) -> tuple:
     return tuple(filter(test, _objects(class_name, n, predicates[:-1])))
 
 
-_merged = lru_cache(maxsize=None)(merged_tallies)     # one memo for every n
-
-
 @lru_cache(maxsize=None)
 def _tally(class_name: str, n: int, predicates: tuple[str, ...], names: tuple[str, ...]):
     """The tally of a statistic tuple over the class filtered by the predicates,
-    by ``_merged`` for matchings."""
+    by ``tally`` for matchings."""
     if class_name == "matchings":
-        return _merged(frozenset().union(*map(MATCHING_RULES.get, predicates)), names)(n)
+        return tally(class_name, n, predicates, names).rows
     return distribution(_objects(class_name, n, predicates), class_name, names).rows
 
 

@@ -10,6 +10,7 @@ earlier bodies of the one-pass bijection kernels.
 import itertools
 import random
 
+from fishburn.enumeration import MATCHING_RULES
 from fishburn.errors import NotTwoPlusTwoFree
 from fishburn.objects import Matching, Poset, is_two_plus_two_free_by_inclusion
 
@@ -18,6 +19,15 @@ FISHBURN = [1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 ODD_DOUBLE_FACTORIAL = [1, 1, 3, 15, 105, 945, 10395, 135135]   # (2n-1)!!
 NATURAL_POSET_COUNTS = [1, 1, 2, 7, 40, 357, 4824, 96428]
+
+# The filters and statistic names of the tally route tests: every matching
+# class, all matchings, and one pair of predicates whose rules no class names;
+# names of the merged counter (one repeated), then names it lacks
+ROUTE_FILTERS = [(), *((name,) for name in sorted(MATCHING_RULES)),
+                 ("no_left_crossing", "no_right_nesting")]
+COUNTED_NAMES = [("lne", "rne", "comp", "inter", "min", "emb"), ("emb", "min"),
+                 ("rne", "comp", "rne")]
+ENUMERATED_NAMES = [("last",), ("rne", "ne"), ("lcr", "comp")]
 
 
 def naive_matchings(n):

@@ -10,8 +10,10 @@ import types
 import pytest
 
 import fishburn
-from fishburn import REGISTRY
-from fishburn.cli import main
+from fishburn import REGISTRY, catalan, cli, distribution, double_factorial, generate
+from fishburn.cli import MAX_FILTERED_MATCHING_N, MAX_MATCHING_N, main
+
+from helpers import COUNTED_NAMES, ENUMERATED_NAMES, ROUTE_FILTERS
 
 
 def package_env() -> dict:
@@ -399,6 +401,13 @@ class TestStats:
             capsys, "stats", "permutation", "[1,2]", "--stats", "lne")
         assert code == 2
 
+    def test_permutation_record(self, capsys):
+        # the key order of the record is the permutation vocabulary's
+        code, out, _ = run_cli(capsys, "stats", "permutation", "[3,1,4,2]")
+        assert code == 0
+        assert out == ('{"comp": 1, "asc": 1, "des": 2, "inv": 3, "lmin": 2, "lmax": 2, '
+                       '"rmin": 2, "rmax": 2, "dent": 3, "last": 2, "p": 0}\n')
+
     def test_boolean_endpoint_rejected(self, capsys):
         code, _, err = run_cli(capsys, "stats", "matching", '{"arcs": [[true, 2]]}')
         assert code == 2
@@ -519,6 +528,70 @@ class TestDistribution:
             capsys, "distribution", "factorial_posets", "5", "--stats", "rne_poset,comp")
         assert code == 0
         assert filtered == factorial and filtered.startswith("rne_poset,comp,count\n")
+
+
+def filter_args(predicates):
+    return [arg for name in predicates for arg in ("--filter", name)]
+
+
+class TestMatchingTallies:
+    """``distribution`` and ``enumerate --count-only`` of the matchings read
+    ``tally``: the enumerated CSV and the stream's length, within a size bound."""
+
+    BOUND = ("error: a tally of the matchings takes n <= 14 with a filter and "
+             "n <= 12 without one, as its memory grows with n\n")
+
+    @pytest.mark.parametrize("predicates", ROUTE_FILTERS)
+    def test_csv_equals_the_enumerated_distribution(self, capsys, predicates):
+        for names in COUNTED_NAMES + ENUMERATED_NAMES:
+            for n in range(7):
+                code, out, _ = run_cli(capsys, "distribution", "matchings", str(n),
+                                       "--stats", ",".join(names), *filter_args(predicates))
+                expected = distribution(generate("matchings", n, predicates), "matchings", names)
+                assert (code, out) == (0, expected.to_csv()), (names, n)
+
+    @pytest.mark.parametrize("predicates", ROUTE_FILTERS)
+    def test_count_is_the_stream_length(self, capsys, predicates):
+        for n in range(7):
+            _, count, _ = run_cli(capsys, "enumerate", "matchings", str(n), "--count-only",
+                                  *filter_args(predicates))
+            _, stream, _ = run_cli(capsys, "enumerate", "matchings", str(n),
+                                   *filter_args(predicates))
+            assert count == f"{len(stream.splitlines())}\n", n
+
+    @pytest.mark.parametrize("n", ["3", str(MAX_FILTERED_MATCHING_N + 1)])
+    @pytest.mark.parametrize("argv", [("distribution", "matchings", "{n}", "--stats", "emb"),
+                                      ("enumerate", "matchings", "{n}", "--count-only")])
+    def test_foreign_predicate_refused(self, capsys, argv, n):
+        # past the size bound too, the filter is the fault named
+        argv = [arg.format(n=n) for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--filter", "factorial")
+        assert (code, out) == (2, "")
+        assert err == ("error: UnknownPredicate: predicate 'factorial' applies to "
+                       "factorial_posets and natural_posets, not matchings\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("distribution", "matchings", str(MAX_FILTERED_MATCHING_N + 1), "--stats", "rne",
+         "--filter", "no_left_nesting"),
+        ("enumerate", "matchings", str(MAX_FILTERED_MATCHING_N + 1), "--count-only",
+         "--filter", "no_nesting"),
+        ("distribution", "matchings", str(MAX_MATCHING_N + 1), "--stats", "lne"),
+        ("enumerate", "matchings", str(MAX_MATCHING_N + 1), "--count-only"),
+    ])
+    def test_refused_past_the_bound(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("counted past the bound")
+        monkeypatch.setattr(cli, "tally", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", self.BOUND)
+
+    def test_counted_at_the_bound(self, capsys):
+        _, filtered, _ = run_cli(capsys, "enumerate", "matchings", str(MAX_FILTERED_MATCHING_N),
+                                 "--count-only", "--filter", "no_nesting")
+        _, unfiltered, _ = run_cli(capsys, "enumerate", "matchings", str(MAX_MATCHING_N),
+                                   "--count-only")
+        assert filtered == f"{catalan(MAX_FILTERED_MATCHING_N)}\n"
+        assert unfiltered == f"{double_factorial(2 * MAX_MATCHING_N - 1)}\n"
 
 
 class TestVerify:

@@ -34,7 +34,7 @@ from fishburn import (
     table_to_matching,
     zero_one_matrix_to_matching,
 )
-from fishburn import objects
+from fishburn import enumeration, objects
 from fishburn.enumeration import (
     GENERATORS,
     MATCHING_RULES,
@@ -43,16 +43,20 @@ from fishburn.enumeration import (
     STEP_TESTS,
     _closer_order,
     merged_tallies,
+    tally,
 )
 from fishburn.objects import Matching, is_factorial, validate_matrix
 from fishburn.statistics import perm_stats
 
 from helpers import (
     CATALAN,
+    COUNTED_NAMES,
+    ENUMERATED_NAMES,
     FISHBURN,
     NATURAL_POSET_COUNTS,
     NO_LEFT_NESTING_N3,
     ODD_DOUBLE_FACTORIAL,
+    ROUTE_FILTERS,
     T3_ROWS,
     naive_counts,
     naive_matrices,
@@ -334,6 +338,52 @@ class TestMergedTallies:
     def test_size_must_be_a_nonnegative_integer(self, n):
         with pytest.raises(ValueError):
             merged_tallies({"lne"})(n)
+
+
+def route_only(monkeypatch, counted):
+    """Make the route ``tally`` should not take raise: the merged counter, or
+    the enumerated ``distribution``."""
+    def refuse(*args):
+        raise AssertionError("the other route was taken")
+    monkeypatch.setattr(enumeration, "distribution" if counted else "_merged", refuse)
+
+
+class TestTallyRoute:
+    """``tally`` reads the merged counter for a matching class tallied by its
+    names, and enumerates any other tally; both equal ``distribution``."""
+
+    @pytest.mark.parametrize("predicates", ROUTE_FILTERS)
+    def test_matching_tallies_equal_the_enumerated_distribution(self, monkeypatch, predicates):
+        for names in [(), *COUNTED_NAMES, *ENUMERATED_NAMES]:
+            with monkeypatch.context() as patch:
+                route_only(patch, counted=set(names) <= enumeration.MERGED_NAMES)
+                got = [tally("matchings", n, predicates, names) for n in range(7)]
+            for n, table in enumerate(got):
+                stream = generate("matchings", n, predicates)
+                if names:
+                    expected = distribution(stream, "matchings", names).to_csv()
+                    assert table.to_csv() == expected, (names, n)
+                else:
+                    assert table.rows == {(): sum(1 for _ in stream)}, n
+
+    @pytest.mark.parametrize("class_name, predicates, names", [
+        ("permutations", (), ("des", "inv")),
+        ("natural_posets", ("factorial",), ("lev", "comp")),
+        ("inversion_tables", ("descent_correcting",), ("dent",)),
+    ])
+    def test_other_classes_tally_their_stream(self, class_name, predicates, names):
+        for n in range(6):
+            stream = generate(class_name, n, predicates)
+            assert tally(class_name, n, predicates, names) == distribution(
+                stream, class_name, names)
+
+    @pytest.mark.parametrize("class_name, predicates", [
+        ("natural_posets", ()), ("matrices", ("zero_one",)), ("ascent_sequences", ())])
+    def test_a_count_runs_no_statistic_pass(self, class_name, predicates):
+        # natural posets are counted though their statistics refuse most of them
+        for n in range(6):
+            count = sum(1 for _ in generate(class_name, n, predicates))
+            assert tally(class_name, n, predicates).rows == {(): count}
 
 
 class TestClassDefinitions:

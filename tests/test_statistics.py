@@ -358,6 +358,12 @@ class TestKernelsAgainstOracles:
             for pi in gen_permutations(n):
                 assert inv(pi) == (quadratic_inv(pi),), pi
 
+    def test_ascents_descents_and_inversions_in_one_pass(self):
+        one_pass = stat_tuple("permutations", ("asc", "des", "inv"))
+        for n in range(8):
+            for pi in gen_permutations(n):
+                assert one_pass(pi) == pairwise_asc_des(pi) + (quadratic_inv(pi),), pi
+
     def test_inv_on_random_permutations(self):
         inv = stat_tuple("permutations", ("inv",))
         for pi in random_permutations(20110):

@@ -397,7 +397,7 @@ class TestInjectedFaults:
     def clear_caches(self):
         # so nothing computed before the fault is read under it, or after it
         def clear():
-            for cache in (_objects, _tally, verify._merged, statistics._compile):
+            for cache in (_objects, _tally, enumeration._merged, statistics._compile):
                 cache.cache_clear()
         yield clear
         clear()
@@ -455,15 +455,19 @@ class TestDataLayer:
         own = [name for name, (classes, _) in enumeration.PREDICATES.items()
                if class_name in classes]
         foreign = [name for name in enumeration.PREDICATES if name not in own]
+        names = statistics.VOCABULARY.get(class_name, ())[-1:]
         assert foreign
         for name in foreign + ["no_such_predicate"]:
             # alone, and after a predicate of the class (a cached prefix)
             for predicates in [(name,)] + [(first, name) for first in own[:1]]:
                 with pytest.raises(UnknownPredicate) as from_generate:
                     generate(class_name, 3, predicates)
-                with pytest.raises(UnknownPredicate) as from_objects:
-                    _objects(class_name, 3, predicates)
-                assert str(from_objects.value) == str(from_generate.value)
+                for refuse in (lambda: _objects(class_name, 3, predicates),
+                               lambda: _tally(class_name, 3, predicates, names),
+                               lambda: enumeration.tally(class_name, 3, predicates, names)):
+                    with pytest.raises(UnknownPredicate) as refused:
+                        refuse()
+                    assert str(refused.value) == str(from_generate.value)
 
     def test_eulerian_tallies_each_table_once(self, monkeypatch):
         calls = Counter()
