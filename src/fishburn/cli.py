@@ -28,7 +28,7 @@ from .bijections import (
     table_to_poset,
     zero_one_matrix_to_matching,
 )
-from .enumeration import GENERATORS, generate, tally
+from .enumeration import GENERATORS, counted, generate, tally
 from .errors import FishburnError
 from .statistics import VOCABULARY, stats_for
 
@@ -56,6 +56,19 @@ _TABLE_MAPS = {
 # more than 10^12 matchings, would not finish.
 MAX_FILTERED_MATCHING_N = 14
 MAX_MATCHING_N = 12
+
+# The largest n at which they count the permutations, or tally them by asc, des,
+# inv, lmin and lmax, with the inversion-table counter.  Its memo grows with n:
+# all five names peak at 222 MB in ≈8 s at n = 16 (337 MB and 13 s at n = 17).
+MAX_PERMUTATION_N = 16
+
+# class -> the largest n at which they tally it by enumeration: a class with no
+# counter, or names that no counter has.  Each object is built and scored; at
+# each bound the costliest filter and names ran in at most 7.3 s (2-CPU host,
+# Python 3.11), and one more took 12-30 s or did not finish in 45 s.
+MAX_ENUMERATED_N = {"matchings": 7, "permutations": 9, "inversion_tables": 10,
+                    "factorial_posets": 9, "natural_posets": 7, "matrices": 10,
+                    "ascent_sequences": 11}
 
 # singular CLI class -> statistics class
 _STAT_CLASS_SINGULAR = {
@@ -92,14 +105,22 @@ def _stat_names(spec: str, stat_class: str) -> list[str]:
 
 
 def _tally(args, names: tuple[str, ...]):
-    """``tally`` of the class, n and filters given; matchings past their size
-    bound exit 2 before anything is counted, and after a foreign filter."""
-    generate(args.object_class, args.n, args.filter)        # refuses the filters
-    bound = MAX_FILTERED_MATCHING_N if args.filter else MAX_MATCHING_N
-    if args.object_class == "matchings" and args.n > bound:
+    """``tally`` of the class, n and filters given; past the size bound of its
+    route it exits 2 before anything is counted, and after a foreign filter."""
+    class_name, n = args.object_class, args.n
+    generate(class_name, n, args.filter)        # refuses the filters
+    what = (f"a tally of the {class_name} by {','.join(names)}" if names
+            else f"a count of the {class_name}")
+    if not counted(class_name, names):
+        if n > MAX_ENUMERATED_N[class_name]:
+            _die(f"{what} builds every object, so it takes n <= {MAX_ENUMERATED_N[class_name]}")
+    elif class_name == "permutations":
+        if n > MAX_PERMUTATION_N:
+            _die(f"{what} takes n <= {MAX_PERMUTATION_N}, as its memory grows with n")
+    elif n > (MAX_FILTERED_MATCHING_N if args.filter else MAX_MATCHING_N):
         _die(f"a tally of the matchings takes n <= {MAX_FILTERED_MATCHING_N} with "
              f"a filter and n <= {MAX_MATCHING_N} without one, as its memory grows with n")
-    return tally(args.object_class, args.n, args.filter, names)
+    return tally(class_name, n, args.filter, names)
 
 
 def _cmd_enumerate(args) -> int:

@@ -11,8 +11,10 @@ pattern, and its predicate is built from the two.  ``STEP_TESTS``, the one
 table of local rules, tests each arc as it is placed in closer order: it
 prunes ``gen_matchings``, a depth-first search, to exactly the class, and
 ``merged_tallies`` counts the class by the same search with equivalent
-states merged; ``tally``, the one route for a count or a distribution of a
-class, reads it for the matchings.  ``generate`` still runs the predicates on
+states merged.  ``tally``, the one route for a count or a distribution of a
+class, reads it for the matchings tallied by ``MERGED_NAMES``, and a walk over
+left inversion tables, ``permutation_tallies``, for the permutations tallied
+by ``TABLE_NAMES``; every other tally enumerates.  ``generate`` still runs the predicates on
 every object it yields, so they post-check every pruned stream, and over the
 unpruned stream they are the oracle the tests hold the step tests to.  The search keeps the
 partner list of the arcs placed so far, and each matching it yields is that
@@ -236,6 +238,53 @@ def merged_tallies(rules: Iterable[str] = (), names: Sequence[str] = ()):
 
     return _sized(lambda n: {tuple(key >> shift[x] & 0xFFFF for x in names): count
                              for key, count in future("", 2 * n, True).items()})
+
+
+# the statistics ``permutation_tallies`` counts
+TABLE_NAMES = frozenset({"asc", "des", "inv", "lmin", "lmax"})
+
+
+def permutation_tallies(names: Sequence[str] = ()):
+    """The function from n to the tally of the statistics ``names`` (asc, des,
+    inv, lmin, lmax) over the permutations of 1..n, as distribution rows, read
+    from left inversion tables d_i = #{j < i : pi_j > pi_i}, one per sequence
+    with each d_i in 0..i-1: inv is the sum, pi_i > pi_{i+1} iff d_i < d_{i+1},
+    and pi_i is a left-to-right maximum iff d_i = 0, a minimum iff d_i = i - 1.
+    Level i counts the tables of length i by state: d_i (if a descent is read)
+    in the low 8 bits, the tallies above, 16 bits each; one memo for every n.
+
+    >>> permutation_tallies(("des", "inv"))(3)
+    {(0, 0): 1, (1, 1): 2, (1, 2): 2, (2, 3): 1}
+    """
+    names = tuple(names)
+    if not set(names) <= TABLE_NAMES:
+        raise ValueError(f"the inversion-table counter has no names {names}")
+    shift = {name: 8 + 16 * place for place, name in enumerate(dict.fromkeys(names))}
+    asc, des, inv, lmin, lmax = (1 << shift[x] if x in shift else 0
+                                 for x in ("asc", "des", "inv", "lmin", "lmax"))
+
+    @functools.cache
+    def level(i: int) -> dict[int, int]:
+        if not i:
+            return {0: 1}
+        # d_{i-1} -> the step to each d_i: its gain, with d_{i-1} swapped for d_i
+        moves = [[((d - last) if asc or des else 0) + d * inv + (i > 1 and (
+            des if d > last else asc)) + (not d and lmax) + (d == i - 1 and lmin)
+                  for d in range(i)] for last in range(i)]
+        out = {}
+        for state, count in level(i - 1).items():
+            for move in moves[state & 0xFF]:
+                out[state + move] = out.get(state + move, 0) + count
+        return out
+
+    def rows(n: int) -> dict[tuple[int, ...], int]:
+        out = {}
+        for state, count in level(n).items():
+            row = tuple(state >> shift[x] & 0xFFFF for x in names)
+            out[row] = out.get(row, 0) + count
+        return out
+
+    return _sized(rows)
 
 
 @_sized
@@ -539,6 +588,13 @@ def distribution(stream: Iterable, class_name: str,
 
 
 _merged = functools.cache(merged_tallies)       # one memo for every n
+_tabled = functools.cache(permutation_tallies)
+
+
+def counted(class_name: str, names: Sequence[str]) -> bool:
+    """Whether ``tally`` reads a counter, not the stream, for these names."""
+    counters = {"matchings": MERGED_NAMES, "permutations": TABLE_NAMES}
+    return class_name in counters and counters[class_name].issuperset(names)
 
 
 def tally(class_name: str, n: int, predicates: Sequence[str] = (),
@@ -546,15 +602,18 @@ def tally(class_name: str, n: int, predicates: Sequence[str] = (),
     """The tally of the statistics ``names`` over the class at size n filtered
     by the predicates; with no names, the count as the one row ().  The
     predicates, the class and n are refused as by ``generate``.  A matching
-    class tallied by names of ``MERGED_NAMES`` comes from ``merged_tallies``
-    without building a matching (one memo per rule set and names serves every
+    class tallied by names of ``MERGED_NAMES`` comes from ``merged_tallies``,
+    and the permutations tallied by ``TABLE_NAMES`` from ``permutation_tallies``,
+    without building an object (one memo per rule set and names serves every
     n); any other tally runs over ``generate``'s stream.
 
     >>> tally("matchings", 3, ["no_left_nesting"], ["rne"]).rows
     {(0,): 5, (1,): 1}
     """
     stream, names = generate(class_name, n, predicates), tuple(names)
-    if class_name == "matchings" and MERGED_NAMES.issuperset(names):
+    if counted(class_name, names):
+        if class_name == "permutations":
+            return DistributionTable(names, _tabled(names)(n))
         rules = frozenset().union(*map(MATCHING_RULES.get, predicates))
         return DistributionTable(names, _merged(rules, names)(n))
     if not names:       # a count: no statistic pass, nor its class check

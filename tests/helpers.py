@@ -28,6 +28,10 @@ ROUTE_FILTERS = [(), *((name,) for name in sorted(MATCHING_RULES)),
 COUNTED_NAMES = [("lne", "rne", "comp", "inter", "min", "emb"), ("emb", "min"),
                  ("rne", "comp", "rne")]
 ENUMERATED_NAMES = [("last",), ("rne", "ne"), ("lcr", "comp")]
+# the same for the permutations and the inversion-table counter
+COUNTED_PERMUTATION_NAMES = [("asc", "des", "inv", "lmin", "lmax"), ("des", "inv"),
+                             ("lmax", "inv", "lmax")]
+ENUMERATED_PERMUTATION_NAMES = [("p",), ("comp", "des"), ("last",)]
 
 
 def naive_matchings(n):
@@ -87,6 +91,25 @@ def naive_counts(arcs):
 def quadratic_inv(pi):
     """Inversions of a permutation, every pair of letters compared."""
     return sum(a > b for i, a in enumerate(pi, start=1) for b in pi[i:])
+
+
+def left_inversion_table(pi):
+    """d_i = #{j < i : pi_j > pi_i} for each position i, every earlier
+    letter compared."""
+    return tuple(sum(a > b for a in pi[:i]) for i, b in enumerate(pi))
+
+
+def q_factorial(n):
+    """Coefficients of prod_{i <= n} (1 + q + ... + q^(i - 1)), multiplied
+    out one factor at a time."""
+    coefficients = [1]
+    for i in range(1, n + 1):
+        product = [0] * (len(coefficients) + i - 1)
+        for k, c in enumerate(coefficients):
+            for j in range(i):
+                product[k + j] += c
+        coefficients = product
+    return coefficients
 
 
 def pairwise_asc_des(pi):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import resource
 import select
@@ -10,10 +11,21 @@ import types
 import pytest
 
 import fishburn
-from fishburn import REGISTRY, catalan, cli, distribution, double_factorial, generate
-from fishburn.cli import MAX_FILTERED_MATCHING_N, MAX_MATCHING_N, main
+from fishburn import (
+    REGISTRY, DistributionTable, catalan, cli, distribution, double_factorial, generate,
+)
+from fishburn.cli import (
+    MAX_ENUMERATED_N, MAX_FILTERED_MATCHING_N, MAX_MATCHING_N, MAX_PERMUTATION_N, main,
+)
+from fishburn.enumeration import GENERATORS
 
-from helpers import COUNTED_NAMES, ENUMERATED_NAMES, ROUTE_FILTERS
+from helpers import (
+    COUNTED_NAMES,
+    COUNTED_PERMUTATION_NAMES,
+    ENUMERATED_NAMES,
+    ENUMERATED_PERMUTATION_NAMES,
+    ROUTE_FILTERS,
+)
 
 
 def package_env() -> dict:
@@ -592,6 +604,103 @@ class TestMatchingTallies:
                                    "--count-only")
         assert filtered == f"{catalan(MAX_FILTERED_MATCHING_N)}\n"
         assert unfiltered == f"{double_factorial(2 * MAX_MATCHING_N - 1)}\n"
+
+
+def refuse_to_count(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counted past the bound")
+    monkeypatch.setattr(cli, "tally", refuse)
+
+
+class TestPermutationTallies:
+    """``distribution`` and ``enumerate --count-only`` of the permutations: the
+    inversion-table counter's names, or a count, up to its bound, and other
+    names by enumeration; each CSV is the enumerated one."""
+
+
+    @pytest.mark.parametrize("names", COUNTED_PERMUTATION_NAMES + ENUMERATED_PERMUTATION_NAMES)
+    def test_csv_equals_the_enumerated_distribution(self, capsys, names):
+        for n in range(7):
+            code, out, _ = run_cli(capsys, "distribution", "permutations", str(n),
+                                   "--stats", ",".join(names))
+            expected = distribution(generate("permutations", n), "permutations", names)
+            assert (code, out) == (0, expected.to_csv()), n
+
+    def test_count_is_n_factorial_up_to_the_bound(self, capsys):
+        for n in range(MAX_PERMUTATION_N + 1):
+            assert run_cli(capsys, "enumerate", "permutations", str(n), "--count-only") == (
+                0, f"{math.factorial(n)}\n", ""), n
+
+    @pytest.mark.parametrize("argv, what", [
+        (("distribution", "permutations", "{n}", "--stats", "des,inv"),
+         "a tally of the permutations by des,inv"),
+        (("distribution", "permutations", "{n}", "--stats", "asc,des,inv,lmin,lmax"),
+         "a tally of the permutations by asc,des,inv,lmin,lmax"),
+        (("enumerate", "permutations", "{n}", "--count-only"), "a count of the permutations"),
+    ])
+    def test_refused_past_the_bound(self, capsys, monkeypatch, argv, what):
+        refuse_to_count(monkeypatch)
+        code, out, err = run_cli(capsys, *(a.format(n=MAX_PERMUTATION_N + 1) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} takes n <= 16, as its memory grows with n\n"
+
+
+# class -> the arguments of a tally that enumerates it: names no counter has,
+# or for a class with no counter, a count
+ENUMERATED_TALLIES = [
+    ("matchings", ("--stats", "last")),
+    ("matchings", ("--stats", "rne,ne", "--filter", "no_left_nesting")),
+    ("permutations", ("--stats", "p")),
+    ("permutations", ("--stats", "comp,des")),
+    ("inversion_tables", ("--stats", "dent")),
+    ("inversion_tables", ("--count-only", "--filter", "descent_correcting")),
+    ("factorial_posets", ("--stats", "lev,rne_poset")),
+    ("factorial_posets", ("--count-only",)),
+    ("natural_posets", ("--stats", "comp", "--filter", "factorial")),
+    ("natural_posets", ("--count-only", "--filter", "two_plus_two_free")),
+    ("matrices", ("--count-only", "--filter", "zero_one")),
+    ("ascent_sequences", ("--count-only",)),
+]
+
+
+def enumerated_argv(class_name, args, n):
+    command = "enumerate" if "--count-only" in args else "distribution"
+    return (command, class_name, str(n), *args)
+
+
+class TestEnumerationBounds:
+    """A tally that builds every object exits 2 past its class's bound, before
+    anything is counted, and is counted at the bound."""
+
+    def test_every_class_has_a_bound(self):
+        assert set(MAX_ENUMERATED_N) == set(GENERATORS)
+        assert {class_name for class_name, _ in ENUMERATED_TALLIES} == set(GENERATORS)
+
+    @pytest.mark.parametrize("class_name, args", ENUMERATED_TALLIES)
+    def test_refused_past_the_bound(self, capsys, monkeypatch, class_name, args):
+        refuse_to_count(monkeypatch)
+        bound = MAX_ENUMERATED_N[class_name]
+        code, out, err = run_cli(capsys, *enumerated_argv(class_name, args, bound + 1))
+        names = args[1] if args[0] == "--stats" else ""
+        what = f"tally of the {class_name} by {names}" if names else f"count of the {class_name}"
+        assert (code, out) == (2, "")
+        assert err == f"error: a {what} builds every object, so it takes n <= {bound}\n"
+
+    @pytest.mark.parametrize("class_name, args", ENUMERATED_TALLIES)
+    def test_counted_at_the_bound(self, capsys, monkeypatch, class_name, args):
+        calls = []
+
+        def counted(class_name, n, predicates, names):
+            calls.append((class_name, n, list(predicates), tuple(names)))
+            return DistributionTable(tuple(names), {tuple(0 for _ in names): 1})
+        monkeypatch.setattr(cli, "tally", counted)
+        bound = MAX_ENUMERATED_N[class_name]
+        code, out, _ = run_cli(capsys, *enumerated_argv(class_name, args, bound))
+        filters = [args[i + 1] for i, arg in enumerate(args) if arg == "--filter"]
+        names = tuple(args[1].split(",")) if args[0] == "--stats" else ()
+        assert calls == [(class_name, bound, filters, names)]
+        assert (code, out) == (0, "1\n" if not names else DistributionTable(
+            names, {(0,) * len(names): 1}).to_csv())
 
 
 class TestVerify:

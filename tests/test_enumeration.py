@@ -43,25 +43,30 @@ from fishburn.enumeration import (
     STEP_TESTS,
     _closer_order,
     merged_tallies,
+    permutation_tallies,
     tally,
 )
 from fishburn.objects import Matching, is_factorial, validate_matrix
-from fishburn.statistics import perm_stats
+from fishburn.statistics import perm_stats, stat_tuple
 
 from helpers import (
     CATALAN,
     COUNTED_NAMES,
+    COUNTED_PERMUTATION_NAMES,
     ENUMERATED_NAMES,
+    ENUMERATED_PERMUTATION_NAMES,
     FISHBURN,
     NATURAL_POSET_COUNTS,
     NO_LEFT_NESTING_N3,
     ODD_DOUBLE_FACTORIAL,
     ROUTE_FILTERS,
     T3_ROWS,
+    left_inversion_table,
     naive_counts,
     naive_matrices,
     naive_natural_posets_by_filter,
     naive_sorted_matchings,
+    q_factorial,
     random_matrices,
     subset_scan_natural_posets,
 )
@@ -340,6 +345,65 @@ class TestMergedTallies:
             merged_tallies({"lne"})(n)
 
 
+TABLE_ORDER = ("asc", "des", "inv", "lmin", "lmax")
+
+
+class TestPermutationTallies:
+    """The inversion-table counter against the enumerated permutations, and
+    the facts it reads from a left inversion table against their passes."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_name_tuple_equals_the_enumerated_tally(self, n):
+        # each tuple's enumerated tally is a projection of the full records'
+        records = Counter(map(stat_tuple("permutations", TABLE_ORDER), gen_permutations(n)))
+        tuples = [t for k in range(4) for t in itertools.product(TABLE_ORDER, repeat=k)]
+        for names in tuples + [TABLE_ORDER]:
+            where = [TABLE_ORDER.index(name) for name in names]
+            expected = Counter()
+            for record, count in records.items():
+                expected[tuple(record[i] for i in where)] += count
+            got = permutation_tallies(names)(n)
+            assert got == dict(expected), names
+            assert sum(got.values()) == math.factorial(n), names
+
+    def test_inversions_are_mahonian(self):
+        tally = permutation_tallies(("inv",))
+        for n in range(13):
+            rows = tally(n)
+            assert [rows[(k,)] for k in range(len(rows))] == q_factorial(n), n
+
+    def test_descents_are_eulerian(self):
+        tally = permutation_tallies(("des",))
+        for n in range(13):
+            rows = tally(n)
+            assert tuple(rows.get((k,), 0) for k in range(max(n, 1))) == (
+                eulerian_triangle_row(n)), n
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_left_inversion_tables_give_the_statistics(self, n):
+        records = stat_tuple("permutations", TABLE_ORDER)
+        tables = []
+        for pi in gen_permutations(n):
+            d = left_inversion_table(pi)
+            tables.append(d)
+            des = sum(a < b for a, b in zip(d, d[1:]))
+            facts = (n - 1 - des if n else 0, des, sum(d),
+                     sum(x == i for i, x in enumerate(d)), d.count(0))
+            assert facts == records(pi), pi
+        # each table of 0 <= d_i <= i - 1 is one permutation's
+        assert sorted(tables) == list(gen_inversion_tables(n))
+
+    @pytest.mark.parametrize("names", [("p",), ("des", "lne"), ("rmax",)])
+    def test_unknown_names_refused(self, names):
+        with pytest.raises(ValueError):
+            permutation_tallies(names)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0])
+    def test_size_must_be_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError):
+            permutation_tallies(("des",))(n)
+
+
 def route_only(monkeypatch, counted):
     """Make the route ``tally`` should not take raise: the merged counter, or
     the enumerated ``distribution``."""
@@ -350,7 +414,9 @@ def route_only(monkeypatch, counted):
 
 class TestTallyRoute:
     """``tally`` reads the merged counter for a matching class tallied by its
-    names, and enumerates any other tally; both equal ``distribution``."""
+    names, the inversion-table counter for the permutations tallied by its
+    names, and enumerates any other tally; every route equals
+    ``distribution``."""
 
     @pytest.mark.parametrize("predicates", ROUTE_FILTERS)
     def test_matching_tallies_equal_the_enumerated_distribution(self, monkeypatch, predicates):
@@ -366,8 +432,38 @@ class TestTallyRoute:
                 else:
                     assert table.rows == {(): sum(1 for _ in stream)}, n
 
+    def test_permutation_tallies_by_its_names_read_no_permutation(self, monkeypatch):
+        def unread(n):
+            raise AssertionError("the permutation stream was read")
+            yield
+        monkeypatch.setitem(enumeration.GENERATORS, "permutations", unread)
+        for names in [(), *COUNTED_PERMUTATION_NAMES]:
+            for n in range(7):
+                table = tally("permutations", n, (), names)
+                assert table.total == math.factorial(n), (names, n)
+
+    def test_other_permutation_names_enumerate(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the counter was read")
+        monkeypatch.setattr(enumeration, "_tabled", refuse)
+        for names in ENUMERATED_PERMUTATION_NAMES:
+            for n in range(7):
+                assert tally("permutations", n, (), names) == distribution(
+                    gen_permutations(n), "permutations", names), (names, n)
+
+    @pytest.mark.parametrize("names", [(), *COUNTED_PERMUTATION_NAMES,
+                                       *ENUMERATED_PERMUTATION_NAMES])
+    def test_permutation_csv_equals_the_enumerated_distribution(self, names):
+        for n in range(7):
+            stream = generate("permutations", n)
+            if names:
+                expected = distribution(stream, "permutations", names).to_csv()
+                assert tally("permutations", n, (), names).to_csv() == expected, n
+            else:
+                assert tally("permutations", n).rows == {(): sum(1 for _ in stream)}, n
+
     @pytest.mark.parametrize("class_name, predicates, names", [
-        ("permutations", (), ("des", "inv")),
+        ("permutations", (), ("p", "des")),
         ("natural_posets", ("factorial",), ("lev", "comp")),
         ("inversion_tables", ("descent_correcting",), ("dent",)),
     ])
