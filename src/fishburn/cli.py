@@ -62,6 +62,12 @@ MAX_MATCHING_N = 12
 # all five names peak at 222 MB in ≈8 s at n = 16 (337 MB and 13 s at n = 17).
 MAX_PERMUTATION_N = 16
 
+# The largest n at which they count the factorial posets, or tally them with no
+# filter by comp, min, pre_n, lev, ip and rne_poset, with the inversion-table
+# walk.  Its levels grow with n, most with ip and pre_n: all six names peak at
+# 132 MB in ≈8 s at n = 13 (277 MB and 15 s at n = 14).
+MAX_FACTORIAL_POSET_N = 13
+
 # class -> the largest n at which they tally it by enumeration: a class with no
 # counter, or names that no counter has.  Each object is built and scored; at
 # each bound the costliest filter and names ran in at most 7.3 s (2-CPU host,
@@ -111,12 +117,13 @@ def _tally(args, names: tuple[str, ...]):
     generate(class_name, n, args.filter)        # refuses the filters
     what = (f"a tally of the {class_name} by {','.join(names)}" if names
             else f"a count of the {class_name}")
-    if not counted(class_name, names):
+    if not counted(class_name, names, args.filter):
         if n > MAX_ENUMERATED_N[class_name]:
             _die(f"{what} builds every object, so it takes n <= {MAX_ENUMERATED_N[class_name]}")
-    elif class_name == "permutations":
-        if n > MAX_PERMUTATION_N:
-            _die(f"{what} takes n <= {MAX_PERMUTATION_N}, as its memory grows with n")
+    elif class_name != "matchings":
+        bound = MAX_PERMUTATION_N if class_name == "permutations" else MAX_FACTORIAL_POSET_N
+        if n > bound:
+            _die(f"{what} takes n <= {bound}, as its memory grows with n")
     elif n > (MAX_FILTERED_MATCHING_N if args.filter else MAX_MATCHING_N):
         _die(f"a tally of the matchings takes n <= {MAX_FILTERED_MATCHING_N} with "
              f"a filter and n <= {MAX_MATCHING_N} without one, as its memory grows with n")

@@ -12,9 +12,12 @@ table of local rules, tests each arc as it is placed in closer order: it
 prunes ``gen_matchings``, a depth-first search, to exactly the class, and
 ``merged_tallies`` counts the class by the same search with equivalent
 states merged.  ``tally``, the one route for a count or a distribution of a
-class, reads it for the matchings tallied by ``MERGED_NAMES``, and a walk over
-left inversion tables, ``permutation_tallies``, for the permutations tallied
-by ``TABLE_NAMES``; every other tally enumerates.  ``generate`` still runs the predicates on
+class, reads it for the matchings tallied by ``MERGED_NAMES``, and two walks
+over inversion tables that build no object: ``permutation_tallies``, on left
+inversion tables, for the permutations tallied by ``TABLE_NAMES``, and
+``factorial_poset_tallies``, reading each statistic of the poset of a table
+from its entries by ``POSET_READINGS``, for the unfiltered factorial posets;
+every other tally enumerates.  ``generate`` still runs the predicates on
 every object it yields, so they post-check every pruned stream, and over the
 unpruned stream they are the oracle the tests hold the step tests to.  The search keeps the
 partner list of the arcs placed so far, and each matching it yields is that
@@ -277,12 +280,86 @@ def permutation_tallies(names: Sequence[str] = ()):
                 out[state + move] = out.get(state + move, 0) + count
         return out
 
+    return _sized(lambda n: _rows(level(n), shift, names))
+
+
+def _rows(states: dict[int, int], shift: dict[str, int],
+          names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """The distribution rows of packed states: each name's tally is the 16 bits
+    at its shift."""
+    out = {}
+    for state, count in states.items():
+        row = tuple(state >> shift[x] & 0xFFFF for x in names)
+        out[row] = out.get(row, 0) + count
+    return out
+
+
+# statistic -> its reading at the entry w_i = w of an inversion table w of
+# length n, from ``seen``, the mask of the values among w_{i+1..n} that a
+# reading can still see, and ``last`` = w_{i+1} (n at i = n); the poset of w
+# has pre(k) = w_k, so a cut after k is a suffix w_{k+1..n} of entries >= k,
+# and x, x + 1 have equal successor sets when no entry is x
+POSET_READINGS = {
+    "comp": lambda n, i, w, seen, last: not (seen | 1 << w) & ((1 << i - 1) - 1),
+    "min": lambda n, i, w, seen, last: not w,
+    "pre_n": lambda n, i, w, seen, last: w if i == n else 0,
+    "lev": lambda n, i, w, seen, last: not seen >> w & 1,
+    "ip": lambda n, i, w, seen, last: i - 1 - w,
+    "rne_poset": lambda n, i, w, seen, last: w > last and not seen >> i & 1,
+}
+
+
+def factorial_poset_tallies(names: Sequence[str] = ()):
+    """The function from n to the tally of the statistics ``names`` (comp, min,
+    pre_n, lev, ip, rne_poset) over the factorial posets on [n], as
+    distribution rows, read from inversion tables by ``POSET_READINGS`` without
+    building a poset.  The walk places w_n, ..., w_1.  At w_i a state keeps the
+    values placed that a later reading sees: those below i + 1 for rne_poset,
+    below i for lev, else the least of them for comp, else none; then w_{i+1}
+    if rne_poset is read and i is no value placed; then the tallies, 16 bits
+    each.
+
+    >>> sorted(factorial_poset_tallies(("rne_poset", "lev"))(3).items())
+    [((0, 1), 1), ((0, 2), 3), ((0, 3), 1), ((1, 2), 1)]
+    """
+    names = tuple(names)
+    if not set(names) <= POSET_READINGS.keys():
+        raise ValueError(f"the factorial-poset counter has no names {names}")
+    read = dict.fromkeys(names)
+    rne = "rne_poset" in read
+    kept = rne or "lev" in read
+
     def rows(n: int) -> dict[tuple[int, ...], int]:
-        out = {}
-        for state, count in level(n).items():
-            row = tuple(state >> shift[x] & 0xFFFF for x in names)
-            out[row] = out.get(row, 0) + count
-        return out
+        last_at, tallies_at = n + 1, n + 1 + n.bit_length()    # seen takes bits 0..n
+        shift = {x: tallies_at + 16 * place for place, x in enumerate(read)}
+        readings = [(POSET_READINGS[x], 1 << shift[x]) for x in read]
+
+        def moves(i: int, head: int) -> list[int]:
+            # w_i = w for each w < i: the new head less the old, plus the gains
+            seen, last = head & (1 << last_at) - 1, head >> last_at
+            keep = (2 << i - 1 if rne else 1 << i - 1) - 1     # what w_{i-1} reads
+            out = []
+            for w in range(i):
+                after = (seen | 1 << w) & keep
+                if not kept:
+                    after &= -after if "comp" in read else 0
+                if rne and not after >> i - 1 & 1:              # else no descent at i - 1
+                    after |= w << last_at
+                out.append(after - head + sum(bit * reading(n, i, w, seen, last)
+                                              for reading, bit in readings))
+            return out
+
+        level = {rne and n << last_at: 1}           # last = n: no descent at n
+        for i in range(n, 0, -1):
+            step, out = {}, {}
+            for state, count in level.items():
+                head = state & (1 << tallies_at) - 1
+                if head not in step:
+                    step[head] = moves(i, head)
+                for move in step[head]:
+                    out[state + move] = out.get(state + move, 0) + count
+            level = out
+        return _rows(level, shift, names)
 
     return _sized(rows)
 
@@ -589,12 +666,16 @@ def distribution(stream: Iterable, class_name: str,
 
 _merged = functools.cache(merged_tallies)       # one memo for every n
 _tabled = functools.cache(permutation_tallies)
+_posets = functools.cache(factorial_poset_tallies)
 
 
-def counted(class_name: str, names: Sequence[str]) -> bool:
-    """Whether ``tally`` reads a counter, not the stream, for these names."""
-    counters = {"matchings": MERGED_NAMES, "permutations": TABLE_NAMES}
-    return class_name in counters and counters[class_name].issuperset(names)
+def counted(class_name: str, names: Sequence[str], predicates: Sequence[str]) -> bool:
+    """Whether ``tally`` reads a counter, not the stream, for these names and
+    predicates: a matching class, or a class with no predicates."""
+    counters = {"matchings": MERGED_NAMES, "permutations": TABLE_NAMES,
+                "factorial_posets": POSET_READINGS.keys()}
+    return (class_name in counters and counters[class_name] >= set(names)
+            and (class_name == "matchings" or not predicates))
 
 
 def tally(class_name: str, n: int, predicates: Sequence[str] = (),
@@ -603,17 +684,21 @@ def tally(class_name: str, n: int, predicates: Sequence[str] = (),
     by the predicates; with no names, the count as the one row ().  The
     predicates, the class and n are refused as by ``generate``.  A matching
     class tallied by names of ``MERGED_NAMES`` comes from ``merged_tallies``,
-    and the permutations tallied by ``TABLE_NAMES`` from ``permutation_tallies``,
-    without building an object (one memo per rule set and names serves every
-    n); any other tally runs over ``generate``'s stream.
+    the permutations tallied by ``TABLE_NAMES`` from ``permutation_tallies``,
+    and the factorial posets, unfiltered, tallied by ``POSET_READINGS`` from
+    ``factorial_poset_tallies``, without building an object (one counter per
+    rule set and names serves every n); any other tally runs over
+    ``generate``'s stream.
 
     >>> tally("matchings", 3, ["no_left_nesting"], ["rne"]).rows
     {(0,): 5, (1,): 1}
     """
     stream, names = generate(class_name, n, predicates), tuple(names)
-    if counted(class_name, names):
+    if counted(class_name, names, predicates):
         if class_name == "permutations":
             return DistributionTable(names, _tabled(names)(n))
+        if class_name == "factorial_posets":
+            return DistributionTable(names, _posets(names)(n))
         rules = frozenset().union(*map(MATCHING_RULES.get, predicates))
         return DistributionTable(names, _merged(rules, names)(n))
     if not names:       # a count: no statistic pass, nor its class check

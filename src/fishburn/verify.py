@@ -14,7 +14,9 @@ or to None when it holds; ``_facts`` runs n on the outside and the facts on
 the inside.  Facts read their data through two caches, keyed by a class and
 a tuple of named ``PREDICATES`` entries: ``_objects`` for its members and
 ``_tally`` for statistic tallies, which ``enumeration.tally`` counts for
-every matching class without building it.
+every matching class and for the unfiltered factorial posets without
+building them.  The permutations are streamed, not cached, and stay the
+enumerated side of each equidistribution.
 
 Conjecture checks are flagged ``conjecture`` even when they pass: passing
 at small n is evidence, not proof.
@@ -114,10 +116,14 @@ def _objects(class_name: str, n: int, predicates: tuple[str, ...]) -> tuple:
 
 @lru_cache(maxsize=None)
 def _tally(class_name: str, n: int, predicates: tuple[str, ...], names: tuple[str, ...]):
-    """The tally of a statistic tuple over the class filtered by the predicates,
-    by ``tally`` for matchings."""
-    if class_name == "matchings":
+    """The tally of a statistic tuple over the class filtered by the predicates:
+    by ``tally`` for matchings and the unfiltered factorial posets, which it
+    counts, and over a stream for the permutations, which only tallies read and
+    which stay the enumerated side of every check."""
+    if class_name == "matchings" or class_name == "factorial_posets" and not predicates:
         return tally(class_name, n, predicates, names).rows
+    if class_name == "permutations":
+        return distribution(generate(class_name, n, predicates), class_name, names).rows
     return distribution(_objects(class_name, n, predicates), class_name, names).rows
 
 

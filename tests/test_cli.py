@@ -15,7 +15,8 @@ from fishburn import (
     REGISTRY, DistributionTable, catalan, cli, distribution, double_factorial, generate,
 )
 from fishburn.cli import (
-    MAX_ENUMERATED_N, MAX_FILTERED_MATCHING_N, MAX_MATCHING_N, MAX_PERMUTATION_N, main,
+    MAX_ENUMERATED_N, MAX_FACTORIAL_POSET_N, MAX_FILTERED_MATCHING_N, MAX_MATCHING_N,
+    MAX_PERMUTATION_N, main,
 )
 from fishburn.enumeration import GENERATORS
 
@@ -645,8 +646,58 @@ class TestPermutationTallies:
         assert err == f"error: {what} takes n <= 16, as its memory grows with n\n"
 
 
+POSET_NAMES = "comp,min,pre_n,lev,ip,rne_poset"
+
+
+class TestFactorialPosetTallies:
+    """``distribution`` and ``enumerate --count-only`` of the factorial posets
+    with no filter read the inversion-table walk up to its bound; each CSV is
+    the enumerated one."""
+
+    @pytest.mark.parametrize("names", [POSET_NAMES, "rne_poset,comp,min", "ip", "lev,lev"])
+    def test_csv_equals_the_enumerated_distribution(self, capsys, names):
+        for n in range(7):
+            code, out, _ = run_cli(capsys, "distribution", "factorial_posets", str(n),
+                                   "--stats", names)
+            expected = distribution(generate("factorial_posets", n), "factorial_posets",
+                                    names.split(","))
+            assert (code, out) == (0, expected.to_csv()), n
+
+    def test_count_is_n_factorial_up_to_the_bound(self, capsys):
+        for n in range(MAX_FACTORIAL_POSET_N + 1):
+            assert run_cli(capsys, "enumerate", "factorial_posets", str(n), "--count-only") == (
+                0, f"{math.factorial(n)}\n", ""), n
+
+    @pytest.mark.parametrize("argv, what", [
+        (("distribution", "factorial_posets", "{n}", "--stats", POSET_NAMES),
+         f"a tally of the factorial_posets by {POSET_NAMES}"),
+        (("distribution", "factorial_posets", "{n}", "--stats", "ip"),
+         "a tally of the factorial_posets by ip"),
+        (("enumerate", "factorial_posets", "{n}", "--count-only"),
+         "a count of the factorial_posets"),
+    ])
+    def test_refused_past_the_bound(self, capsys, monkeypatch, argv, what):
+        refuse_to_count(monkeypatch)
+        code, out, err = run_cli(capsys, *(a.format(n=MAX_FACTORIAL_POSET_N + 1) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} takes n <= 13, as its memory grows with n\n"
+
+    def test_counted_at_the_bound(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(class_name, n, predicates, names):
+            calls.append((class_name, n, list(predicates), tuple(names)))
+            return DistributionTable(tuple(names), {tuple(0 for _ in names): 1})
+        monkeypatch.setattr(cli, "tally", counted)
+        code, _, _ = run_cli(capsys, "distribution", "factorial_posets",
+                             str(MAX_FACTORIAL_POSET_N), "--stats", POSET_NAMES)
+        assert code == 0
+        assert calls == [("factorial_posets", MAX_FACTORIAL_POSET_N, [],
+                          tuple(POSET_NAMES.split(",")))]
+
+
 # class -> the arguments of a tally that enumerates it: names no counter has,
-# or for a class with no counter, a count
+# a filter, or for a class with no counter, a count
 ENUMERATED_TALLIES = [
     ("matchings", ("--stats", "last")),
     ("matchings", ("--stats", "rne,ne", "--filter", "no_left_nesting")),
@@ -654,8 +705,8 @@ ENUMERATED_TALLIES = [
     ("permutations", ("--stats", "comp,des")),
     ("inversion_tables", ("--stats", "dent")),
     ("inversion_tables", ("--count-only", "--filter", "descent_correcting")),
-    ("factorial_posets", ("--stats", "lev,rne_poset")),
-    ("factorial_posets", ("--count-only",)),
+    ("factorial_posets", ("--stats", "lev,rne_poset", "--filter", "condition_one")),
+    ("factorial_posets", ("--count-only", "--filter", "condition_one")),
     ("natural_posets", ("--stats", "comp", "--filter", "factorial")),
     ("natural_posets", ("--count-only", "--filter", "two_plus_two_free")),
     ("matrices", ("--count-only", "--filter", "zero_one")),

@@ -32,6 +32,7 @@ from fishburn import (
     second_order_eulerian,
     table_to_crossfree_matching,
     table_to_matching,
+    table_to_poset,
     zero_one_matrix_to_matching,
 )
 from fishburn import enumeration, objects
@@ -42,6 +43,7 @@ from fishburn.enumeration import (
     RULE_TESTS,
     STEP_TESTS,
     _closer_order,
+    factorial_poset_tallies,
     merged_tallies,
     permutation_tallies,
     tally,
@@ -404,6 +406,49 @@ class TestPermutationTallies:
             permutation_tallies(("des",))(n)
 
 
+POSET_ORDER = ("comp", "min", "pre_n", "lev", "ip", "rne_poset")
+
+
+class TestFactorialPosetTallies:
+    """The factorial-poset walk over inversion tables against the enumerated
+    posets, and the facts it reads from a table against the poset passes."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_name_tuple_equals_the_enumerated_tally(self, n):
+        # each tuple's enumerated tally is a projection of the full records'
+        records = Counter(map(stat_tuple("factorial_posets", POSET_ORDER),
+                              gen_factorial_posets(n)))
+        tuples = [t for k in range(4) for t in itertools.product(POSET_ORDER, repeat=k)]
+        for names in tuples + [POSET_ORDER]:
+            where = [POSET_ORDER.index(name) for name in names]
+            expected = Counter()
+            for record, count in records.items():
+                expected[tuple(record[i] for i in where)] += count
+            got = factorial_poset_tallies(names)(n)
+            assert got == dict(expected), names
+            assert sum(got.values()) == math.factorial(n), names
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_tables_give_the_statistics(self, n):
+        records = stat_tuple("factorial_posets", POSET_ORDER)
+        for w in gen_inversion_tables(n):
+            comp = sum(min(w[k:]) >= k for k in range(n))
+            rne_poset = sum(w[i - 1] > w[i] and i not in w[i + 1:] for i in range(1, n))
+            facts = (comp, w.count(0), w[-1] if w else 0, len(set(w)),
+                     n * (n - 1) // 2 - sum(w), rne_poset)
+            assert facts == records(table_to_poset(w)), w
+
+    @pytest.mark.parametrize("names", [("p",), ("lev", "lne"), ("dent",)])
+    def test_unknown_names_refused(self, names):
+        with pytest.raises(ValueError):
+            factorial_poset_tallies(names)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0])
+    def test_size_must_be_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError):
+            factorial_poset_tallies(("lev",))(n)
+
+
 def route_only(monkeypatch, counted):
     """Make the route ``tally`` should not take raise: the merged counter, or
     the enumerated ``distribution``."""
@@ -462,8 +507,25 @@ class TestTallyRoute:
             else:
                 assert tally("permutations", n).rows == {(): sum(1 for _ in stream)}, n
 
+    def test_factorial_poset_tallies_read_no_poset(self, monkeypatch):
+        def unread(n):
+            raise AssertionError("the poset stream was read")
+            yield
+        names = [(), POSET_ORDER, ("rne_poset", "comp", "min"), ("ip",), ("lev", "lev")]
+        expected = {(n, x): distribution(gen_factorial_posets(n), "factorial_posets", x)
+                    for n in range(7) for x in names if x}
+        monkeypatch.setitem(enumeration.GENERATORS, "factorial_posets", unread)
+        for x in names:
+            for n in range(7):
+                table = tally("factorial_posets", n, (), x)
+                if x:
+                    assert table.to_csv() == expected[n, x].to_csv(), (x, n)
+                else:
+                    assert table.rows == {(): math.factorial(n)}, n
+
     @pytest.mark.parametrize("class_name, predicates, names", [
         ("permutations", (), ("p", "des")),
+        ("factorial_posets", ("condition_one",), ("rne_poset", "lev")),
         ("natural_posets", ("factorial",), ("lev", "comp")),
         ("inversion_tables", ("descent_correcting",), ("dent",)),
     ])
@@ -474,7 +536,8 @@ class TestTallyRoute:
                 stream, class_name, names)
 
     @pytest.mark.parametrize("class_name, predicates", [
-        ("natural_posets", ()), ("matrices", ("zero_one",)), ("ascent_sequences", ())])
+        ("natural_posets", ()), ("matrices", ("zero_one",)), ("ascent_sequences", ()),
+        ("factorial_posets", ("dually_factorial",))])
     def test_a_count_runs_no_statistic_pass(self, class_name, predicates):
         # natural posets are counted though their statistics refuse most of them
         for n in range(6):

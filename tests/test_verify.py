@@ -301,8 +301,9 @@ def _set_step_test(rule, test):
     return lambda mp: mp.setitem(enumeration.STEP_TESTS, rule, test)
 
 
-# a fault in the step table, which the search and the merged counter share,
-# -> (the fault, every check it fails at n <= 5 with the witness it gives)
+# a fault in the step table, which the search and the merged counter share, or
+# in the table readings of the factorial-poset walk -> (the fault, every check
+# it fails at n <= 5 with the witness it gives)
 STEP_FAULTS = {
     "rne inverted": (
         _set_step_test("rne", lambda p, o, c: 0 < p[c - 1] < o),      # the rcr test
@@ -354,6 +355,12 @@ STEP_FAULTS = {
          "conj2_equidistribution": {"n": 2, "tuple": [0, 2, 0], "counts": [1, 1, 0]},
          "cor_fishburn_class_agreement": {
              "n": 2, "counted": "no_neighbor_nesting_matchings", "expected": 2, "actual": 1}}),
+    # every descent of the table read as an rne_poset, a later w_j = i or not
+    "rne_poset any descent": (
+        lambda mp: mp.setitem(enumeration.POSET_READINGS, "rne_poset",
+                              lambda n, i, w, seen, last: w > last),
+        {"conj1_equidistribution": {"n": 3, "tuple": [0, 3, 1], "counts": [0, 1, 1]},
+         "conj2_equidistribution": {"n": 3, "tuple": [0, 1, 2], "counts": [0, 1, 1]}}),
 }
 
 
@@ -397,7 +404,8 @@ class TestInjectedFaults:
     def clear_caches(self):
         # so nothing computed before the fault is read under it, or after it
         def clear():
-            for cache in (_objects, _tally, enumeration._merged, statistics._compile):
+            for cache in (_objects, _tally, enumeration._merged, enumeration._tabled,
+                          enumeration._posets, statistics._compile):
                 cache.cache_clear()
         yield clear
         clear()
@@ -441,7 +449,7 @@ class TestDataLayer:
         _tally.cache_clear()                # so the tallied classes are read too
         run_all(2)
         monkeypatch.undo()
-        assert ("permutations", ()) in read
+        assert "permutations" not in {class_name for class_name, _ in read}
         assert ("natural_posets", ("factorial", "condition_one")) in read
         assert ("natural_posets", ("factorial",)) in read
         assert ("matchings", ("no_left_nesting",)) in read
@@ -449,6 +457,41 @@ class TestDataLayer:
             for n in range(6):
                 assert _objects(class_name, n, predicates) == \
                     tuple(generate(class_name, n, predicates)), (class_name, predicates, n)
+
+    def test_streamed_permutation_tallies_equal_the_enumerated_ones(self):
+        for names in [("p", "comp", "lmin"), ("p", "lmax", "des"), ("inv",), ("des",)]:
+            for n in range(7):
+                expected = Counter(map(statistics.stat_tuple("permutations", names),
+                                       list(gen_permutations(n))))
+                assert _tally("permutations", n, (), names) == expected, (names, n)
+
+    def test_equidistributions_count_the_posets_and_enumerate_the_other_side(
+            self, monkeypatch):
+        # no factorial poset is built, and neither is the permutation counter
+        # read: the permutations, and the tables of cor_eulerian, are enumerated
+        def unread(n):
+            raise AssertionError("the poset stream was read")
+            yield
+
+        def refuse(*args):
+            raise AssertionError("the permutation counter was read")
+        monkeypatch.setitem(enumeration.GENERATORS, "factorial_posets", unread)
+        monkeypatch.setattr(enumeration, "_tabled", refuse)
+        read = set()
+        cached = verify._objects
+
+        def recording(class_name, n, predicates):
+            read.add(class_name)
+            return cached(class_name, n, predicates)
+        monkeypatch.setattr(verify, "_objects", recording)
+        _tally.cache_clear()
+        try:
+            for check in ("conj1_equidistribution", "conj2_equidistribution",
+                          "cor_mahonian", "cor_eulerian"):
+                assert run_check(check, 6).verdict == "pass", check
+        finally:
+            _tally.cache_clear()
+        assert read == {"inversion_tables"}
 
     @pytest.mark.parametrize("class_name", sorted(enumeration.GENERATORS))
     def test_foreign_predicates_refused_as_by_generate(self, class_name):
