@@ -58,14 +58,15 @@ MAX_FILTERED_MATCHING_N = 14
 MAX_MATCHING_N = 12
 
 # The largest n at which they count the permutations, or tally them by asc, des,
-# inv, lmin and lmax, with the inversion-table counter.  Its memo grows with n:
-# all five names peak at 222 MB in ≈8 s at n = 16 (337 MB and 13 s at n = 17).
+# inv, lmin and lmax, with the inversion-table walk (``table_tallies``).  Its
+# levels grow with n: all five names peak at 45 MB in ≈1.8 s at n = 16 (51 MB
+# and 3.1 s at n = 17; 2-CPU host, Python 3.11).
 MAX_PERMUTATION_N = 16
 
 # The largest n at which they count the factorial posets, or tally them with no
-# filter by comp, min, pre_n, lev, ip and rne_poset, with the inversion-table
-# walk.  Its levels grow with n, most with ip and pre_n: all six names peak at
-# 132 MB in ≈8 s at n = 13 (277 MB and 15 s at n = 14).
+# filter by comp, min, pre_n, lev, ip and rne_poset, with the same walk.  Its
+# levels grow with n, most with ip and pre_n: all six names peak at 132 MB in
+# ≈8 s at n = 13 (277 MB and 15 s at n = 14).
 MAX_FACTORIAL_POSET_N = 13
 
 # class -> the largest n at which they tally it by enumeration: a class with no

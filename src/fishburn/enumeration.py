@@ -12,11 +12,11 @@ table of local rules, tests each arc as it is placed in closer order: it
 prunes ``gen_matchings``, a depth-first search, to exactly the class, and
 ``merged_tallies`` counts the class by the same search with equivalent
 states merged.  ``tally``, the one route for a count or a distribution of a
-class, reads it for the matchings tallied by ``MERGED_NAMES``, and two walks
-over inversion tables that build no object: ``permutation_tallies``, on left
-inversion tables, for the permutations tallied by ``TABLE_NAMES``, and
-``factorial_poset_tallies``, reading each statistic of the poset of a table
-from its entries by ``POSET_READINGS``, for the unfiltered factorial posets;
+class, reads it for the matchings tallied by ``MERGED_NAMES``, and one walk
+over inversion tables that builds no object, ``table_tallies``, for the
+unfiltered permutations and factorial posets: it reads each statistic from
+the entries of a table by that class's ``TABLE_READINGS``, a permutation's
+from its left inversion table and a poset's from the table of the poset;
 every other tally enumerates.  ``generate`` still runs the predicates on
 every object it yields, so they post-check every pruned stream, and over the
 unpruned stream they are the oracle the tests hold the step tests to.  The search keeps the
@@ -171,6 +171,17 @@ def gen_matchings(n: int, rules: Iterable[str] = ()) -> Iterator[Matching]:
     return map(Matching.from_partner, _closer_order(n, rules))
 
 
+def _rows(states: dict[int, int], shift: dict[str, int],
+          names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """The distribution rows of packed states: each name's tally is the 16 bits
+    at its shift."""
+    out = {}
+    for state, count in states.items():
+        row = tuple(state >> shift[x] & 0xFFFF for x in names)
+        out[row] = out.get(row, 0) + count
+    return out
+
+
 # the statistics ``merged_tallies`` counts
 MERGED_NAMES = frozenset({"lne", "rne", "comp", "inter", "min", "emb"})
 
@@ -239,100 +250,63 @@ def merged_tallies(rules: Iterable[str] = (), names: Sequence[str] = ()):
                 out[key] = out.get(key, 0) + copies * count
         return out
 
-    return _sized(lambda n: {tuple(key >> shift[x] & 0xFFFF for x in names): count
-                             for key, count in future("", 2 * n, True).items()})
+    return _sized(lambda n: _rows(future("", 2 * n, True), shift, names))
 
 
-# the statistics ``permutation_tallies`` counts
-TABLE_NAMES = frozenset({"asc", "des", "inv", "lmin", "lmax"})
-
-
-def permutation_tallies(names: Sequence[str] = ()):
-    """The function from n to the tally of the statistics ``names`` (asc, des,
-    inv, lmin, lmax) over the permutations of 1..n, as distribution rows, read
-    from left inversion tables d_i = #{j < i : pi_j > pi_i}, one per sequence
-    with each d_i in 0..i-1: inv is the sum, pi_i > pi_{i+1} iff d_i < d_{i+1},
-    and pi_i is a left-to-right maximum iff d_i = 0, a minimum iff d_i = i - 1.
-    Level i counts the tables of length i by state: d_i (if a descent is read)
-    in the low 8 bits, the tallies above, 16 bits each; one memo for every n.
-
-    >>> permutation_tallies(("des", "inv"))(3)
-    {(0, 0): 1, (1, 1): 2, (1, 2): 2, (2, 3): 1}
-    """
-    names = tuple(names)
-    if not set(names) <= TABLE_NAMES:
-        raise ValueError(f"the inversion-table counter has no names {names}")
-    shift = {name: 8 + 16 * place for place, name in enumerate(dict.fromkeys(names))}
-    asc, des, inv, lmin, lmax = (1 << shift[x] if x in shift else 0
-                                 for x in ("asc", "des", "inv", "lmin", "lmax"))
-
-    @functools.cache
-    def level(i: int) -> dict[int, int]:
-        if not i:
-            return {0: 1}
-        # d_{i-1} -> the step to each d_i: its gain, with d_{i-1} swapped for d_i
-        moves = [[((d - last) if asc or des else 0) + d * inv + (i > 1 and (
-            des if d > last else asc)) + (not d and lmax) + (d == i - 1 and lmin)
-                  for d in range(i)] for last in range(i)]
-        out = {}
-        for state, count in level(i - 1).items():
-            for move in moves[state & 0xFF]:
-                out[state + move] = out.get(state + move, 0) + count
-        return out
-
-    return _sized(lambda n: _rows(level(n), shift, names))
-
-
-def _rows(states: dict[int, int], shift: dict[str, int],
-          names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
-    """The distribution rows of packed states: each name's tally is the 16 bits
-    at its shift."""
-    out = {}
-    for state, count in states.items():
-        row = tuple(state >> shift[x] & 0xFFFF for x in names)
-        out[row] = out.get(row, 0) + count
-    return out
-
-
-# statistic -> its reading at the entry w_i = w of an inversion table w of
-# length n, from ``seen``, the mask of the values among w_{i+1..n} that a
-# reading can still see, and ``last`` = w_{i+1} (n at i = n); the poset of w
-# has pre(k) = w_k, so a cut after k is a suffix w_{k+1..n} of entries >= k,
-# and x, x + 1 have equal successor sets when no entry is x
-POSET_READINGS = {
-    "comp": lambda n, i, w, seen, last: not (seen | 1 << w) & ((1 << i - 1) - 1),
-    "min": lambda n, i, w, seen, last: not w,
-    "pre_n": lambda n, i, w, seen, last: w if i == n else 0,
-    "lev": lambda n, i, w, seen, last: not seen >> w & 1,
-    "ip": lambda n, i, w, seen, last: i - 1 - w,
-    "rne_poset": lambda n, i, w, seen, last: w > last and not seen >> i & 1,
+# class -> statistic -> its reading at the entry w_i = w of an inversion table
+# w of length n, from ``seen``, the mask of the values among w_{i+1..n} that a
+# reading can still see, and ``last`` = w_{i+1} (n at i = n).  A permutation
+# is read from its left inversion table d_i = #{j < i : pi_j > pi_i}: pi_i >
+# pi_{i+1} iff d_i < d_{i+1}, and pi_i is a left-to-right maximum iff d_i = 0,
+# a minimum iff d_i = i - 1.  The factorial poset of w has pre(k) = w_k, so a
+# cut after k is a suffix w_{k+1..n} of entries >= k, and x, x + 1 have equal
+# successor sets when no entry is x.
+TABLE_READINGS = {
+    "permutations": {
+        "asc": lambda n, i, w, seen, last: i < n and w >= last,
+        "des": lambda n, i, w, seen, last: i < n and w < last,
+        "inv": lambda n, i, w, seen, last: w,
+        "lmin": lambda n, i, w, seen, last: w == i - 1,
+        "lmax": lambda n, i, w, seen, last: not w,
+    },
+    "factorial_posets": {
+        "comp": lambda n, i, w, seen, last: not (seen | 1 << w) & ((1 << i - 1) - 1),
+        "min": lambda n, i, w, seen, last: not w,
+        "pre_n": lambda n, i, w, seen, last: w if i == n else 0,
+        "lev": lambda n, i, w, seen, last: not seen >> w & 1,
+        "ip": lambda n, i, w, seen, last: i - 1 - w,
+        "rne_poset": lambda n, i, w, seen, last: w > last and not seen >> i & 1,
+    },
 }
 
 
-def factorial_poset_tallies(names: Sequence[str] = ()):
-    """The function from n to the tally of the statistics ``names`` (comp, min,
-    pre_n, lev, ip, rne_poset) over the factorial posets on [n], as
-    distribution rows, read from inversion tables by ``POSET_READINGS`` without
-    building a poset.  The walk places w_n, ..., w_1.  At w_i a state keeps the
-    values placed that a later reading sees: those below i + 1 for rne_poset,
-    below i for lev, else the least of them for comp, else none; then w_{i+1}
-    if rne_poset is read and i is no value placed; then the tallies, 16 bits
-    each.
+def table_tallies(class_name: str, names: Sequence[str] = ()):
+    """The function from n to the tally of the statistics ``names`` over the
+    class of size n (a key of ``TABLE_READINGS``), as distribution rows, read
+    from the inversion tables by the class's readings without building an
+    object.  The walk places w_n, ..., w_1.  At w_i a state keeps the values
+    placed that a later reading sees: those below i + 1 for rne_poset, below
+    i for lev, else the least of them for comp, else none; then w_{i+1} if asc
+    or des is read, or if rne_poset is read and i is no value placed; then the
+    tallies, 16 bits each.
 
-    >>> sorted(factorial_poset_tallies(("rne_poset", "lev"))(3).items())
+    >>> sorted(table_tallies("factorial_posets", ("rne_poset", "lev"))(3).items())
     [((0, 1), 1), ((0, 2), 3), ((0, 3), 1), ((1, 2), 1)]
+    >>> sorted(table_tallies("permutations", ("des", "inv"))(3).items())
+    [((0, 0), 1), ((1, 1), 2), ((1, 2), 2), ((2, 3), 1)]
     """
-    names = tuple(names)
-    if not set(names) <= POSET_READINGS.keys():
-        raise ValueError(f"the factorial-poset counter has no names {names}")
+    readings, names = TABLE_READINGS.get(class_name), tuple(names)
+    if readings is None or not set(names) <= readings.keys():
+        raise ValueError(f"the inversion-table walk has no class {class_name!r} "
+                         f"or names {names}")
     read = dict.fromkeys(names)
-    rne = "rne_poset" in read
+    rne, ordered = "rne_poset" in read, "asc" in read or "des" in read
     kept = rne or "lev" in read
 
     def rows(n: int) -> dict[tuple[int, ...], int]:
         last_at, tallies_at = n + 1, n + 1 + n.bit_length()    # seen takes bits 0..n
         shift = {x: tallies_at + 16 * place for place, x in enumerate(read)}
-        readings = [(POSET_READINGS[x], 1 << shift[x]) for x in read]
+        bits = [(readings[x], 1 << shift[x]) for x in read]
 
         def moves(i: int, head: int) -> list[int]:
             # w_i = w for each w < i: the new head less the old, plus the gains
@@ -343,13 +317,13 @@ def factorial_poset_tallies(names: Sequence[str] = ()):
                 after = (seen | 1 << w) & keep
                 if not kept:
                     after &= -after if "comp" in read else 0
-                if rne and not after >> i - 1 & 1:              # else no descent at i - 1
+                if ordered or rne and not after >> i - 1 & 1:   # else no rne_poset at i - 1
                     after |= w << last_at
                 out.append(after - head + sum(bit * reading(n, i, w, seen, last)
-                                              for reading, bit in readings))
+                                              for reading, bit in bits))
             return out
 
-        level = {rne and n << last_at: 1}           # last = n: no descent at n
+        level = {n << last_at: 1}           # last = n: no descent at n
         for i in range(n, 0, -1):
             step, out = {}, {}
             for state, count in level.items():
@@ -665,17 +639,17 @@ def distribution(stream: Iterable, class_name: str,
 
 
 _merged = functools.cache(merged_tallies)       # one memo for every n
-_tabled = functools.cache(permutation_tallies)
-_posets = functools.cache(factorial_poset_tallies)
+_tabled = functools.cache(table_tallies)
 
 
 def counted(class_name: str, names: Sequence[str], predicates: Sequence[str]) -> bool:
     """Whether ``tally`` reads a counter, not the stream, for these names and
-    predicates: a matching class, or a class with no predicates."""
-    counters = {"matchings": MERGED_NAMES, "permutations": TABLE_NAMES,
-                "factorial_posets": POSET_READINGS.keys()}
-    return (class_name in counters and counters[class_name] >= set(names)
-            and (class_name == "matchings" or not predicates))
+    predicates: a matching class by ``MERGED_NAMES``, or a class of
+    ``TABLE_READINGS``, with no predicates, by its readings."""
+    if class_name == "matchings":
+        return MERGED_NAMES >= set(names)
+    return (class_name in TABLE_READINGS and not predicates
+            and TABLE_READINGS[class_name].keys() >= set(names))
 
 
 def tally(class_name: str, n: int, predicates: Sequence[str] = (),
@@ -684,10 +658,9 @@ def tally(class_name: str, n: int, predicates: Sequence[str] = (),
     by the predicates; with no names, the count as the one row ().  The
     predicates, the class and n are refused as by ``generate``.  A matching
     class tallied by names of ``MERGED_NAMES`` comes from ``merged_tallies``,
-    the permutations tallied by ``TABLE_NAMES`` from ``permutation_tallies``,
-    and the factorial posets, unfiltered, tallied by ``POSET_READINGS`` from
-    ``factorial_poset_tallies``, without building an object (one counter per
-    rule set and names serves every n); any other tally runs over
+    and a class of ``TABLE_READINGS``, unfiltered and tallied by its readings,
+    from ``table_tallies``, without building an object (one counter per class
+    or rule set and names serves every n); any other tally runs over
     ``generate``'s stream.
 
     >>> tally("matchings", 3, ["no_left_nesting"], ["rne"]).rows
@@ -695,10 +668,8 @@ def tally(class_name: str, n: int, predicates: Sequence[str] = (),
     """
     stream, names = generate(class_name, n, predicates), tuple(names)
     if counted(class_name, names, predicates):
-        if class_name == "permutations":
-            return DistributionTable(names, _tabled(names)(n))
-        if class_name == "factorial_posets":
-            return DistributionTable(names, _posets(names)(n))
+        if class_name != "matchings":
+            return DistributionTable(names, _tabled(class_name, names)(n))
         rules = frozenset().union(*map(MATCHING_RULES.get, predicates))
         return DistributionTable(names, _merged(rules, names)(n))
     if not names:       # a count: no statistic pass, nor its class check

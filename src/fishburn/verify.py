@@ -13,10 +13,10 @@ A check is a ``REGISTRY`` row of per-n *facts*, each mapping n to a witness
 or to None when it holds; ``_facts`` runs n on the outside and the facts on
 the inside.  Facts read their data through two caches, keyed by a class and
 a tuple of named ``PREDICATES`` entries: ``_objects`` for its members and
-``_tally`` for statistic tallies, which ``enumeration.tally`` counts for
-every matching class and for the unfiltered factorial posets without
-building them.  The permutations are streamed, not cached, and stay the
-enumerated side of each equidistribution.
+``_tally`` for statistic tallies, which come from ``enumeration.tally``, so
+it alone decides which tallies are counted without building an object.  The
+permutations are streamed, not counted, and stay the enumerated side of each
+equidistribution.
 
 Conjecture checks are flagged ``conjecture`` even when they pass: passing
 at small n is evidence, not proof.
@@ -103,7 +103,8 @@ class CheckReport(Value):
 
 
 # The two cached accessors; everything downstream treats their values as
-# immutable.  A matching class comes pruned from the search; any other class
+# immutable.  ``_objects`` holds the members that the object facts read; no
+# tally reads it.  A matching class comes pruned from the search; any other class
 # is filtered once from its cached prefix, so each base class is generated
 # once per n.  Both paths pass the predicate gate of ``class_predicate``.
 @lru_cache(maxsize=None)
@@ -117,14 +118,11 @@ def _objects(class_name: str, n: int, predicates: tuple[str, ...]) -> tuple:
 @lru_cache(maxsize=None)
 def _tally(class_name: str, n: int, predicates: tuple[str, ...], names: tuple[str, ...]):
     """The tally of a statistic tuple over the class filtered by the predicates:
-    by ``tally`` for matchings and the unfiltered factorial posets, which it
-    counts, and over a stream for the permutations, which only tallies read and
-    which stay the enumerated side of every check."""
-    if class_name == "matchings" or class_name == "factorial_posets" and not predicates:
-        return tally(class_name, n, predicates, names).rows
+    over a stream for the permutations, which stay the enumerated side of every
+    check, and by ``tally`` for every other class, counted or streamed."""
     if class_name == "permutations":
         return distribution(generate(class_name, n, predicates), class_name, names).rows
-    return distribution(_objects(class_name, n, predicates), class_name, names).rows
+    return tally(class_name, n, predicates, names).rows
 
 
 def _obj(class_name: str, obj) -> dict:

@@ -28,7 +28,7 @@ ROUTE_FILTERS = [(), *((name,) for name in sorted(MATCHING_RULES)),
 COUNTED_NAMES = [("lne", "rne", "comp", "inter", "min", "emb"), ("emb", "min"),
                  ("rne", "comp", "rne")]
 ENUMERATED_NAMES = [("last",), ("rne", "ne"), ("lcr", "comp")]
-# the same for the permutations and the inversion-table counter
+# the same for the permutations and the inversion-table walk
 COUNTED_PERMUTATION_NAMES = [("asc", "des", "inv", "lmin", "lmax"), ("des", "inv"),
                              ("lmax", "inv", "lmax")]
 ENUMERATED_PERMUTATION_NAMES = [("p",), ("comp", "des"), ("last",)]

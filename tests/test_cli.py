@@ -615,7 +615,7 @@ def refuse_to_count(monkeypatch):
 
 class TestPermutationTallies:
     """``distribution`` and ``enumerate --count-only`` of the permutations: the
-    inversion-table counter's names, or a count, up to its bound, and other
+    inversion-table walk's names, or a count, up to its bound, and other
     names by enumeration; each CSV is the enumerated one."""
 
 

@@ -43,9 +43,8 @@ from fishburn.enumeration import (
     RULE_TESTS,
     STEP_TESTS,
     _closer_order,
-    factorial_poset_tallies,
     merged_tallies,
-    permutation_tallies,
+    table_tallies,
     tally,
 )
 from fishburn.objects import Matching, is_factorial, validate_matrix
@@ -347,106 +346,101 @@ class TestMergedTallies:
             merged_tallies({"lne"})(n)
 
 
-TABLE_ORDER = ("asc", "des", "inv", "lmin", "lmax")
+# class -> every statistic the inversion-table walk reads for it
+TABLE_ORDER = {"permutations": ("asc", "des", "inv", "lmin", "lmax"),
+               "factorial_posets": ("comp", "min", "pre_n", "lev", "ip", "rne_poset")}
+POSET_ORDER = TABLE_ORDER["factorial_posets"]
 
 
-class TestPermutationTallies:
-    """The inversion-table counter against the enumerated permutations, and
-    the facts it reads from a left inversion table against their passes."""
+def permutation_facts(n, pi):
+    """The statistics of TABLE_ORDER["permutations"], read from the left
+    inversion table of pi."""
+    d = left_inversion_table(pi)
+    des = sum(a < b for a, b in zip(d, d[1:]))
+    return (n - 1 - des if n else 0, des, sum(d),
+            sum(x == i for i, x in enumerate(d)), d.count(0))
+
+
+def poset_facts(n, w):
+    """The statistics of POSET_ORDER, read from the inversion table w."""
+    comp = sum(min(w[k:]) >= k for k in range(n))
+    rne_poset = sum(w[i - 1] > w[i] and i not in w[i + 1:] for i in range(1, n))
+    return (comp, w.count(0), w[-1] if w else 0, len(set(w)),
+            n * (n - 1) // 2 - sum(w), rne_poset)
+
+
+@pytest.mark.parametrize("class_name", sorted(TABLE_ORDER))
+class TestTableTallies:
+    """The inversion-table walk against the enumerated permutations and
+    factorial posets, and the facts it reads from a table against the passes
+    of the object."""
 
     @pytest.mark.parametrize("n", range(9))
-    def test_every_name_tuple_equals_the_enumerated_tally(self, n):
+    def test_every_name_tuple_equals_the_enumerated_tally(self, class_name, n):
         # each tuple's enumerated tally is a projection of the full records'
-        records = Counter(map(stat_tuple("permutations", TABLE_ORDER), gen_permutations(n)))
-        tuples = [t for k in range(4) for t in itertools.product(TABLE_ORDER, repeat=k)]
-        for names in tuples + [TABLE_ORDER]:
-            where = [TABLE_ORDER.index(name) for name in names]
+        order = TABLE_ORDER[class_name]
+        records = Counter(map(stat_tuple(class_name, order), generate(class_name, n)))
+        tuples = [t for k in range(4) for t in itertools.product(order, repeat=k)]
+        for names in tuples + [order]:
+            where = [order.index(name) for name in names]
             expected = Counter()
             for record, count in records.items():
                 expected[tuple(record[i] for i in where)] += count
-            got = permutation_tallies(names)(n)
+            got = table_tallies(class_name, names)(n)
             assert got == dict(expected), names
             assert sum(got.values()) == math.factorial(n), names
 
-    def test_inversions_are_mahonian(self):
-        tally = permutation_tallies(("inv",))
+    def test_mahonian_and_eulerian_rows(self, class_name):
+        # inversions and incomparable pairs are Mahonian; descents, and levels
+        # less one, are Eulerian
+        mahonian, eulerian, shift = (("inv",), ("des",), 0) if class_name == "permutations" \
+            else (("ip",), ("lev",), 1)
+        mahonian, eulerian = (table_tallies(class_name, x) for x in (mahonian, eulerian))
         for n in range(13):
-            rows = tally(n)
+            rows = mahonian(n)
             assert [rows[(k,)] for k in range(len(rows))] == q_factorial(n), n
-
-    def test_descents_are_eulerian(self):
-        tally = permutation_tallies(("des",))
-        for n in range(13):
-            rows = tally(n)
-            assert tuple(rows.get((k,), 0) for k in range(max(n, 1))) == (
+            rows, low = eulerian(n), n and shift        # the empty poset has no level
+            assert tuple(rows.get((k + low,), 0) for k in range(max(n, 1))) == (
                 eulerian_triangle_row(n)), n
 
     @pytest.mark.parametrize("n", range(8))
-    def test_left_inversion_tables_give_the_statistics(self, n):
-        records = stat_tuple("permutations", TABLE_ORDER)
+    def test_tables_give_the_statistics(self, class_name, n):
+        records = stat_tuple(class_name, TABLE_ORDER[class_name])
+        if class_name == "factorial_posets":
+            for w in gen_inversion_tables(n):
+                assert poset_facts(n, w) == records(table_to_poset(w)), w
+            return
         tables = []
         for pi in gen_permutations(n):
-            d = left_inversion_table(pi)
-            tables.append(d)
-            des = sum(a < b for a, b in zip(d, d[1:]))
-            facts = (n - 1 - des if n else 0, des, sum(d),
-                     sum(x == i for i, x in enumerate(d)), d.count(0))
-            assert facts == records(pi), pi
+            tables.append(left_inversion_table(pi))
+            assert permutation_facts(n, pi) == records(pi), pi
         # each table of 0 <= d_i <= i - 1 is one permutation's
         assert sorted(tables) == list(gen_inversion_tables(n))
 
-    @pytest.mark.parametrize("names", [("p",), ("des", "lne"), ("rmax",)])
-    def test_unknown_names_refused(self, names):
+    @pytest.mark.parametrize("names", [("p",), ("des", "lne"), ("rmax",), ("lev", "lne"),
+                                       ("dent",), ("last",)])
+    def test_unknown_names_refused(self, class_name, names):
         with pytest.raises(ValueError):
-            permutation_tallies(names)
+            table_tallies(class_name, names)
+
+    def test_names_of_the_other_class_refused(self, class_name):
+        other, = set(TABLE_ORDER) - {class_name}
+        for name in TABLE_ORDER[other]:
+            with pytest.raises(ValueError):
+                table_tallies(class_name, (name,))
 
     @pytest.mark.parametrize("n", [-1, True, 2.0])
-    def test_size_must_be_a_nonnegative_integer(self, n):
+    def test_size_must_be_a_nonnegative_integer(self, class_name, n):
         with pytest.raises(ValueError):
-            permutation_tallies(("des",))(n)
+            table_tallies(class_name, TABLE_ORDER[class_name][:1])(n)
 
 
-POSET_ORDER = ("comp", "min", "pre_n", "lev", "ip", "rne_poset")
-
-
-class TestFactorialPosetTallies:
-    """The factorial-poset walk over inversion tables against the enumerated
-    posets, and the facts it reads from a table against the poset passes."""
-
-    @pytest.mark.parametrize("n", range(9))
-    def test_every_name_tuple_equals_the_enumerated_tally(self, n):
-        # each tuple's enumerated tally is a projection of the full records'
-        records = Counter(map(stat_tuple("factorial_posets", POSET_ORDER),
-                              gen_factorial_posets(n)))
-        tuples = [t for k in range(4) for t in itertools.product(POSET_ORDER, repeat=k)]
-        for names in tuples + [POSET_ORDER]:
-            where = [POSET_ORDER.index(name) for name in names]
-            expected = Counter()
-            for record, count in records.items():
-                expected[tuple(record[i] for i in where)] += count
-            got = factorial_poset_tallies(names)(n)
-            assert got == dict(expected), names
-            assert sum(got.values()) == math.factorial(n), names
-
-    @pytest.mark.parametrize("n", range(8))
-    def test_tables_give_the_statistics(self, n):
-        records = stat_tuple("factorial_posets", POSET_ORDER)
-        for w in gen_inversion_tables(n):
-            comp = sum(min(w[k:]) >= k for k in range(n))
-            rne_poset = sum(w[i - 1] > w[i] and i not in w[i + 1:] for i in range(1, n))
-            facts = (comp, w.count(0), w[-1] if w else 0, len(set(w)),
-                     n * (n - 1) // 2 - sum(w), rne_poset)
-            assert facts == records(table_to_poset(w)), w
-
-    @pytest.mark.parametrize("names", [("p",), ("lev", "lne"), ("dent",)])
-    def test_unknown_names_refused(self, names):
-        with pytest.raises(ValueError):
-            factorial_poset_tallies(names)
-
-    @pytest.mark.parametrize("n", [-1, True, 2.0])
-    def test_size_must_be_a_nonnegative_integer(self, n):
-        with pytest.raises(ValueError):
-            factorial_poset_tallies(("lev",))(n)
+@pytest.mark.parametrize("class_name, names", [
+    ("matchings", ()), ("matchings", ("rne",)), ("inversion_tables", ("dent",)),
+    ("natural_posets", ())])
+def test_table_tallies_refuse_a_class_with_no_readings(class_name, names):
+    with pytest.raises(ValueError):
+        table_tallies(class_name, names)
 
 
 def route_only(monkeypatch, counted):
@@ -459,9 +453,9 @@ def route_only(monkeypatch, counted):
 
 class TestTallyRoute:
     """``tally`` reads the merged counter for a matching class tallied by its
-    names, the inversion-table counter for the permutations tallied by its
-    names, and enumerates any other tally; every route equals
-    ``distribution``."""
+    names, the inversion-table walk for the unfiltered permutations and
+    factorial posets tallied by their readings, and enumerates any other
+    tally; every route equals ``distribution``."""
 
     @pytest.mark.parametrize("predicates", ROUTE_FILTERS)
     def test_matching_tallies_equal_the_enumerated_distribution(self, monkeypatch, predicates):
