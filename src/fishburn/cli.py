@@ -28,7 +28,7 @@ from .bijections import (
     table_to_poset,
     zero_one_matrix_to_matching,
 )
-from .enumeration import GENERATORS, counted, generate, tally
+from .enumeration import GENERATORS, counter, generate, tally
 from .errors import FishburnError
 from .statistics import VOCABULARY, stats_for
 
@@ -47,27 +47,23 @@ _TABLE_MAPS = {
     "no_left_crossing": (crossfree_matching_to_table, table_to_crossfree_matching),
 }
 
-# The largest n at which ``distribution`` and ``enumerate --count-only`` tally
-# the matchings, with a filter and without one.  Enumeration takes flat memory,
-# but the merged counter's memo grows with n.  With all six of its names it
-# peaks at 241 MB at n = 14 for the costliest filtered class (no_2_left_nesting;
-# 565 MB at n = 15), and at 509 MB at n = 12 for all matchings, which no rule
-# prunes (1.35 GB at n = 13).  Past either bound a tally by enumeration, of
-# more than 10^12 matchings, would not finish.
-MAX_FILTERED_MATCHING_N = 14
-MAX_MATCHING_N = 12
-
-# The largest n at which they count the permutations, or tally them by asc, des,
-# inv, lmin and lmax, with the inversion-table walk (``table_tallies``).  Its
-# levels grow with n: all five names peak at 45 MB in ≈1.8 s at n = 16 (51 MB
-# and 3.1 s at n = 17; 2-CPU host, Python 3.11).
-MAX_PERMUTATION_N = 16
-
-# The largest n at which they count the factorial posets, or tally them with no
-# filter by comp, min, pre_n, lev, ip and rne_poset, with the same walk.  Its
-# levels grow with n, most with ip and pre_n: all six names peak at 132 MB in
-# ≈8 s at n = 13 (277 MB and 15 s at n = 14).
-MAX_FACTORIAL_POSET_N = 13
+# (class, whether a filter is given) -> the largest n at which ``distribution``
+# and ``enumerate --count-only`` tally a class through its ``counter``.
+# Enumeration takes flat memory, but each counter's memo or levels grow with n
+# (2-CPU host, Python 3.11):
+# - the matchings, by the merged counter: with all six of its names it peaks at
+#   241 MB at n = 14 for the costliest filtered class (no_2_left_nesting; 565 MB
+#   at n = 15), and at 509 MB at n = 12 for all matchings, which no rule prunes
+#   (1.35 GB at n = 13).  Past either bound a tally by enumeration, of more than
+#   10^12 matchings, would not finish;
+# - the permutations by asc, des, inv, lmin and lmax, by the inversion-table
+#   walk: all five names peak at 45 MB in ≈1.8 s at n = 16 (51 MB and 3.1 s at
+#   n = 17);
+# - the factorial posets by comp, min, pre_n, lev, ip and rne_poset, by the same
+#   walk, which grows most with ip and pre_n: all six names peak at 132 MB in
+#   ≈8 s at n = 13 (277 MB and 15 s at n = 14).
+MAX_COUNTED_N = {("matchings", True): 14, ("matchings", False): 12,
+                 ("permutations", False): 16, ("factorial_posets", False): 13}
 
 # class -> the largest n at which they tally it by enumeration: a class with no
 # counter, or names that no counter has.  Each object is built and scored; at
@@ -118,16 +114,11 @@ def _tally(args, names: tuple[str, ...]):
     generate(class_name, n, args.filter)        # refuses the filters
     what = (f"a tally of the {class_name} by {','.join(names)}" if names
             else f"a count of the {class_name}")
-    if not counted(class_name, names, args.filter):
-        if n > MAX_ENUMERATED_N[class_name]:
-            _die(f"{what} builds every object, so it takes n <= {MAX_ENUMERATED_N[class_name]}")
-    elif class_name != "matchings":
-        bound = MAX_PERMUTATION_N if class_name == "permutations" else MAX_FACTORIAL_POSET_N
-        if n > bound:
-            _die(f"{what} takes n <= {bound}, as its memory grows with n")
-    elif n > (MAX_FILTERED_MATCHING_N if args.filter else MAX_MATCHING_N):
-        _die(f"a tally of the matchings takes n <= {MAX_FILTERED_MATCHING_N} with "
-             f"a filter and n <= {MAX_MATCHING_N} without one, as its memory grows with n")
+    if counter(class_name, names, args.filter) is None:
+        if n > (bound := MAX_ENUMERATED_N[class_name]):
+            _die(f"{what} builds every object, so it takes n <= {bound}")
+    elif n > (bound := MAX_COUNTED_N[class_name, bool(args.filter)]):
+        _die(f"{what} takes n <= {bound}, as its memory grows with n")
     return tally(class_name, n, args.filter, names)
 
 

@@ -11,13 +11,13 @@ pattern, and its predicate is built from the two.  ``STEP_TESTS``, the one
 table of local rules, tests each arc as it is placed in closer order: it
 prunes ``gen_matchings``, a depth-first search, to exactly the class, and
 ``merged_tallies`` counts the class by the same search with equivalent
-states merged.  ``tally``, the one route for a count or a distribution of a
-class, reads it for the matchings tallied by ``MERGED_NAMES``, and one walk
-over inversion tables that builds no object, ``table_tallies``, for the
-unfiltered permutations and factorial posets: it reads each statistic from
-the entries of a table by that class's ``TABLE_READINGS``, a permutation's
-from its left inversion table and a poset's from the table of the poset;
-every other tally enumerates.  ``generate`` still runs the predicates on
+states merged.  ``tally`` is the one route for a count or a distribution of
+a class, and ``counter`` alone picks its counter: that one for the matchings
+tallied by ``MERGED_NAMES``, and for the unfiltered permutations and
+factorial posets ``table_tallies``, one walk over inversion tables that
+builds no object and reads each statistic from a table's entries by the
+class's ``TABLE_READINGS`` (a permutation's left inversion table, the table
+of a poset); every other tally enumerates.  ``generate`` still runs the predicates on
 every object it yields, so they post-check every pruned stream, and over the
 unpruned stream they are the oracle the tests hold the step tests to.  The search keeps the
 partner list of the arcs placed so far, and each matching it yields is that
@@ -639,39 +639,37 @@ def distribution(stream: Iterable, class_name: str,
 
 
 _merged = functools.cache(merged_tallies)       # one memo for every n
-_tabled = functools.cache(table_tallies)
 
 
-def counted(class_name: str, names: Sequence[str], predicates: Sequence[str]) -> bool:
-    """Whether ``tally`` reads a counter, not the stream, for these names and
-    predicates: a matching class by ``MERGED_NAMES``, or a class of
-    ``TABLE_READINGS``, with no predicates, by its readings."""
-    if class_name == "matchings":
-        return MERGED_NAMES >= set(names)
-    return (class_name in TABLE_READINGS and not predicates
-            and TABLE_READINGS[class_name].keys() >= set(names))
+def counter(class_name: str, names: Sequence[str], predicates: Sequence[str]):
+    """The function from n to the distribution rows that ``tally`` reads, or
+    None when the tally enumerates: ``merged_tallies`` for a matching class
+    tallied by names of ``MERGED_NAMES``, and ``table_tallies`` for a class of
+    ``TABLE_READINGS`` with no predicates, tallied by its readings.  The
+    predicates must be the class's own, as ``generate`` checks."""
+    names = tuple(names)
+    if class_name == "matchings" and MERGED_NAMES >= set(names):
+        return _merged(frozenset().union(*map(MATCHING_RULES.get, predicates)), names)
+    if (class_name in TABLE_READINGS and not predicates
+            and TABLE_READINGS[class_name].keys() >= set(names)):
+        return table_tallies(class_name, names)
+    return None
 
 
 def tally(class_name: str, n: int, predicates: Sequence[str] = (),
           names: Sequence[str] = ()) -> DistributionTable:
     """The tally of the statistics ``names`` over the class at size n filtered
     by the predicates; with no names, the count as the one row ().  The
-    predicates, the class and n are refused as by ``generate``.  A matching
-    class tallied by names of ``MERGED_NAMES`` comes from ``merged_tallies``,
-    and a class of ``TABLE_READINGS``, unfiltered and tallied by its readings,
-    from ``table_tallies``, without building an object (one counter per class
-    or rule set and names serves every n); any other tally runs over
-    ``generate``'s stream.
+    predicates, the class and n are refused as by ``generate``.  The rows come
+    from the class's ``counter`` when it has one, without building an object,
+    and else from ``generate``'s stream.
 
     >>> tally("matchings", 3, ["no_left_nesting"], ["rne"]).rows
     {(0,): 5, (1,): 1}
     """
     stream, names = generate(class_name, n, predicates), tuple(names)
-    if counted(class_name, names, predicates):
-        if class_name != "matchings":
-            return DistributionTable(names, _tabled(class_name, names)(n))
-        rules = frozenset().union(*map(MATCHING_RULES.get, predicates))
-        return DistributionTable(names, _merged(rules, names)(n))
+    if count := counter(class_name, names, predicates):
+        return DistributionTable(names, count(n))
     if not names:       # a count: no statistic pass, nor its class check
         return DistributionTable((), {(): sum(1 for _ in stream)})
     return distribution(stream, class_name, names)

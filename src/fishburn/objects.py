@@ -595,15 +595,14 @@ def is_two_plus_two_free_by_inclusion(p: Poset) -> bool:
 def is_three_plus_one_free(p: Poset) -> bool:
     """No induced 3-chain plus one element incomparable to all of it."""
     pre, suc = p.pre_masks, p.suc_masks
-    comparable = [pre[v] | suc[v] for v in range(p.n)]
     full = (1 << p.n) - 1
-    for y in range(p.n):
-        for x in _bits(pre[y]):
-            for z in _bits(suc[y]):
-                # x < y < z: the chain itself, and whatever is comparable to
-                # y, is comparable to x or to z
-                if full & ~(comparable[x] | comparable[z]):
-                    return False
+    for x in range(p.n):
+        free = full & ~(pre[x] | suc[x])        # incomparable to x
+        for z in _bits(suc[x]):
+            # some x < y < z, and a w incomparable to x and z, so to y too:
+            # w < y would give w < z, and y < w would give x < w
+            if suc[x] & pre[z] and free & ~(pre[z] | suc[z]):
+                return False
     return True
 
 

@@ -14,7 +14,7 @@ or to None when it holds; ``_facts`` runs n on the outside and the facts on
 the inside.  Facts read their data through two caches, keyed by a class and
 a tuple of named ``PREDICATES`` entries: ``_objects`` for its members and
 ``_tally`` for statistic tallies, which come from ``enumeration.tally``, so
-it alone decides which tallies are counted without building an object.  The
+its ``counter`` alone decides which are counted without building an object.  The
 permutations are streamed, not counted, and stay the enumerated side of each
 equidistribution.
 

@@ -1,0 +1,107 @@
+"""Reach smoke runs of the command line, one table row each.
+
+A row runs one ``python -m fishburn.cli`` child on this checkout's ``src``
+and checks what the row pins: the SHA-256 of the child's stdout, that the
+counts of its distribution CSV sum to N!, and that its peak RSS stays under
+a limit.  pytest does not collect this file; run it as
+
+    python tests/reach.py ROW [ROW ...]     # exit 1 if any row fails
+    python tests/reach.py --list
+"""
+
+import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+MATCHING_CHECKS = ["conj1_equidistribution", "conj2_equidistribution",
+                   "conj3_no_2_left_nestings", "conj4_lne_second_order_eulerian",
+                   "thm_no_left_nesting_count", "thm_poset_matching_round_trip"]
+CONJ12 = ["verify", "conj1_equidistribution", "conj2_equidistribution"]
+
+# row -> (CLI arguments, SHA-256 of stdout or None, N whose N! the CSV counts
+# sum to or None, the child's peak RSS limit in MB or None)
+REACH = {
+    "matchings_n14": (
+        ["distribution", "matchings", "14", "--stats", "rne,comp,min",
+         "--filter", "no_left_nesting"],
+        "ceaa760f1459f4ff194d691cd3e6d75edb8b970530d0e9de2515c1516e9f4a0a", 14, None),
+    "permutations_n14": (
+        ["distribution", "permutations", "14", "--stats", "des,inv"],
+        "8332e6ed53035bbd1582cae057775c43f4c05057665b0a49a67b37376e838f82", 14, None),
+    "permutations_n16": (
+        ["distribution", "permutations", "16", "--stats", "asc,des,inv,lmin,lmax"],
+        "56eec0c56277cc7daa0bcd11e6185ea5568c16a2f37795c73c17856a732f2bb7", 16, 100),
+    "factorial_posets_n13": (
+        ["distribution", "factorial_posets", "13", "--stats", "comp,min,pre_n,lev,ip,rne_poset"],
+        "57c90b85b8fac50035e4c77293a626b157ca98b4abc94ae591afa5f2443ce254", 13, 200),
+    "matching_checks_n8": (
+        ["verify", *MATCHING_CHECKS, "--n-max", "8", "--json"], None, None, 70),
+    "conj12_n9": (
+        [*CONJ12, "--n-max", "9", "--json"],
+        "38ec91cc9677aa287a40813985879603a3e9ee8f37159bc34eb95e79c700281b", None, 60),
+    "conj12_n10": (
+        [*CONJ12, "--n-max", "10", "--json"],
+        "e09bef4d9a71640062211102bc941de131cd73d4df46575c113b0d95bbd71408", None, 60),
+    "registry_n7": (
+        ["verify", "--all", "--n-max", "7", "--json"],
+        "8f8c5fe29cf86b74c009d01066e58f14542471289692b308bd1064cef6ae50ab", None, 80),
+}
+
+
+def run(row: str) -> list[str]:
+    """Run one row's child; the checks it fails, each as a line."""
+    argv, digest, n, limit_mb = REACH[row]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen([sys.executable, "-m", "fishburn.cli", *argv],
+                             stdout=subprocess.PIPE, env=env)
+    # read line by line, so that this process stays small: a child forked
+    # from it starts its peak RSS at this process's own peak
+    sha, total = hashlib.sha256(), 0
+    for i, line in enumerate(child.stdout):
+        sha.update(line)
+        if n is not None and i:                   # a CSV row after the header
+            total += int(line.rsplit(b",", 1)[1])
+    child.stdout.close()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    got = sha.hexdigest()
+    print(f"{row}: exit {child.returncode}, sha256 of stdout {got}")
+    failed = [f"exit code {child.returncode}"] if child.returncode else []
+    if digest is not None and got != digest:
+        failed.append(f"sha256 {got}, expected {digest}")
+    if n is not None:
+        print(f"{row}: counts sum to {total}")
+        if total != math.factorial(n):
+            failed.append(f"counts sum to {total}, not {n}! = {math.factorial(n)}")
+    if limit_mb is not None:
+        peak_mb = usage.ru_maxrss / 1024
+        print(f"{row}: peak RSS of the child {peak_mb:.0f} MB (limit {limit_mb} MB)")
+        if peak_mb > limit_mb:
+            failed.append(f"peak RSS {peak_mb:.0f} MB over {limit_mb} MB")
+    return failed
+
+
+def main(rows: list[str]) -> int:
+    if rows == ["--list"]:
+        print("\n".join(REACH))
+        return 0
+    unknown = [row for row in rows if row not in REACH]
+    if unknown or not rows:
+        print(f"rows: {', '.join(REACH)}; unknown: {', '.join(unknown) or 'none given'}",
+              file=sys.stderr)
+        return 2
+    failures = {row: run(row) for row in rows}
+    for row, failed in failures.items():
+        for line in failed:
+            print(f"FAIL {row}: {line}", file=sys.stderr)
+    return 1 if any(failures.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,11 +14,8 @@ import fishburn
 from fishburn import (
     REGISTRY, DistributionTable, catalan, cli, distribution, double_factorial, generate,
 )
-from fishburn.cli import (
-    MAX_ENUMERATED_N, MAX_FACTORIAL_POSET_N, MAX_FILTERED_MATCHING_N, MAX_MATCHING_N,
-    MAX_PERMUTATION_N, main,
-)
-from fishburn.enumeration import GENERATORS
+from fishburn.cli import MAX_COUNTED_N, MAX_ENUMERATED_N, main
+from fishburn.enumeration import GENERATORS, PREDICATES, counter
 
 from helpers import (
     COUNTED_NAMES,
@@ -27,6 +24,13 @@ from helpers import (
     ENUMERATED_PERMUTATION_NAMES,
     ROUTE_FILTERS,
 )
+
+
+# the bound of each counted route
+FILTERED_MATCHING_N = MAX_COUNTED_N["matchings", True]
+MATCHING_N = MAX_COUNTED_N["matchings", False]
+PERMUTATION_N = MAX_COUNTED_N["permutations", False]
+FACTORIAL_POSET_N = MAX_COUNTED_N["factorial_posets", False]
 
 
 def package_env() -> dict:
@@ -551,9 +555,6 @@ class TestMatchingTallies:
     """``distribution`` and ``enumerate --count-only`` of the matchings read
     ``tally``: the enumerated CSV and the stream's length, within a size bound."""
 
-    BOUND = ("error: a tally of the matchings takes n <= 14 with a filter and "
-             "n <= 12 without one, as its memory grows with n\n")
-
     @pytest.mark.parametrize("predicates", ROUTE_FILTERS)
     def test_csv_equals_the_enumerated_distribution(self, capsys, predicates):
         for names in COUNTED_NAMES + ENUMERATED_NAMES:
@@ -572,7 +573,7 @@ class TestMatchingTallies:
                                    *filter_args(predicates))
             assert count == f"{len(stream.splitlines())}\n", n
 
-    @pytest.mark.parametrize("n", ["3", str(MAX_FILTERED_MATCHING_N + 1)])
+    @pytest.mark.parametrize("n", ["3", str(FILTERED_MATCHING_N + 1)])
     @pytest.mark.parametrize("argv", [("distribution", "matchings", "{n}", "--stats", "emb"),
                                       ("enumerate", "matchings", "{n}", "--count-only")])
     def test_foreign_predicate_refused(self, capsys, argv, n):
@@ -584,27 +585,31 @@ class TestMatchingTallies:
                        "factorial_posets and natural_posets, not matchings\n")
 
     @pytest.mark.parametrize("argv", [
-        ("distribution", "matchings", str(MAX_FILTERED_MATCHING_N + 1), "--stats", "rne",
+        ("distribution", "matchings", str(FILTERED_MATCHING_N + 1), "--stats", "rne",
          "--filter", "no_left_nesting"),
-        ("enumerate", "matchings", str(MAX_FILTERED_MATCHING_N + 1), "--count-only",
+        ("enumerate", "matchings", str(FILTERED_MATCHING_N + 1), "--count-only",
          "--filter", "no_nesting"),
-        ("distribution", "matchings", str(MAX_MATCHING_N + 1), "--stats", "lne"),
-        ("enumerate", "matchings", str(MAX_MATCHING_N + 1), "--count-only"),
+        ("distribution", "matchings", str(MATCHING_N + 1), "--stats", "lne"),
+        ("enumerate", "matchings", str(MATCHING_N + 1), "--count-only"),
     ])
     def test_refused_past_the_bound(self, capsys, monkeypatch, argv):
         def refuse(*args):
             raise AssertionError("counted past the bound")
         monkeypatch.setattr(cli, "tally", refuse)
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (2, "", self.BOUND)
+        what = (f"a tally of the matchings by {argv[4]}" if argv[0] == "distribution"
+                else "a count of the matchings")
+        bound = 14 if "--filter" in argv else 12
+        assert (code, out, err) == (
+            2, "", f"error: {what} takes n <= {bound}, as its memory grows with n\n")
 
     def test_counted_at_the_bound(self, capsys):
-        _, filtered, _ = run_cli(capsys, "enumerate", "matchings", str(MAX_FILTERED_MATCHING_N),
+        _, filtered, _ = run_cli(capsys, "enumerate", "matchings", str(FILTERED_MATCHING_N),
                                  "--count-only", "--filter", "no_nesting")
-        _, unfiltered, _ = run_cli(capsys, "enumerate", "matchings", str(MAX_MATCHING_N),
+        _, unfiltered, _ = run_cli(capsys, "enumerate", "matchings", str(MATCHING_N),
                                    "--count-only")
-        assert filtered == f"{catalan(MAX_FILTERED_MATCHING_N)}\n"
-        assert unfiltered == f"{double_factorial(2 * MAX_MATCHING_N - 1)}\n"
+        assert filtered == f"{catalan(FILTERED_MATCHING_N)}\n"
+        assert unfiltered == f"{double_factorial(2 * MATCHING_N - 1)}\n"
 
 
 def refuse_to_count(monkeypatch):
@@ -628,7 +633,7 @@ class TestPermutationTallies:
             assert (code, out) == (0, expected.to_csv()), n
 
     def test_count_is_n_factorial_up_to_the_bound(self, capsys):
-        for n in range(MAX_PERMUTATION_N + 1):
+        for n in range(PERMUTATION_N + 1):
             assert run_cli(capsys, "enumerate", "permutations", str(n), "--count-only") == (
                 0, f"{math.factorial(n)}\n", ""), n
 
@@ -641,7 +646,7 @@ class TestPermutationTallies:
     ])
     def test_refused_past_the_bound(self, capsys, monkeypatch, argv, what):
         refuse_to_count(monkeypatch)
-        code, out, err = run_cli(capsys, *(a.format(n=MAX_PERMUTATION_N + 1) for a in argv))
+        code, out, err = run_cli(capsys, *(a.format(n=PERMUTATION_N + 1) for a in argv))
         assert (code, out) == (2, "")
         assert err == f"error: {what} takes n <= 16, as its memory grows with n\n"
 
@@ -664,7 +669,7 @@ class TestFactorialPosetTallies:
             assert (code, out) == (0, expected.to_csv()), n
 
     def test_count_is_n_factorial_up_to_the_bound(self, capsys):
-        for n in range(MAX_FACTORIAL_POSET_N + 1):
+        for n in range(FACTORIAL_POSET_N + 1):
             assert run_cli(capsys, "enumerate", "factorial_posets", str(n), "--count-only") == (
                 0, f"{math.factorial(n)}\n", ""), n
 
@@ -678,7 +683,7 @@ class TestFactorialPosetTallies:
     ])
     def test_refused_past_the_bound(self, capsys, monkeypatch, argv, what):
         refuse_to_count(monkeypatch)
-        code, out, err = run_cli(capsys, *(a.format(n=MAX_FACTORIAL_POSET_N + 1) for a in argv))
+        code, out, err = run_cli(capsys, *(a.format(n=FACTORIAL_POSET_N + 1) for a in argv))
         assert (code, out) == (2, "")
         assert err == f"error: {what} takes n <= 13, as its memory grows with n\n"
 
@@ -690,9 +695,9 @@ class TestFactorialPosetTallies:
             return DistributionTable(tuple(names), {tuple(0 for _ in names): 1})
         monkeypatch.setattr(cli, "tally", counted)
         code, _, _ = run_cli(capsys, "distribution", "factorial_posets",
-                             str(MAX_FACTORIAL_POSET_N), "--stats", POSET_NAMES)
+                             str(FACTORIAL_POSET_N), "--stats", POSET_NAMES)
         assert code == 0
-        assert calls == [("factorial_posets", MAX_FACTORIAL_POSET_N, [],
+        assert calls == [("factorial_posets", FACTORIAL_POSET_N, [],
                           tuple(POSET_NAMES.split(",")))]
 
 
@@ -726,6 +731,15 @@ class TestEnumerationBounds:
     def test_every_class_has_a_bound(self):
         assert set(MAX_ENUMERATED_N) == set(GENERATORS)
         assert {class_name for class_name, _ in ENUMERATED_TALLIES} == set(GENERATORS)
+
+    def test_every_counted_route_has_a_bound(self):
+        # (class, filtered) of each count that a counter serves, with no
+        # predicate or with one of the class's own
+        counted = {(class_name, bool(predicates)) for class_name in GENERATORS
+                   for predicates in [(), *((name,) for name, (classes, _) in PREDICATES.items()
+                                           if class_name in classes)]
+                   if counter(class_name, (), predicates) is not None}
+        assert counted == set(MAX_COUNTED_N)
 
     @pytest.mark.parametrize("class_name, args", ENUMERATED_TALLIES)
     def test_refused_past_the_bound(self, capsys, monkeypatch, class_name, args):

@@ -451,6 +451,35 @@ def route_only(monkeypatch, counted):
     monkeypatch.setattr(enumeration, "distribution" if counted else "_merged", refuse)
 
 
+# (class, predicates, names) -> whether ``tally`` reads a counter for it:
+# every class, with no predicate or one of its own, and with no names, a name
+# that a counter reads or a name that none reads
+ROUTES = {
+    ("matchings", (), ()): True,
+    ("matchings", (), ("rne",)): True,
+    ("matchings", (), ("last",)): False,
+    ("matchings", ("no_left_nesting",), ()): True,
+    ("matchings", ("no_left_nesting",), ("rne",)): True,
+    ("matchings", ("no_left_nesting",), ("last",)): False,
+    ("permutations", (), ()): True,
+    ("permutations", (), ("des",)): True,
+    ("permutations", (), ("p",)): False,
+    ("factorial_posets", (), ()): True,
+    ("factorial_posets", (), ("lev",)): True,
+    ("factorial_posets", ("condition_one",), ()): False,
+    ("factorial_posets", ("condition_one",), ("lev",)): False,
+    ("inversion_tables", (), ()): False,
+    ("inversion_tables", (), ("dent",)): False,
+    ("inversion_tables", ("descent_correcting",), ("dent",)): False,
+    ("natural_posets", (), ()): False,
+    ("natural_posets", ("factorial",), ()): False,
+    ("natural_posets", ("factorial",), ("lev",)): False,
+    ("matrices", (), ()): False,
+    ("matrices", ("zero_one",), ()): False,
+    ("ascent_sequences", (), ()): False,
+}
+
+
 class TestTallyRoute:
     """``tally`` reads the merged counter for a matching class tallied by its
     names, the inversion-table walk for the unfiltered permutations and
@@ -471,6 +500,29 @@ class TestTallyRoute:
                 else:
                     assert table.rows == {(): sum(1 for _ in stream)}, n
 
+    @pytest.mark.parametrize("class_name, predicates, names", sorted(ROUTES))
+    def test_counter_decides_the_route(self, monkeypatch, class_name, predicates, names):
+        counted = ROUTES[class_name, predicates, names]
+        assert (enumeration.counter(class_name, names, predicates) is not None) == counted
+
+        def refuse(*args):
+            raise AssertionError("the other route was taken")
+
+        def unread(*args):
+            generate(*args)                 # still refuses what it refuses
+            return map(refuse, [None])
+        with monkeypatch.context() as patch:
+            if counted:
+                patch.setattr(enumeration, "generate", unread)
+            else:
+                patch.setattr(enumeration, "_merged", refuse)
+                patch.setattr(enumeration, "table_tallies", refuse)
+            got = [tally(class_name, n, predicates, names).rows for n in range(6)]
+        for n, rows in enumerate(got):
+            stream = generate(class_name, n, predicates)
+            assert rows == (distribution(stream, class_name, names).rows if names
+                            else {(): sum(1 for _ in stream)}), n
+
     def test_permutation_tallies_by_its_names_read_no_permutation(self, monkeypatch):
         def unread(n):
             raise AssertionError("the permutation stream was read")
@@ -484,7 +536,7 @@ class TestTallyRoute:
     def test_other_permutation_names_enumerate(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the counter was read")
-        monkeypatch.setattr(enumeration, "_tabled", refuse)
+        monkeypatch.setattr(enumeration, "table_tallies", refuse)
         for names in ENUMERATED_PERMUTATION_NAMES:
             for n in range(7):
                 assert tally("permutations", n, (), names) == distribution(

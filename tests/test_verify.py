@@ -23,7 +23,7 @@ from fishburn import (
     table_to_matching,
     table_to_poset,
 )
-from fishburn import enumeration, jsonio, statistics, verify
+from fishburn import bijections, enumeration, jsonio, objects, statistics, verify
 from fishburn.enumeration import (
     MATCHING_RULES,
     gen_factorial_posets,
@@ -364,6 +364,110 @@ STEP_FAULTS = {
 }
 
 
+_insert, _preimage, _matching_to_poset = (
+    bijections._insert, bijections._preimage, verify.matching_to_poset)
+
+
+def _set_predicate(name, test):
+    """Replace the membership test of the predicate ``name``."""
+    return lambda mp: mp.setitem(enumeration.PREDICATES, name,
+                                 (enumeration.PREDICATES[name][0], test))
+
+
+# a fault in a map, predicate or oracle that a registry row looks up when it
+# runs (a row holds the maps it was built with, so each fault is injected into
+# a callee) -> (the fault, every check it fails at n <= 5 with its witness)
+KERNEL_FAULTS = {
+    "insertion always last": (
+        lambda mp: mp.setattr(bijections, "_insert", lambda w, last: _insert(w, True)),
+        {"thm_no_left_crossing_count": {
+            "n": 2, "table": [0, 0], "class": "matching",
+            "object": {"n": 2, "arcs": [[1, 3], [2, 4]]}},
+         "prop_ascent_correcting_fishburn": {"n": 2, "table": [0, 0]}}),
+    "crossing preimage nests": (        # (False, False) built as (True, True)
+        lambda mp: mp.setattr(bijections, "_preimage", lambda t, openers_cross, closers_cross: (
+            _preimage(t, openers_cross or not closers_cross, closers_cross or not openers_cross))),
+        {"thm_matrix_map_no_neighbor_crossing": {
+            "n": 2, "matrix": {"k": 1, "rows": [[2]]}, "class": "matching",
+            "object": {"n": 2, "arcs": [[1, 3], [2, 4]]}}}),
+    "matching_to_poset one less": (
+        lambda mp: mp.setattr(verify, "matching_to_poset", lambda m: Poset.from_pre_masks(
+            tuple(mask >> 1 for mask in _matching_to_poset(m).pre_masks))),
+        {"thm_poset_matching_round_trip": {
+            "n": 2, "class": "poset", "object": {"n": 2, "less": [[1, 2]]}}}),
+    "poset_to_matching one less": (
+        lambda mp: mp.setattr(verify, "poset_to_matching", lambda p: table_to_matching(
+            [max(a - 1, 0) for a in poset_to_table(p)])),
+        {"prop_factorial_dually_factorial_catalan": {
+            "n": 3, "class": "poset", "object": {"n": 3, "less": [[1, 2]]}},
+         "thm_poset_matching_round_trip": {
+             "n": 2, "class": "poset", "object": {"n": 2, "less": [[1, 2]]}},
+         "prop_nesting_criterion": {
+             "n": 3, "class": "poset", "object": {"n": 3, "less": [[1, 2]]}, "arcs": [2, 3]}}),
+    "condition_one_var always": (
+        lambda mp: mp.setattr(verify, "condition_one_var", lambda p: True),
+        {"prop_condition_one_variant": {
+            "n": 3, "class": "poset", "object": {"n": 3, "less": [[1, 2]]}}}),
+    "ascent correcting as descent": (
+        lambda mp: mp.setattr(verify, "is_ascent_correcting", objects.is_descent_correcting),
+        {"prop_ascent_correcting_fishburn": {"n": 3, "table": [0, 0, 1]}}),
+    "descent correcting as ascent": (
+        lambda mp: mp.setattr(verify, "is_descent_correcting", objects.is_ascent_correcting),
+        {"prop_descent_correcting_fishburn": {"n": 3, "table": [0, 0, 1]}}),
+    "3+1 free as 2+2 free": (
+        lambda mp: mp.setattr(verify, "is_three_plus_one_free", objects.is_two_plus_two_free),
+        {"prop_three_plus_one_free_equivalence": {
+            "n": 4, "class": "poset", "object": {"n": 4, "less": [[1, 2], [1, 4], [2, 4]]}}}),
+    "2+2 search finds none": (
+        lambda mp: mp.setattr(verify, "is_two_plus_two_free", lambda p: True),
+        {"prop_factorial_posets_two_plus_two_free": {
+            "n": 4, "class": "poset", "object": {"n": 4, "less": [[1, 3], [2, 4]]},
+            "disagreement": True}}),
+    "labeling keeps the poset": (
+        lambda mp: mp.setattr(verify, "canonical_labeling", lambda q: q),
+        {"prop_unique_labeling": {
+            "n": 2, "relabeling": [2, 1], "class": "poset", "object": {"n": 2, "less": [[1, 2]]}}}),
+    "condition_one pre nondecreasing": (
+        _set_predicate("condition_one", lambda p: all(map(int.__le__, p.pre_vector,
+                                                          p.pre_vector[1:]))),
+        {"prop_condition_one_fishburn": {
+            "n": 4, "counted": "factorial posets meeting the neighbor rule",
+            "expected": 15, "actual": 14},
+         "cor_fishburn_class_agreement": {
+             "n": 4, "counted": "condition_one_factorial_posets", "expected": 15, "actual": 14}}),
+    "factorial as natural": (
+        _set_predicate("factorial", objects.is_natural),
+        {"thm_factorial_poset_count": {
+            "n": 3, "counted": "factorial posets", "expected": 6, "actual": 7},
+         "prop_condition_one_fishburn": {
+             "n": 3, "counted": "factorial posets meeting the neighbor rule",
+             "expected": 5, "actual": 6},
+         "prop_factorial_dually_factorial_catalan": {
+             "n": 3, "counted": "factorial and dually factorial posets",
+             "expected": 5, "actual": 6},
+         "cor_fishburn_class_agreement": {
+             "n": 3, "counted": "condition_one_factorial_posets", "expected": 5, "actual": 6},
+         "cor_catalan_class_agreement": {
+             "n": 3, "counted": "factorial_dually_factorial_posets", "expected": 5, "actual": 6}}),
+    "nonnesting image as noncrossing": (
+        _set_predicate("nonnesting_image", bijections.matrix_is_noncrossing_image),
+        {"cor_catalan_matrix_images": {
+            "n": 4, "class": "matching",
+            "object": {"n": 4, "arcs": [[1, 3], [2, 5], [4, 7], [6, 8]]},
+            "image": {"k": 3, "rows": [[1, 1, 0], [0, 0, 1], [0, 0, 1]]}}}),
+}
+
+
+def decode_witness(witness):
+    """Decode every object a witness names; each ``image`` is a matrix."""
+    if "object" in witness:
+        jsonio.decode(witness["class"], witness["object"])
+    for key, class_name in (("table", "inversion_table"), ("matrix", "matrix"),
+                            ("image", "matrix")):
+        if key in witness:
+            jsonio.decode(class_name, witness[key])
+
+
 def _step_fault(fault, check):
     """The step-table fault with the witness it gives for one check."""
     inject, failures = STEP_FAULTS[fault]
@@ -404,8 +508,7 @@ class TestInjectedFaults:
     def clear_caches(self):
         # so nothing computed before the fault is read under it, or after it
         def clear():
-            for cache in (_objects, _tally, enumeration._merged, enumeration._tabled,
-                          statistics._compile):
+            for cache in (_objects, _tally, enumeration._merged, statistics._compile):
                 cache.cache_clear()
         yield clear
         clear()
@@ -422,17 +525,31 @@ class TestInjectedFaults:
         if "table" in witness:          # the one witness that names an object
             jsonio.decode("inversion_table", witness["table"])
 
-    @pytest.mark.parametrize("fault", sorted(STEP_FAULTS))
-    def test_step_fault_fails_exactly_these_checks(self, monkeypatch, clear_caches, fault):
-        inject, failures = STEP_FAULTS[fault]
+    @staticmethod
+    def failures_under(monkeypatch, clear_caches, inject):
+        """Every check that fails at n <= 5 under the fault, with its witness."""
         assert all(report.verdict == "pass" for report in run_all(5))
         clear_caches()
         inject(monkeypatch)
-        assert {report.check: report.witness for report in run_all(5)
-                if report.verdict == "fail"} == failures
+        failures = {report.check: report.witness for report in run_all(5)
+                    if report.verdict == "fail"}
         for witness in failures.values():
-            if "object" in witness:
-                jsonio.decode(witness["class"], witness["object"])
+            decode_witness(witness)
+        return failures
+
+    @pytest.mark.parametrize("fault", sorted(STEP_FAULTS))
+    def test_step_fault_fails_exactly_these_checks(self, monkeypatch, clear_caches, fault):
+        inject, failures = STEP_FAULTS[fault]
+        assert self.failures_under(monkeypatch, clear_caches, inject) == failures
+
+    @pytest.mark.parametrize("fault", sorted(KERNEL_FAULTS))
+    def test_kernel_fault_fails_exactly_these_checks(self, monkeypatch, clear_caches, fault):
+        inject, failures = KERNEL_FAULTS[fault]
+        assert self.failures_under(monkeypatch, clear_caches, inject) == failures
+
+    def test_every_check_fails_under_some_fault(self):
+        swept = {**STEP_FAULTS, **KERNEL_FAULTS}.values()
+        assert set(FAULTS).union(*(failures for _, failures in swept)) == set(REGISTRY)
 
 
 class TestDataLayer:
@@ -473,14 +590,14 @@ class TestDataLayer:
         def unread(n):
             raise AssertionError("the poset stream was read")
             yield
-        tabled = enumeration._tabled
+        tabled = enumeration.table_tallies
 
         def refusing(class_name, names):
             if class_name == "permutations":
                 raise AssertionError("the permutation counter was read")
             return tabled(class_name, names)
         monkeypatch.setitem(enumeration.GENERATORS, "factorial_posets", unread)
-        monkeypatch.setattr(enumeration, "_tabled", refusing)
+        monkeypatch.setattr(enumeration, "table_tallies", refusing)
         read = set()
         cached = verify._objects
 
