@@ -4,24 +4,28 @@ Generators are deterministic: two runs yield identical streams, and the
 order is lexicographic on the canonical encoding of each object, so a
 failure reported by index is reproducible.
 
-Class membership is decided by the named predicates in ``PREDICATES``.
-A matching class forbids some neighbour patterns: ``MATCHING_RULES`` names
-its rules, ``RULE_TESTS`` the test of a whole matching for each rule's
-pattern, and its predicate is built from the two.  ``STEP_TESTS``, the one
-table of local rules, tests each arc as it is placed in closer order: it
-prunes ``gen_matchings``, a depth-first search, to exactly the class, and
+Class membership is decided by the named predicates in ``PREDICATES``.  A
+matching class forbids some neighbour patterns: ``MATCHING_RULES`` names its
+rules, ``RULE_TESTS`` the test of a whole matching for each rule's pattern,
+and its predicate is built from the two.  ``STEP_TESTS``, the one table of
+local rules, tests each arc as it is placed in closer order: it prunes
+``gen_matchings``, a depth-first search, to exactly the class, and
 ``merged_tallies`` counts the class by the same search with equivalent
-states merged.  ``tally`` is the one route for a count or a distribution of
-a class, and ``counter`` alone picks its counter: that one for the matchings
-tallied by ``MERGED_NAMES``, and for the unfiltered permutations and
-factorial posets ``table_tallies``, one walk over inversion tables that
-builds no object and reads each statistic from a table's entries by the
-class's ``TABLE_READINGS`` (a permutation's left inversion table, the table
-of a poset); every other tally enumerates.  ``generate`` still runs the predicates on
-every object it yields, so they post-check every pruned stream, and over the
-unpruned stream they are the oracle the tests hold the step tests to.  The search keeps the
-partner list of the arcs placed so far, and each matching it yields is that
-list as a tuple, the one slot of a ``Matching``.
+states merged.  ``POSET_CUTS`` names the poset predicates that hold of a
+natural poset's parent in the down-set search whenever they hold of it, and
+they cut that search at every node before the last.  ``tally`` is the one
+route for a count or a distribution of a class, and ``counter`` alone picks
+its counter: that one for the matchings tallied by ``MERGED_NAMES``, and for
+the unfiltered permutations and factorial posets ``table_tallies``, one walk
+over inversion tables that builds no object and reads each statistic from a
+table's entries by the class's ``TABLE_READINGS`` (a permutation's left
+inversion table, the table of a poset); every other tally enumerates.
+``generate`` alone picks what prunes a search, and still runs the predicates
+on every object it yields, so they post-check every pruned stream, and over
+the unpruned stream they are the oracle the tests hold the step tests and
+the cuts to.  The matching search keeps the partner list of the arcs placed
+so far, and each matching it yields is that list as a tuple, the one slot of
+a ``Matching``.
 
 The counting sequences (factorials, Catalan, the Fishburn series, the
 second-order Eulerian rows) are computed by formula or recurrence,
@@ -88,6 +92,10 @@ MATCHING_RULES = {
     "no_2_left_nesting": frozenset({"lne", "gap2"}),
     "lne0_and_rcr0": frozenset({"lne", "rcr"}),
 }
+
+# poset predicates that hold of a natural poset's parent in the search if they hold of it
+POSET_CUTS = frozenset({"factorial", "dually_factorial", "two_plus_two_free",
+                        "three_plus_one_free"})
 
 
 def _sized(gen):
@@ -357,7 +365,6 @@ def gen_factorial_posets(n: int) -> Iterator[Poset]:
         yield table_to_poset(w)
 
 
-@_sized
 def gen_natural_posets(n: int) -> Iterator[Poset]:
     """All naturally labeled posets on [n], independently of any bijection.
 
@@ -365,6 +372,12 @@ def gen_natural_posets(n: int) -> Iterator[Poset]:
     order, as its predecessor set: each poset once, 1, 1, 2, 7, 40, 357, 4824,
     96428 of them.  Its down sets: the old d, then d | bit(k+1) if d & s == s.
     """
+    return _down_set_order(n)
+
+
+@_sized
+def _down_set_order(n: int, cuts: Sequence = ()) -> Iterator[Poset]:
+    """``gen_natural_posets(n)`` less the posets above a node a cut refuses."""
     def extend(masks: tuple[int, ...], downs: list[int]) -> Iterator[tuple[int, ...]]:
         if len(masks) == n - 1:         # the last element needs no down sets
             for s in downs:
@@ -372,7 +385,8 @@ def gen_natural_posets(n: int) -> Iterator[Poset]:
             return
         bit = 1 << len(masks)
         for s in downs:
-            yield from extend(masks + (s,), downs + [d | bit for d in downs if d & s == s])
+            if not cuts or all(cut(Poset.from_pre_masks(masks + (s,))) for cut in cuts):
+                yield from extend(masks + (s,), downs + [d | bit for d in downs if d & s == s])
 
     return map(Poset.from_pre_masks, extend((), [0]) if n else [()])
 
@@ -453,14 +467,18 @@ GENERATORS = {
 
 def generate(class_name: str, n: int, predicates: Sequence[str] = ()) -> Iterator:
     """The class at size n, filtered by the named predicates, in generation
-    order.  Matching predicates also prune the search through their
-    ``MATCHING_RULES``; every object is still checked by every predicate.
-    Raises UnknownPredicate for a predicate of another class before the lazy
-    stream yields anything, and ValueError unless n is a nonnegative integer."""
+    order.  Two searches are also pruned by them: the matchings through their
+    ``MATCHING_RULES``, and the natural posets at every node before the last
+    by those of ``POSET_CUTS``; every object is still checked by every
+    predicate.  Raises UnknownPredicate for a predicate of another class
+    before the lazy stream yields anything, and ValueError unless n is a
+    nonnegative integer."""
     if class_name not in GENERATORS:
         raise UnknownClass(f"unknown object class {class_name!r}")
     rules = frozenset().union(*(MATCHING_RULES.get(name, ()) for name in predicates))
+    cuts = [PREDICATES[name][1] for name in predicates if name in POSET_CUTS]
     stream = (gen_matchings(n, rules) if class_name == "matchings"
+              else _down_set_order(n, cuts) if class_name == "natural_posets"
               else GENERATORS[class_name](n))
     for name in predicates:
         stream = filter(class_predicate(class_name, name), stream)

@@ -503,8 +503,11 @@ class Poset(FrozenValue):
         iff j is above."""
         masks = [0] * self.n
         for j, mask in enumerate(self.pre_masks):
-            for i in _bits(mask):
-                masks[i] |= 1 << j
+            bit = 1 << j
+            while mask:
+                low = mask & -mask
+                masks[low.bit_length() - 1] |= bit
+                mask ^= low
         return tuple(masks)
 
     def _index(self, j: int) -> int:

@@ -58,7 +58,13 @@ from .enumeration import (
     second_order_eulerian,
     tally,
 )
-from .errors import UnknownCheck
+from .errors import (
+    FishburnError,
+    UnknownCheck,
+    UnknownClass,
+    UnknownPredicate,
+    UnknownStatistic,
+)
 from .objects import (
     Value,
     condition_one,
@@ -102,17 +108,10 @@ class CheckReport(Value):
         return out
 
 
-# The two cached accessors; everything downstream treats their values as
-# immutable.  ``_objects`` holds the members that the object facts read; no
-# tally reads it.  A matching class comes pruned from the search; any other class
-# is filtered once from its cached prefix, so each base class is generated
-# once per n.  Both paths pass the predicate gate of ``class_predicate``.
+# The two cached accessors, whose values everything downstream treats as immutable
 @lru_cache(maxsize=None)
 def _objects(class_name: str, n: int, predicates: tuple[str, ...]) -> tuple:
-    if class_name == "matchings" or not predicates:
-        return tuple(generate(class_name, n, predicates))
-    test = class_predicate(class_name, predicates[-1])
-    return tuple(filter(test, _objects(class_name, n, predicates[:-1])))
+    return tuple(generate(class_name, n, predicates))
 
 
 @lru_cache(maxsize=None)
@@ -146,11 +145,18 @@ def _fishburn(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _facts(*facts, start: int = 0):
-    """The registry function for a list of facts: n outside, facts inside."""
+    """The registry function for a list of facts: n outside, facts inside.  A
+    domain error raised by a fact fails it at that n; an ``Unknown*`` lookup
+    error is a misnamed registry row, and propagates."""
     def check(n_max: int):
         for n in range(start, n_max + 1):
             for fact in facts:
-                witness = fact(n)
+                try:
+                    witness = fact(n)
+                except (UnknownCheck, UnknownClass, UnknownPredicate, UnknownStatistic):
+                    raise
+                except FishburnError as error:
+                    witness = {"n": n, "error": f"{type(error).__name__}: {error}"}
                 if witness is not None:
                     return False, witness, None
         return True, None, None

@@ -22,6 +22,9 @@ MATCHING_CHECKS = ["conj1_equidistribution", "conj2_equidistribution",
                    "conj3_no_2_left_nestings", "conj4_lne_second_order_eulerian",
                    "thm_no_left_nesting_count", "thm_poset_matching_round_trip"]
 CONJ12 = ["verify", "conj1_equidistribution", "conj2_equidistribution"]
+POSET_COUNT_CHECKS = ["thm_factorial_poset_count", "prop_condition_one_fishburn",
+                      "prop_factorial_dually_factorial_catalan",
+                      "cor_fishburn_class_agreement", "cor_catalan_class_agreement"]
 
 # row -> (CLI arguments, SHA-256 of stdout or None, N whose N! the CSV counts
 # sum to or None, the child's peak RSS limit in MB or None)
@@ -47,6 +50,9 @@ REACH = {
     "conj12_n10": (
         [*CONJ12, "--n-max", "10", "--json"],
         "e09bef4d9a71640062211102bc941de131cd73d4df46575c113b0d95bbd71408", None, 60),
+    "poset_counts_n8": (
+        ["verify", *POSET_COUNT_CHECKS, "--n-max", "8", "--json"],
+        "c95aff3c61784c2dd5888b19ec8c2cd12c1b42dd535f250618c01b5304938ce4", None, 80),
     "registry_n7": (
         ["verify", "--all", "--n-max", "7", "--json"],
         "8f8c5fe29cf86b74c009d01066e58f14542471289692b308bd1064cef6ae50ab", None, 80),

@@ -39,6 +39,7 @@ from fishburn import enumeration, objects
 from fishburn.enumeration import (
     GENERATORS,
     MATCHING_RULES,
+    POSET_CUTS,
     PREDICATES,
     RULE_TESTS,
     STEP_TESTS,
@@ -47,7 +48,7 @@ from fishburn.enumeration import (
     table_tallies,
     tally,
 )
-from fishburn.objects import Matching, is_factorial, validate_matrix
+from fishburn.objects import Matching, Poset, is_factorial, validate_matrix
 from fishburn.statistics import perm_stats, stat_tuple
 
 from helpers import (
@@ -82,6 +83,8 @@ def lne_tally(n, counter=None):
 
 MATCHING_PREDICATES = [name for name, (classes, _) in PREDICATES.items()
                        if "matchings" in classes]
+POSET_PREDICATES = [name for name, (classes, _) in PREDICATES.items()
+                    if "natural_posets" in classes]
 
 
 @pytest.fixture(scope="module")
@@ -704,6 +707,62 @@ class TestCloserOrderPrefixes:
             assert m.arcs in expected
             found = _closer_order(m.n, MATCHING_RULES[name], prefix)
             assert [Matching.from_partner(p).arcs for p in found] == expected
+
+
+@functools.lru_cache(maxsize=None)
+def natural_posets(n):
+    """gen_natural_posets(n) as a tuple, each n built once for the module."""
+    return tuple(gen_natural_posets(n))
+
+
+class TestNaturalPosetCuts:
+    """The predicates of ``POSET_CUTS`` hold of a poset's parent in the
+    down-set search (its top label dropped) whenever they hold of it, so
+    cutting the search by them loses no member of the filtered class."""
+
+    @pytest.mark.parametrize("name", sorted(POSET_CUTS))
+    def test_cut_holds_of_every_parent(self, name):
+        test = PREDICATES[name][1]
+        for n in range(1, 7):
+            for p in filter(test, natural_posets(n)):
+                assert test(Poset.from_pre_masks(p.pre_masks[:-1])), (name, p.pre_masks)
+
+    @pytest.mark.parametrize("name", ["condition_one", "condition_one_var"])
+    def test_neighbor_rules_are_no_cuts(self, name):
+        # each holds of (0, 1, 0, 3) and fails on its parent (0, 1, 0)
+        test = PREDICATES[name][1]
+        assert test(Poset.from_pre_masks((0, 1, 0, 3)))
+        assert not test(Poset.from_pre_masks((0, 1, 0)))
+        assert name not in POSET_CUTS
+
+    @pytest.mark.parametrize("predicates", [
+        *itertools.combinations(POSET_PREDICATES, 1),
+        *itertools.combinations(POSET_PREDICATES, 2)])
+    def test_pruned_stream_equals_the_filtered_stream(self, predicates):
+        for n in range(7):
+            expected = [p for p in natural_posets(n)
+                        if all(PREDICATES[name][1](p) for name in predicates)]
+            assert list(generate("natural_posets", n, predicates)) == expected, n
+
+    @pytest.mark.parametrize("name", POSET_PREDICATES)
+    def test_pruned_stream_equals_the_filtered_stream_at_7(self, name):
+        expected = list(filter(PREDICATES[name][1], natural_posets(7)))
+        assert list(generate("natural_posets", 7, [name])) == expected
+
+    @pytest.mark.parametrize("name", sorted(POSET_CUTS))
+    def test_search_tests_no_node_below_a_refused_one(self, monkeypatch, name):
+        classes, test = PREDICATES[name]
+        tested = []
+
+        def recording(p):
+            tested.append(p)
+            return test(p)
+        monkeypatch.setitem(PREDICATES, name, (classes, recording))
+        members = list(generate("natural_posets", 7, [name]))
+        monkeypatch.undo()
+        assert members == list(filter(test, natural_posets(7)))
+        for p in tested:
+            assert p.n == 1 or test(Poset.from_pre_masks(p.pre_masks[:-1])), p.pre_masks
 
 
 class TestFilters:

@@ -11,7 +11,9 @@ from fishburn import (
     Matching,
     Poset,
     UnknownCheck,
+    UnknownClass,
     UnknownPredicate,
+    UnknownStatistic,
     check_equidistribution,
     matching_to_matrix,
     matching_to_table,
@@ -23,7 +25,7 @@ from fishburn import (
     table_to_matching,
     table_to_poset,
 )
-from fishburn import bijections, enumeration, jsonio, objects, statistics, verify
+from fishburn import bijections, cli, enumeration, jsonio, objects, statistics, verify
 from fishburn.enumeration import (
     MATCHING_RULES,
     gen_factorial_posets,
@@ -368,6 +370,10 @@ _insert, _preimage, _matching_to_poset = (
     bijections._insert, bijections._preimage, verify.matching_to_poset)
 
 
+def _crossfree_poset_to_matching(p):
+    return bijections.table_to_crossfree_matching(poset_to_table(p))
+
+
 def _set_predicate(name, test):
     """Replace the membership test of the predicate ``name``."""
     return lambda mp: mp.setitem(enumeration.PREDICATES, name,
@@ -449,6 +455,26 @@ KERNEL_FAULTS = {
              "n": 3, "counted": "condition_one_factorial_posets", "expected": 5, "actual": 6},
          "cor_catalan_class_agreement": {
              "n": 3, "counted": "factorial_dually_factorial_posets", "expected": 5, "actual": 6}}),
+    # a map that leaves its domain: each matching of a poset is crossing-free,
+    # and matching_to_poset refuses the first one with a left-nesting
+    "poset_to_matching crossing-free": (
+        lambda mp: mp.setattr(verify, "poset_to_matching", _crossfree_poset_to_matching),
+        {"prop_factorial_dually_factorial_catalan": {
+            "n": 2, "class": "poset", "object": {"n": 2, "less": []}},
+         "thm_poset_matching_round_trip": {
+             "n": 2, "error": "HasLeftNesting: matching has a left-nesting: "
+                              "arcs (1, 4) and (2, 3)"},
+         "prop_nesting_criterion": {
+             "n": 2, "class": "poset", "object": {"n": 2, "less": []}, "arcs": [1, 2]}}),
+    # a cut that is not hereditary over-prunes the natural-poset search
+    "condition_one as a cut": (
+        lambda mp: mp.setattr(enumeration, "POSET_CUTS",
+                              enumeration.POSET_CUTS | {"condition_one"}),
+        {"prop_condition_one_fishburn": {
+            "n": 4, "counted": "factorial posets meeting the neighbor rule",
+            "expected": 15, "actual": 14},
+         "cor_fishburn_class_agreement": {
+             "n": 4, "counted": "condition_one_factorial_posets", "expected": 15, "actual": 14}}),
     "nonnesting image as noncrossing": (
         _set_predicate("nonnesting_image", bijections.matrix_is_noncrossing_image),
         {"cor_catalan_matrix_images": {
@@ -551,10 +577,29 @@ class TestInjectedFaults:
         swept = {**STEP_FAULTS, **KERNEL_FAULTS}.values()
         assert set(FAULTS).union(*(failures for _, failures in swept)) == set(REGISTRY)
 
+    def test_a_domain_error_fails_its_check_and_the_run_goes_on(
+            self, monkeypatch, clear_caches, capsys):
+        clear_caches()
+        monkeypatch.setattr(verify, "poset_to_matching", _crossfree_poset_to_matching)
+        code = cli.main(["verify", "--all", "--json"])
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [report["check"] for report in reports] == list(REGISTRY)
+        assert {report["check"] for report in reports if report["verdict"] == "fail"} == \
+            set(KERNEL_FAULTS["poset_to_matching crossing-free"][1])
+
+    @pytest.mark.parametrize("error", [UnknownCheck, UnknownClass, UnknownPredicate,
+                                       UnknownStatistic])
+    def test_a_lookup_error_propagates(self, error):
+        def misnamed(n):
+            raise error("misnamed")
+        with pytest.raises(error):
+            verify._facts(misnamed)(2)
+
 
 class TestDataLayer:
     def test_cached_classes_equal_generated_streams(self, monkeypatch):
-        # every (class, predicates) the registry reads, prefixes included
+        # every (class, predicates) the registry reads
         read = set()
         cached = verify._objects
 
@@ -574,6 +619,23 @@ class TestDataLayer:
             for n in range(6):
                 assert _objects(class_name, n, predicates) == \
                     tuple(generate(class_name, n, predicates)), (class_name, predicates, n)
+
+    def test_poset_counts_read_no_unfiltered_natural_posets(self, monkeypatch):
+        # the classes come from the cut search, not filtered from every poset
+        read = set()
+        cached = verify._objects
+
+        def recording(class_name, n, predicates):
+            read.add((class_name, predicates))
+            return cached(class_name, n, predicates)
+
+        monkeypatch.setattr(verify, "_objects", recording)
+        for check in ("thm_factorial_poset_count", "prop_condition_one_fishburn",
+                      "prop_factorial_dually_factorial_catalan",
+                      "cor_fishburn_class_agreement", "cor_catalan_class_agreement"):
+            assert run_check(check, 5).verdict == "pass", check
+        assert ("natural_posets", ("factorial",)) in read
+        assert ("natural_posets", ()) not in read
 
     def test_streamed_permutation_tallies_equal_the_enumerated_ones(self):
         for names in [("p", "comp", "lmin"), ("p", "lmax", "des"), ("inv",), ("des",)]:
@@ -622,7 +684,7 @@ class TestDataLayer:
         names = statistics.VOCABULARY.get(class_name, ())[-1:]
         assert foreign
         for name in foreign + ["no_such_predicate"]:
-            # alone, and after a predicate of the class (a cached prefix)
+            # alone, and after a predicate of the class
             for predicates in [(name,)] + [(first, name) for first in own[:1]]:
                 with pytest.raises(UnknownPredicate) as from_generate:
                     generate(class_name, 3, predicates)
