@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, islice
 
 from . import jsonio
 from .bijections import (
@@ -132,8 +133,12 @@ def _cmd_enumerate(args) -> int:
         print(_tally(args, ()).total)
         return 0
     singular = jsonio.SINGULAR[args.object_class]
-    for obj in generate(args.object_class, args.n, args.filter):
-        print(json.dumps(jsonio.encode(singular, obj)))
+    lines = (json.dumps(jsonio.encode(singular, obj)) + "\n"
+             for obj in generate(args.object_class, args.n, args.filter))
+    # the first line at once, then one write per 512 lines, even unbuffered
+    for block in chain(islice(lines, 1), iter(lambda: "".join(islice(lines, 512)), "")):
+        sys.stdout.write(block)
+        sys.stdout.flush()
     return 0
 
 

@@ -365,30 +365,38 @@ def gen_factorial_posets(n: int) -> Iterator[Poset]:
         yield table_to_poset(w)
 
 
-def gen_natural_posets(n: int) -> Iterator[Poset]:
-    """All naturally labeled posets on [n], independently of any bijection.
+@_sized
+def gen_natural_posets(n: int, cuts: Sequence = ()) -> Iterator[Poset]:
+    """All naturally labeled posets on [n], independently of any bijection,
+    less those above a node of the search that one of the ``cuts`` refuses.
 
     Element k+1 takes each down set s of the poset so far, in increasing
     order, as its predecessor set: each poset once, 1, 1, 2, 7, 40, 357, 4824,
     96428 of them.  Its down sets: the old d, then d | bit(k+1) if d & s == s.
     """
-    return _down_set_order(n)
+    def expand(masks: tuple[int, ...], _):
+        last = len(masks) == n - 1
+        return lambda s: last or all(cut(Poset.from_pre_masks(masks + (s,))) for cut in cuts)
+
+    return (Poset.from_pre_masks(masks) for masks, _ in down_set_walk(n, expand, True))
 
 
-@_sized
-def _down_set_order(n: int, cuts: Sequence = ()) -> Iterator[Poset]:
-    """``gen_natural_posets(n)`` less the posets above a node a cut refuses."""
-    def extend(masks: tuple[int, ...], downs: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(masks) == n - 1:         # the last element needs no down sets
-            for s in downs:
-                yield masks + (s,)
-            return
-        bit = 1 << len(masks)
+def down_set_walk(n: int, expand, root) -> Iterator[tuple[tuple[int, ...], object]]:
+    """Each leaf's masks and state, in the order of ``gen_natural_posets(n)``.
+    At each node, the masks of a poset on [k < n] and its state, ``expand``
+    gives the test of a child's down set s: the child's state, or a false one
+    to cut the child and every poset above it."""
+    def extend(state, masks: tuple[int, ...], downs: list[int]):
+        step, bit = expand(masks, state), 1 << len(masks)
         for s in downs:
-            if not cuts or all(cut(Poset.from_pre_masks(masks + (s,))) for cut in cuts):
-                yield from extend(masks + (s,), downs + [d | bit for d in downs if d & s == s])
+            child = step(s)
+            if child and len(masks) == n - 1:   # the last element needs no down sets
+                yield masks + (s,), child
+            elif child:
+                yield from extend(child, masks + (s,),
+                                  downs + [d | bit for d in downs if d & s == s])
 
-    return map(Poset.from_pre_masks, extend((), [0]) if n else [()])
+    return extend(root, (), [0]) if n else iter([((), root)])
 
 
 @_sized
@@ -478,7 +486,7 @@ def generate(class_name: str, n: int, predicates: Sequence[str] = ()) -> Iterato
     rules = frozenset().union(*(MATCHING_RULES.get(name, ()) for name in predicates))
     cuts = [PREDICATES[name][1] for name in predicates if name in POSET_CUTS]
     stream = (gen_matchings(n, rules) if class_name == "matchings"
-              else _down_set_order(n, cuts) if class_name == "natural_posets"
+              else gen_natural_posets(n, cuts) if class_name == "natural_posets"
               else GENERATORS[class_name](n))
     for name in predicates:
         stream = filter(class_predicate(class_name, name), stream)

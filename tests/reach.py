@@ -55,7 +55,10 @@ REACH = {
         "c95aff3c61784c2dd5888b19ec8c2cd12c1b42dd535f250618c01b5304938ce4", None, 80),
     "registry_n7": (
         ["verify", "--all", "--n-max", "7", "--json"],
-        "8f8c5fe29cf86b74c009d01066e58f14542471289692b308bd1064cef6ae50ab", None, 80),
+        "8f8c5fe29cf86b74c009d01066e58f14542471289692b308bd1064cef6ae50ab", None, 40),
+    "registry_n8": (
+        ["verify", "--all", "--n-max", "8", "--json"],
+        "620d3d17a2cc81fa6907eaf2fa7c8fd96c024542d0f4d9ff8d909a5d245413e9", None, 100),
 }
 
 

@@ -37,6 +37,7 @@ from fishburn.objects import (
     TriangularMatrix,
     has_right_nesting,
     is_natural,
+    is_two_plus_two_free,
     is_two_plus_two_free_by_inclusion,
 )
 from fishburn.verify import _objects, _tally
@@ -235,9 +236,9 @@ class TestFailureWitnesses:
 
     def test_two_plus_two_oracle_that_accepts_everything_is_caught(self, monkeypatch):
         # the direct search and the inclusion chain are checked against each
-        # other, so a 2+2 test that never finds one must fail the proposition
-        # on the first natural poset holding a 2+2
-        monkeypatch.setattr(verify, "is_two_plus_two_free", lambda p: True)
+        # other along the down-set search, so a search that never finds a new
+        # 2+2 must fail the proposition on the first natural poset holding one
+        monkeypatch.setattr(verify, "_adds_two_plus_two", lambda pre: lambda s: False)
         report = run_check("prop_factorial_posets_two_plus_two_free", 4)
         assert report.verdict == "fail"
         assert report.witness == {"n": 4, "class": "poset",
@@ -291,6 +292,42 @@ class TestFailureWitnesses:
         diff = _first_difference([Counter({(0,): 1, (2,): 3}), Counter({(0,): 1, (2,): 4})])
         assert diff == {"tuple": [2], "counts": [3, 4]}
         json.dumps(diff)
+
+
+class TestTwoPlusTwoWalk:
+    """The two incremental tests of the 2+2 agreement, read along the down-set
+    search, against the whole-poset tests they stand for."""
+
+    def test_verdicts_carried_down_the_search_equal_the_whole_poset_tests(self):
+        # every node of the search to n = 7 is checked: every natural poset on
+        # [k] for 1 <= k <= 7, from both verdicts to none
+        checked = Counter()
+
+        def expand(masks, verdicts):
+            adds, fits = verify._adds_two_plus_two(masks), verify._keeps_inclusion_chain(masks)
+
+            def step(s):
+                p = Poset.from_pre_masks(masks + (s,))
+                kept = (verdicts[0] and not adds(s), verdicts[1] and fits(s))
+                assert kept == (is_two_plus_two_free(p), is_two_plus_two_free_by_inclusion(p)), \
+                    p.pre_masks
+                checked[p.n, kept] += 1
+                return kept
+            return step
+
+        leaves = [masks for masks, _ in enumeration.down_set_walk(7, expand, (True, True))]
+        assert leaves == [p.pre_masks for p in generate("natural_posets", 7)]
+        assert [checked[n, (True, True)] + checked[n, (False, False)] for n in range(1, 8)] == \
+            [1, 2, 7, 40, 357, 4824, 96428]
+        assert checked[7, (True, True)] and checked[7, (False, False)]
+
+    def test_the_agreement_builds_no_poset_without_a_witness(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a poset was built")
+        monkeypatch.setattr(Poset, "__init__", refused)
+        monkeypatch.setattr(Poset, "from_pre_masks", refused)
+        for n in range(7):
+            assert verify._two_plus_two_agreement(n) is None
 
 
 def _break_pass(monkeypatch, class_name, name, compute):
@@ -424,8 +461,14 @@ KERNEL_FAULTS = {
         lambda mp: mp.setattr(verify, "is_three_plus_one_free", objects.is_two_plus_two_free),
         {"prop_three_plus_one_free_equivalence": {
             "n": 4, "class": "poset", "object": {"n": 4, "less": [[1, 2], [1, 4], [2, 4]]}}}),
+    # the two incremental tests of the 2+2 agreement walk
     "2+2 search finds none": (
-        lambda mp: mp.setattr(verify, "is_two_plus_two_free", lambda p: True),
+        lambda mp: mp.setattr(verify, "_adds_two_plus_two", lambda pre: lambda s: False),
+        {"prop_factorial_posets_two_plus_two_free": {
+            "n": 4, "class": "poset", "object": {"n": 4, "less": [[1, 3], [2, 4]]},
+            "disagreement": True}}),
+    "inclusion chain takes every down set": (
+        lambda mp: mp.setattr(verify, "_keeps_inclusion_chain", lambda pre: lambda s: True),
         {"prop_factorial_posets_two_plus_two_free": {
             "n": 4, "class": "poset", "object": {"n": 4, "less": [[1, 3], [2, 4]]},
             "disagreement": True}}),
