@@ -29,7 +29,7 @@ from .bijections import (
     matrix_is_noncrossing_image, matrix_is_nonnesting_image,
     matrix_to_matching_no_neighbor_crossing,
     matrix_to_matching_no_neighbor_nesting, permutation_to_table,
-    poset_to_matching, poset_to_table, relabel_poset,
+    poset_to_matching, poset_to_matrix, poset_to_table, relabel_poset,
     table_to_crossfree_matching, table_to_matching, table_to_permutation,
     table_to_poset, zero_one_matrix_to_matching,
 )
@@ -75,7 +75,7 @@ __all__ = [
     "matching_to_table", "matrix_is_noncrossing_image",
     "matrix_is_nonnesting_image", "matrix_to_matching_no_neighbor_crossing",
     "matrix_to_matching_no_neighbor_nesting", "permutation_to_table",
-    "poset_to_matching", "poset_to_table", "relabel_poset",
+    "poset_to_matching", "poset_to_matrix", "poset_to_table", "relabel_poset",
     "table_to_crossfree_matching", "table_to_matching", "table_to_permutation",
     "table_to_poset", "zero_one_matrix_to_matching", "VOCABULARY",
     "count_pattern_p", "matching_stats", "perm_stats", "poset_stats",

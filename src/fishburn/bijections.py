@@ -232,6 +232,27 @@ def matching_to_matrix(m: Matching) -> TriangularMatrix:
     return TriangularMatrix.from_rows(t)
 
 
+def poset_to_matrix(p: Poset) -> TriangularMatrix:
+    """The characteristic matrix of a two-plus-two-free poset (Dukes and
+    Parviainen): its distinct predecessor sets form a chain D_1 < ... < D_k,
+    its distinct successor sets a chain U_1 > ... > U_k, and entry (i, j)
+    counts the elements x with pre(x) = D_i and suc(x) = U_j.  Raises
+    NotTwoPlusTwoFree when a chain breaks or the two differ in length.
+
+    >>> poset_to_matrix(Poset(3, {(1, 3)})).rows
+    ((1, 1), (0, 1))
+    """
+    pre, suc = p.pre_masks, p.suc_masks
+    downs = sorted(set(pre), key=int.bit_count)
+    ups = sorted(set(suc), key=int.bit_count, reverse=True)
+    if len(downs) != len(ups) or any(a & ~b for c in (downs, ups[::-1]) for a, b in zip(c, c[1:])):
+        raise NotTwoPlusTwoFree(f"poset on [{p.n}] contains an induced two-plus-two")
+    t = [[0] * len(downs) for _ in downs]
+    for d, u in zip(pre, suc):
+        t[downs.index(d)][ups.index(u)] += 1
+    return TriangularMatrix.from_rows(t)
+
+
 def _preimage(t: TriangularMatrix, openers_cross: bool, closers_cross: bool) -> Matching:
     """The unique preimage of ``t`` whose arcs with adjacent openers cross
     (``openers_cross``) or nest, and whose arcs with adjacent closers cross

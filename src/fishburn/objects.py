@@ -682,7 +682,7 @@ class TriangularMatrix(FrozenValue):
             raise InvalidMatrix(f"rows do not form a {k}x{k} square")
         for i, row in enumerate(t):
             for j, v in enumerate(row):
-                if not _is_int(v):
+                if v.__class__ is not int and not _is_int(v):
                     raise InvalidMatrix(f"entry ({i + 1},{j + 1}) = {v!r} not an integer")
                 if v < 0:
                     raise NegativeEntry(f"entry ({i + 1},{j + 1}) = {v}")
@@ -691,8 +691,8 @@ class TriangularMatrix(FrozenValue):
         for i, row in enumerate(t):
             if k and not any(row):
                 raise ZeroRowOrColumn(f"row {i + 1} is all zeros")
-        for j in range(k):
-            if not any(t[i][j] for i in range(k)):
+        for j, column in enumerate(zip(*t)):
+            if not any(column):
                 raise ZeroRowOrColumn(f"column {j + 1} is all zeros")
         return cls(t)
 

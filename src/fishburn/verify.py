@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
 from . import jsonio
@@ -40,6 +39,7 @@ from .bijections import (
     matrix_to_matching_no_neighbor_crossing,
     matrix_to_matching_no_neighbor_nesting,
     poset_to_matching,
+    poset_to_matrix,
     poset_to_table,
     table_to_crossfree_matching,
     table_to_matching,
@@ -76,7 +76,6 @@ from .objects import (
     is_dually_factorial,
     is_three_plus_one_free,
     is_two_plus_two_free,
-    validate_permutation,
     validate_size,
 )
 from .statistics import stat_tuple
@@ -271,17 +270,26 @@ def _equidistributed(*rows):
 # ---------------------------------------------------------------------------
 
 def _unique_labeling(n: int):
-    # all n! relabelings for n <= 4; beyond, a fixed, evenly spaced sample of
-    # 24 permutations keeps the check deterministic.  Each is validated once,
-    # not once per poset as relabel_poset would.
-    sigmas = list(permutations(range(1, n + 1)))
-    if len(sigmas) > 24:
-        sigmas = sigmas[::len(sigmas) // 24][:24]
-    sigmas = list(map(validate_permutation, sigmas))
+    """One member per unlabeled 2+2-free poset: the characteristic matrices, a
+    complete invariant, equal the matchings' and are each matrix of size n once;
+    and each member is the canonical labeling of itself and of its reversal."""
+    targets, seen = _objects("matrices", n, ()), {}
+    wanted, sigmas = set(targets), (range(1, n + 1), range(n, 0, -1))
     for p in _objects("factorial_posets", n, ("condition_one",)):
+        t = poset_to_matrix(p)
+        if t != matching_to_matrix(poset_to_matching(p)):
+            return {"n": n, **_obj("poset", p), "characteristic_rows": list(map(list, t.rows))}
+        if t in seen:
+            return {"n": n, **_obj("poset", p), "isomorphic_to": jsonio.encode("poset", seen[t])}
+        if t not in wanted:
+            return {"n": n, **_obj("poset", p), "image": jsonio.encode("matrix", t)}
+        seen[t] = p
         for sigma in sigmas:
             if canonical_labeling(_relabel(p, sigma)) != p:
                 return {"n": n, "relabeling": list(sigma), **_obj("poset", p)}
+    for t in targets:
+        if t not in seen:
+            return {"n": n, **_obj("matrix", t), "missing": True}
 
 
 def _adds_two_plus_two(pre: Sequence[int]):
@@ -301,12 +309,13 @@ def _keeps_inclusion_chain(pre: Sequence[int]):
 
 def _two_plus_two_agreement(n: int):
     """The direct search for an induced 2+2 and the inclusion chain agree on
-    every natural poset on [n], both read along the down-set search: a poset
-    keeps its parent's 2+2s and lost chain, and one that lost both is cut."""
+    every natural poset on [n], both read along the down-set search: a poset keeps
+    its parent's 2+2s and lost chain; a node that lost both, or a leaf that agrees, is cut."""
     def expand(masks, kept):
         adds = kept[0] and _adds_two_plus_two(masks)
         fits = kept[1] and _keeps_inclusion_chain(masks)
-        return lambda s: both if any(both := (adds and not adds(s), fits and fits(s))) else ()
+        keep = bool.__ne__ if len(masks) == n - 1 else bool.__or__
+        return lambda s: both if keep(*(both := (adds and not adds(s), fits and fits(s)))) else ()
 
     for masks, (free, chain) in down_set_walk(n, expand, (True, True)):
         if free != chain:
@@ -417,8 +426,8 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
     # factorial poset.
     "prop_condition_one_variant": ("proposition", 6, _facts(_every(
         "factorial_posets", lambda p: condition_one(p) == condition_one_var(p)))),
-    # Relabeling a factorial poset that meets the neighbor rule and then
-    # recanonicalizing recovers the original poset: the labeling is unique.
+    # The factorial posets meeting the neighbor rule hold exactly one labeling
+    # of each unlabeled 2+2-free poset, told apart by the characteristic matrix.
     "prop_unique_labeling": ("proposition", 6, _facts(_unique_labeling)),
     # The interval map restricted to matchings with no neighbor nestings is a
     # bijection onto the triangular matrices: identity both ways.

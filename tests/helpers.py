@@ -309,6 +309,25 @@ def canonical_labels_by_counts(p):
     return tuple(sigma)
 
 
+def naive_characteristic_matrix(p):
+    """Rows of the characteristic matrix by its definition, from the set of
+    predecessors and of successors of each element: the distinct predecessor
+    sets by size ascending, the distinct successor sets by size descending,
+    each pair of either compared by inclusion; None when either is no chain
+    or the two differ in length."""
+    elements = range(1, p.n + 1)
+    less = p.less
+    pre = {x: frozenset(a for a in elements if (a, x) in less) for x in elements}
+    suc = {x: frozenset(b for b in elements if (x, b) in less) for x in elements}
+    downs = sorted(set(pre.values()), key=len)
+    ups = sorted(set(suc.values()), key=len, reverse=True)
+    if len(downs) != len(ups) or not all(a <= b or b <= a for sets in (downs, ups)
+                                         for a, b in itertools.combinations(sets, 2)):
+        return None
+    return tuple(tuple(sum(1 for x in elements if pre[x] == d and suc[x] == u) for u in ups)
+                 for d in downs)
+
+
 def random_natural_posets(seed, count=25):
     """Seeded naturally labeled posets on 20 to 60 elements, the transitive
     closure of a few random up-relations; most contain an induced 2+2."""

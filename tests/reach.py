@@ -53,6 +53,9 @@ REACH = {
     "poset_counts_n8": (
         ["verify", *POSET_COUNT_CHECKS, "--n-max", "8", "--json"],
         "c95aff3c61784c2dd5888b19ec8c2cd12c1b42dd535f250618c01b5304938ce4", None, 80),
+    "unique_labeling_n9": (
+        ["verify", "prop_unique_labeling", "--n-max", "9", "--json"],
+        "cb21d4ba52a7a91b0a637dab374dd11d8e93982fba67b27b11bd2cfe7db0892f", None, 100),
     "registry_n7": (
         ["verify", "--all", "--n-max", "7", "--json"],
         "8f8c5fe29cf86b74c009d01066e58f14542471289692b308bd1064cef6ae50ab", None, 40),

@@ -25,6 +25,7 @@ from fishburn import (
     matrix_to_matching_no_neighbor_nesting,
     permutation_to_table,
     poset_to_matching,
+    poset_to_matrix,
     poset_to_table,
     relabel_poset,
     table_to_crossfree_matching,
@@ -55,6 +56,7 @@ from fishburn.objects import (
 from helpers import (
     PREIMAGE_FAMILY,
     canonical_labels_by_counts,
+    naive_characteristic_matrix,
     naive_counts,
     naive_interval_matrix,
     naive_matchings,
@@ -247,6 +249,51 @@ class TestIntervalMatrixMap:
             arcset(m) for m in gen_matchings(3) if matching_to_matrix(m) == target
         }
         assert family == PREIMAGE_FAMILY
+
+
+class TestCharacteristicMatrix:
+    def test_worked_example(self):
+        # 1 < 3 with 2 apart: the matrix of the matching (1, 3), (2, 5), (4, 6)
+        assert poset_to_matrix(Poset.from_relations(3, [(1, 3)])).rows == ((1, 1), (0, 1))
+
+    def test_chain_and_antichain(self):
+        chain = Poset.from_relations(4, [(1, 2), (2, 3), (3, 4)])
+        assert poset_to_matrix(chain).rows == tuple(
+            tuple(int(i == j) for j in range(4)) for i in range(4))
+        assert poset_to_matrix(Poset.from_relations(4, [])).rows == ((4,),)
+        assert poset_to_matrix(Poset.from_relations(0, [])).k == 0
+
+    def test_two_plus_two_is_refused(self):
+        with pytest.raises(NotTwoPlusTwoFree):
+            poset_to_matrix(Poset.from_relations(4, [(1, 3), (2, 4)]))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_against_definition(self, n):
+        # every natural poset: the matrix on the 2+2-free ones, a refusal on
+        # the others
+        for p in gen_natural_posets(n):
+            rows = naive_characteristic_matrix(p)
+            assert (rows is not None) == pairwise_two_plus_two_free(p)
+            if rows is None:
+                with pytest.raises(NotTwoPlusTwoFree):
+                    poset_to_matrix(p)
+            else:
+                assert poset_to_matrix(p).rows == rows
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_equals_interval_map_of_the_matching(self, n):
+        for p in generate("factorial_posets", n):
+            assert poset_to_matrix(p) == matching_to_matrix(poset_to_matching(p))
+
+    def test_large_relabeled_factorial_posets(self):
+        # seeded factorial posets on 20 to 60 elements, each relabeled at
+        # random: the matrix keeps to the definition and to the matching's
+        rng = random.Random(3105)
+        for w in random_tables(3105):
+            p = table_to_poset(w)
+            q = relabel_poset(p, rng.sample(range(1, p.n + 1), p.n))
+            assert poset_to_matrix(q).rows == naive_characteristic_matrix(q)
+            assert poset_to_matrix(q) == matching_to_matrix(table_to_matching(w))
 
 
 def repaired(arcs):

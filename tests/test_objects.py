@@ -653,3 +653,22 @@ class TestTriangularMatrix:
     def test_empty(self):
         t = TriangularMatrix(())
         assert t.k == 0 and t.total == 0
+
+    def test_entries_are_integers_but_not_booleans(self):
+        with pytest.raises(InvalidMatrix, match=r"entry \(1,1\) = True not an integer"):
+            validate_matrix([[True]])
+        with pytest.raises(InvalidMatrix, match=r"entry \(1,2\) = 1.0 not an integer"):
+            validate_matrix([[1, 1.0], [0, 1]])
+
+        class Count(int):
+            pass
+        assert validate_matrix([[Count(2)]]).total == 2
+
+    def test_first_fault_in_reading_order(self):
+        # entries in row-major order, then zero rows, then zero columns
+        with pytest.raises(NegativeEntry, match=r"\(1,2\)"):
+            validate_matrix([[0, -1], [1, "x"]])
+        with pytest.raises(ZeroRowOrColumn, match="row 2 is all zeros"):
+            validate_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+        with pytest.raises(ZeroRowOrColumn, match="column 2 is all zeros"):
+            validate_matrix([[1, 0, 1], [0, 0, 1], [0, 0, 1]])

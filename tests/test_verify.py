@@ -39,6 +39,7 @@ from fishburn.objects import (
     is_natural,
     is_two_plus_two_free,
     is_two_plus_two_free_by_inclusion,
+    validate_permutation,
 )
 from fishburn.verify import _objects, _tally
 
@@ -258,7 +259,8 @@ class TestFailureWitnesses:
 
     def test_labeling_check_relabels_as_relabel_poset(self, monkeypatch):
         # every poset the check hands to canonical_labeling is relabel_poset
-        # of a factorial poset meeting the neighbor rule, by every sigma
+        # of a factorial poset meeting the neighbor rule, by the identity and
+        # then by the reversal
         seen = []
         real = verify.canonical_labeling
         monkeypatch.setattr(verify, "canonical_labeling",
@@ -267,22 +269,57 @@ class TestFailureWitnesses:
         expected = [relabel_poset(p, sigma)
                     for n in range(5)
                     for p in generate("factorial_posets", n, ("condition_one",))
-                    for sigma in itertools.permutations(range(1, n + 1))]
+                    for sigma in (range(1, n + 1), range(n, 0, -1))]
         assert seen == expected
 
-    def test_labeling_check_validates_each_sigma_once(self, monkeypatch):
-        calls = Counter()
-        real = verify.validate_permutation
+    def test_labeling_check_relabels_by_identity_and_reversal(self, monkeypatch):
+        # two relabelings per poset at every n, each a permutation of [n]
+        calls = []
+        real = verify._relabel
 
-        def counting(sigma):
-            calls[tuple(sigma)] += 1
-            return real(sigma)
+        def recording(p, sigma):
+            calls.append((p.n, tuple(sigma)))
+            return real(p, sigma)
 
-        monkeypatch.setattr(verify, "validate_permutation", counting)
+        monkeypatch.setattr(verify, "_relabel", recording)
         assert run_check("prop_unique_labeling", 6).verdict == "pass"
-        # all n! sigmas up to n = 4, then 24 at n = 5 and at n = 6
-        assert sum(calls.values()) == 1 + 1 + 2 + 6 + 24 + 24 + 24
-        assert set(calls.values()) == {1}
+        expected = [(n, sigma) for n in range(7)
+                    for _ in generate("factorial_posets", n, ("condition_one",))
+                    for sigma in (tuple(range(1, n + 1)), tuple(range(n, 0, -1)))]
+        assert calls == expected
+        assert all(validate_permutation(sigma) == sigma for _, sigma in calls)
+
+    def test_isomorphic_members_are_caught(self, monkeypatch):
+        # an invariant that only counts elements calls the antichain and the
+        # chain on [2] isomorphic: the later member and the earlier one are
+        # the witness
+        def size_only(x):
+            return TriangularMatrix.from_rows([[x.n]] if x.n else [])
+
+        monkeypatch.setattr(verify, "poset_to_matrix", size_only)
+        monkeypatch.setattr(verify, "matching_to_matrix", size_only)
+        report = run_check("prop_unique_labeling", 4)
+        assert report.verdict == "fail"
+        assert report.witness == {"n": 2, "class": "poset", "object": {"n": 2, "less": [[1, 2]]},
+                                  "isomorphic_to": {"n": 2, "less": []}}
+
+    def test_unlabeled_poset_with_no_member_is_caught(self, monkeypatch):
+        # a class that drops its last member at n = 3 has no labeling of the
+        # 3-chain, whose matrix is the last of the 5 at n = 3
+        real = verify._objects
+
+        def short(class_name, n, predicates):
+            objects = real(class_name, n, predicates)
+            return objects[:-1] if class_name == "factorial_posets" and n == 3 else objects
+
+        monkeypatch.setattr(verify, "_objects", short)
+        report = run_check("prop_unique_labeling", 4)
+        assert report.verdict == "fail"
+        assert report.witness == {"n": 3, "class": "matrix", "missing": True,
+                                  "object": {"k": 3, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
+        chain = Poset.from_relations(3, [(1, 2), (2, 3)])
+        assert jsonio.decode("matrix", report.witness["object"]) == \
+            bijections.poset_to_matrix(chain)
 
     def test_witness_is_minimal_and_serializable(self):
         # break a check by comparing against a deliberately wrong oracle
@@ -320,6 +357,25 @@ class TestTwoPlusTwoWalk:
         assert [checked[n, (True, True)] + checked[n, (False, False)] for n in range(1, 8)] == \
             [1, 2, 7, 40, 357, 4824, 96428]
         assert checked[7, (True, True)] and checked[7, (False, False)]
+
+    def test_only_disagreeing_leaves_leave_the_search(self, monkeypatch):
+        # whole tests: no leaf on [1..6] leaves the search; a direct search that
+        # finds no 2+2: exactly the natural posets holding one, in search order
+        leaves = []
+        real = enumeration.down_set_walk
+
+        def recording(n, expand, root):
+            walked = list(real(n, expand, root))
+            leaves.extend(masks for masks, _ in walked)
+            return iter(walked)
+
+        monkeypatch.setattr(verify, "down_set_walk", recording)
+        assert all(verify._two_plus_two_agreement(n) is None for n in range(1, 7))
+        assert leaves == []
+        monkeypatch.setattr(verify, "_adds_two_plus_two", lambda pre: lambda s: False)
+        assert verify._two_plus_two_agreement(4) is not None
+        assert leaves == [p.pre_masks for p in generate("natural_posets", 4)
+                          if not is_two_plus_two_free(p)]
 
     def test_the_agreement_builds_no_poset_without_a_witness(self, monkeypatch):
         def refused(*args):
@@ -403,8 +459,8 @@ STEP_FAULTS = {
 }
 
 
-_insert, _preimage, _matching_to_poset = (
-    bijections._insert, bijections._preimage, verify.matching_to_poset)
+_insert, _preimage, _matching_to_poset, _poset_to_matrix = (
+    bijections._insert, bijections._preimage, verify.matching_to_poset, verify.poset_to_matrix)
 
 
 def _crossfree_poset_to_matching(p):
@@ -446,7 +502,10 @@ KERNEL_FAULTS = {
          "thm_poset_matching_round_trip": {
              "n": 2, "class": "poset", "object": {"n": 2, "less": [[1, 2]]}},
          "prop_nesting_criterion": {
-             "n": 3, "class": "poset", "object": {"n": 3, "less": [[1, 2]]}, "arcs": [2, 3]}}),
+             "n": 3, "class": "poset", "object": {"n": 3, "less": [[1, 2]]}, "arcs": [2, 3]},
+         "prop_unique_labeling": {
+             "n": 2, "class": "poset", "object": {"n": 2, "less": [[1, 2]]},
+             "characteristic_rows": [[1, 0], [0, 1]]}}),
     "condition_one_var always": (
         lambda mp: mp.setattr(verify, "condition_one_var", lambda p: True),
         {"prop_condition_one_variant": {
@@ -472,6 +531,13 @@ KERNEL_FAULTS = {
         {"prop_factorial_posets_two_plus_two_free": {
             "n": 4, "class": "poset", "object": {"n": 4, "less": [[1, 3], [2, 4]]},
             "disagreement": True}}),
+    # the columns reversed: the successor chain read in ascending order
+    "characteristic matrix successor chain ascending": (
+        lambda mp: mp.setattr(verify, "poset_to_matrix", lambda p: TriangularMatrix(
+            tuple(row[::-1] for row in _poset_to_matrix(p).rows))),
+        {"prop_unique_labeling": {
+            "n": 2, "class": "poset", "object": {"n": 2, "less": [[1, 2]]},
+            "characteristic_rows": [[0, 1], [1, 0]]}}),
     "labeling keeps the poset": (
         lambda mp: mp.setattr(verify, "canonical_labeling", lambda q: q),
         {"prop_unique_labeling": {
@@ -482,6 +548,9 @@ KERNEL_FAULTS = {
         {"prop_condition_one_fishburn": {
             "n": 4, "counted": "factorial posets meeting the neighbor rule",
             "expected": 15, "actual": 14},
+         "prop_unique_labeling": {
+             "n": 4, "class": "matrix", "missing": True,
+             "object": {"k": 3, "rows": [[1, 0, 1], [0, 1, 0], [0, 0, 1]]}},
          "cor_fishburn_class_agreement": {
              "n": 4, "counted": "condition_one_factorial_posets", "expected": 15, "actual": 14}}),
     "factorial as natural": (
