@@ -17,8 +17,8 @@ read the table back the same way.  The maps run on every object of a class
 are one pass each: the insertions fill the matching's partner tuple as they
 place arcs, and the maps from a matching (:func:`matching_to_table`,
 :func:`matching_to_poset`, :func:`matching_to_matrix`) sweep its positions
-once, the first two after :func:`~fishburn.objects.first_neighbor_pair`
-finds no left pair outside the image.
+once, and the first two raise in that sweep at the first left pair of arcs
+outside the image.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .objects import (
     Matching,
     Poset,
     TriangularMatrix,
-    first_neighbor_pair,
     is_factorial,
     is_zero_one,
     validate_permutation,
@@ -66,14 +65,17 @@ def _insert(w: Sequence[int], last: bool) -> Matching:
     return Matching.from_partner(tuple(partner))
 
 
-def _read_table(m: Matching) -> tuple[int, ...]:
-    """a_i, the closers left of the opener of the i-th arc, in one sweep."""
+def _read_table(m: Matching, nesting: bool) -> tuple[int, ...]:
+    """a_i, the closers left of the opener of the i-th arc, in one sweep that
+    raises at the first left pair that nests (or crosses, if not ``nesting``)."""
     p = m.partner
     before = [0] * len(p)               # before[o]: the closers left of opener o
     table: list[int] = []
     for x in range(1, len(p) - 1):
         o = p[x]
-        if o > x:
+        if o > x:                       # does an arc opened at x - 1 nest, cross this one?
+            if p[x - 1] > o if nesting else x - 1 < p[x - 1] < o:
+                raise (HasLeftNesting if nesting else HasLeftCrossing)(((x - 1, p[x - 1]), (x, o)))
             before[x] = len(table)
         else:
             table.append(before[o])
@@ -95,10 +97,7 @@ def matching_to_table(m: Matching) -> tuple[int, ...]:
 
     Raises HasLeftNesting if the matching is outside the bijection's range.
     """
-    bad = first_neighbor_pair(m, left=True, nesting=True)
-    if bad is not None:
-        raise HasLeftNesting(bad)
-    return _read_table(m)
+    return _read_table(m, nesting=True)
 
 
 def table_to_crossfree_matching(w: Sequence[int]) -> Matching:
@@ -112,10 +111,7 @@ def table_to_crossfree_matching(w: Sequence[int]) -> Matching:
 
 def crossfree_matching_to_table(m: Matching) -> tuple[int, ...]:
     """Inverse of :func:`table_to_crossfree_matching`; raises HasLeftCrossing."""
-    bad = first_neighbor_pair(m, left=True, nesting=False)
-    if bad is not None:
-        raise HasLeftCrossing(bad)
-    return _read_table(m)
+    return _read_table(m, nesting=False)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +145,14 @@ def matching_to_poset(m: Matching) -> Poset:
     This reads the matching as an interval representation of the poset, in
     one sweep that gives each opener the mask of the arcs closed so far.
     """
-    bad = first_neighbor_pair(m, left=True, nesting=True)
-    if bad is not None:
-        raise HasLeftNesting(bad)
     p = m.partner
     given = [0] * len(p)                # given[o]: arcs closed before opener o
     closed, masks = 0, []
     for x in range(1, len(p) - 1):
         y = p[x]
-        if y > x:                       # x opens an arc
+        if y > x:                       # x opens an arc, nested in one opened at x - 1?
+            if p[x - 1] > y:
+                raise HasLeftNesting(((x - 1, p[x - 1]), (x, y)))
             given[x] = closed
         else:                           # x closes arc len(masks), bit len(masks)
             masks.append(given[y])

@@ -29,7 +29,7 @@ from .bijections import (
     table_to_poset,
     zero_one_matrix_to_matching,
 )
-from .enumeration import GENERATORS, counter, generate, tally
+from .enumeration import GENERATORS, TABLE_READINGS, counter, generate, tally
 from .errors import FishburnError
 from .statistics import VOCABULARY, stats_for
 
@@ -62,9 +62,12 @@ _TABLE_MAPS = {
 #   n = 17);
 # - the factorial posets by comp, min, pre_n, lev, ip and rne_poset, by the same
 #   walk, which grows most with ip and pre_n: all six names peak at 132 MB in
-#   ≈8 s at n = 13 (277 MB and 15 s at n = 14).
+#   ≈8 s at n = 13 (277 MB and 15 s at n = 14);
+# - the permutations by p or comp, by the prefix walk, keyed "prefix": all seven
+#   of its names peak at 387 MB in ≈7.6 s at n = 11 (1.15 GB and 49 s at n = 12).
 MAX_COUNTED_N = {("matchings", True): 14, ("matchings", False): 12,
-                 ("permutations", False): 16, ("factorial_posets", False): 13}
+                 ("permutations", False): 16, ("factorial_posets", False): 13,
+                 ("permutations", "prefix"): 11}
 
 # class -> the largest n at which they tally it by enumeration: a class with no
 # counter, or names that no counter has.  Each object is built and scored; at
@@ -108,6 +111,13 @@ def _stat_names(spec: str, stat_class: str) -> list[str]:
     return names
 
 
+def _counted_key(class_name: str, names, filters):
+    """The ``MAX_COUNTED_N`` key of a tally's counter, or None if it enumerates."""
+    if counter(class_name, names, filters) is not None:
+        prefix = class_name == "permutations" and set(names) - TABLE_READINGS[class_name].keys()
+        return class_name, "prefix" if prefix else bool(filters)
+
+
 def _tally(args, names: tuple[str, ...]):
     """``tally`` of the class, n and filters given; past the size bound of its
     route it exits 2 before anything is counted, and after a foreign filter."""
@@ -115,10 +125,10 @@ def _tally(args, names: tuple[str, ...]):
     generate(class_name, n, args.filter)        # refuses the filters
     what = (f"a tally of the {class_name} by {','.join(names)}" if names
             else f"a count of the {class_name}")
-    if counter(class_name, names, args.filter) is None:
+    if (key := _counted_key(class_name, names, args.filter)) is None:
         if n > (bound := MAX_ENUMERATED_N[class_name]):
             _die(f"{what} builds every object, so it takes n <= {bound}")
-    elif n > (bound := MAX_COUNTED_N[class_name, bool(args.filter)]):
+    elif n > (bound := MAX_COUNTED_N[key]):
         _die(f"{what} takes n <= {bound}, as its memory grows with n")
     return tally(class_name, n, args.filter, names)
 

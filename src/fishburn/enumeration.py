@@ -19,7 +19,9 @@ its counter: that one for the matchings tallied by ``MERGED_NAMES``, and for
 the unfiltered permutations and factorial posets ``table_tallies``, one walk
 over inversion tables that builds no object and reads each statistic from a
 table's entries by the class's ``TABLE_READINGS`` (a permutation's left
-inversion table, the table of a poset); every other tally enumerates.
+inversion table, the table of a poset); for the permutations by its other
+names ``prefix_tallies``, a walk over the one-line notation; every other
+tally enumerates.
 ``generate`` alone picks what prunes a search, and still runs the predicates
 on every object it yields, so they post-check every pruned stream, and over
 the unpruned stream they are the oracle the tests hold the step tests and
@@ -190,6 +192,20 @@ def _rows(states: dict[int, int], shift: dict[str, int],
     return out
 
 
+def _level_walk(level: dict[int, int], heads: int, steps) -> dict[int, int]:
+    """The states after each step, which maps a head (bits ``heads``) to its moves."""
+    for moves in steps:
+        step, out = {}, {}
+        for state, count in level.items():
+            head = state & heads
+            if head not in step:
+                step[head] = moves(head)
+            for move in step[head]:
+                out[state + move] = out.get(state + move, 0) + count
+        level = out
+    return level
+
+
 # the statistics ``merged_tallies`` counts
 MERGED_NAMES = frozenset({"lne", "rne", "comp", "inter", "min", "emb"})
 
@@ -331,17 +347,53 @@ def table_tallies(class_name: str, names: Sequence[str] = ()):
                                               for reading, bit in bits))
             return out
 
-        level = {n << last_at: 1}           # last = n: no descent at n
-        for i in range(n, 0, -1):
-            step, out = {}, {}
-            for state, count in level.items():
-                head = state & (1 << tallies_at) - 1
-                if head not in step:
-                    step[head] = moves(i, head)
-                for move in step[head]:
-                    out[state + move] = out.get(state + move, 0) + count
-            level = out
-        return _rows(level, shift, names)
+        steps = (functools.partial(moves, i) for i in range(n, 0, -1))
+        # last = n at the start: no descent at n
+        return _rows(_level_walk({n << last_at: 1}, (1 << tallies_at) - 1, steps), shift, names)
+
+    return _sized(rows)
+
+
+# statistic -> its reading as v follows a (0 first), the values before v in used
+PREFIX_READINGS = {
+    "p": lambda used, a, v: 1 < a < v and not used >> a - 1 & 1,    # a - 1 comes later
+    "comp": lambda used, a, v: not (u := used | 1 << v) & u + 2,    # u is {1..k}
+    "lmin": lambda used, a, v: not used & (1 << v) - 1,
+    "lmax": lambda used, a, v: not used >> v,
+    "des": lambda used, a, v: a > v,
+    "asc": lambda used, a, v: 0 < a < v,
+    "inv": lambda used, a, v: (used >> v).bit_count(),
+}
+
+
+def prefix_tallies(names: Sequence[str] = ()):
+    """The function from n to the tally of the permutation statistics
+    ``names`` (keys of ``PREFIX_READINGS``), as distribution rows, read left to
+    right from the one-line notation without building a permutation.  A state
+    is the mask of the values placed, the last of them if p, des or asc is
+    read, and the tallies, 16 bits each.
+
+    >>> sorted(prefix_tallies(("p", "des"))(4).items())
+    [((0, 0), 1), ((0, 1), 6), ((0, 2), 7), ((0, 3), 1), ((1, 1), 5), ((1, 2), 4)]
+    """
+    names = tuple(names)
+    if not set(names) <= PREFIX_READINGS.keys():
+        raise ValueError(f"the prefix walk has no names {names}")
+    ordered = not {"p", "des", "asc"}.isdisjoint(names)
+
+    def rows(n: int) -> dict[tuple[int, ...], int]:
+        last_at, tallies_at = n + 1, n + 1 + ordered * n.bit_length()   # used takes bits 1..n
+        shift = {x: tallies_at + 16 * place for place, x in enumerate(dict.fromkeys(names))}
+        bits = [(PREFIX_READINGS[x], 1 << at) for x, at in shift.items()]
+
+        def moves(head: int) -> list[int]:
+            # each v not used placed next: the new head less the old, plus the gains
+            used, a = head & (1 << last_at) - 1, head >> last_at
+            return [(used | 1 << v | ordered * v << last_at) - head
+                    + sum(bit * reading(used, a, v) for reading, bit in bits)
+                    for v in range(1, n + 1) if not used >> v & 1]
+
+        return _rows(_level_walk({0: 1}, (1 << tallies_at) - 1, [moves] * n), shift, names)
 
     return _sized(rows)
 
@@ -665,20 +717,24 @@ def distribution(stream: Iterable, class_name: str,
 
 
 _merged = functools.cache(merged_tallies)       # one memo for every n
+_prefix = functools.cache(prefix_tallies)
 
 
 def counter(class_name: str, names: Sequence[str], predicates: Sequence[str]):
     """The function from n to the distribution rows that ``tally`` reads, or
     None when the tally enumerates: ``merged_tallies`` for a matching class
-    tallied by names of ``MERGED_NAMES``, and ``table_tallies`` for a class of
-    ``TABLE_READINGS`` with no predicates, tallied by its readings.  The
-    predicates must be the class's own, as ``generate`` checks."""
+    tallied by names of ``MERGED_NAMES``, ``table_tallies`` for a class of
+    ``TABLE_READINGS`` with no predicates, tallied by its readings, and
+    ``prefix_tallies`` for the permutations tallied by other names it reads.
+    The predicates must be the class's own, as ``generate`` checks."""
     names = tuple(names)
     if class_name == "matchings" and MERGED_NAMES >= set(names):
         return _merged(frozenset().union(*map(MATCHING_RULES.get, predicates)), names)
     if (class_name in TABLE_READINGS and not predicates
             and TABLE_READINGS[class_name].keys() >= set(names)):
         return table_tallies(class_name, names)
+    if class_name == "permutations" and PREFIX_READINGS.keys() >= set(names):
+        return _prefix(names)
     return None
 
 

@@ -278,27 +278,9 @@ def _neighbor_at(p: tuple[int, ...], left: bool, nesting: bool) -> int:
     return 0
 
 
-def first_neighbor_pair(m: Matching, left: bool, nesting: bool) -> tuple[Arc, Arc] | None:
-    """First neighbour pair of the given kind in ``m``, or None.
-
-    A neighbour pair is two arcs whose openers (``left``) or closers (not
-    ``left``) sit at adjacent positions x and x + 1.  Such arcs always nest
-    or cross: with p the partner map, they nest exactly when p[x] > p[x + 1],
-    on either side.  Pairs are scanned by x and returned as two
-    (opener, closer) arcs, the one at x first.
-    """
-    p = m.partner
-    x = _neighbor_at(p, left, nesting)
-    if not x:
-        return None
-    if left:
-        return ((x, p[x]), (x + 1, p[x + 1]))
-    return ((p[x], x), (p[x + 1], x + 1))
-
-
 def neighbor_counts(m: Matching) -> tuple[int, int, int, int]:
     """(lne, rne, lcr, rcr): the neighbour pairs of each kind, in one scan by
-    position with the rule of :func:`first_neighbor_pair`."""
+    position with the rule of :func:`_neighbor_at`."""
     p = m.partner
     lne = rne = lcr = rcr = 0
     for x in range(1, len(p) - 2):

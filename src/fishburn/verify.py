@@ -15,8 +15,8 @@ the inside.  Facts read their data through two caches, keyed by a class and
 a tuple of named ``PREDICATES`` entries: ``_objects`` for its members and
 ``_tally`` for statistic tallies, which come from ``enumeration.tally``, so
 its ``counter`` alone decides which are counted without building an object.  The
-permutations are streamed, not counted, and stay the enumerated side of each
-equidistribution.
+permutations are counted by ``prefix_tallies`` from the one-line notation, never
+by the inversion-table walk, so each side of an equidistribution is its own walk.
 
 Conjecture checks are flagged ``conjecture`` even when they pass: passing
 at small n is evidence, not proof.
@@ -56,6 +56,7 @@ from .enumeration import (
     eulerian_triangle_row,
     fishburn_numbers,
     generate,
+    prefix_tallies,
     second_order_eulerian,
     tally,
 )
@@ -117,10 +118,11 @@ def _objects(class_name: str, n: int, predicates: tuple[str, ...]) -> tuple:
 @lru_cache(maxsize=None)
 def _tally(class_name: str, n: int, predicates: tuple[str, ...], names: tuple[str, ...]):
     """The tally of a statistic tuple over the class filtered by the predicates:
-    over a stream for the permutations, which stay the enumerated side of every
-    check, and by ``tally`` for every other class, counted or streamed."""
+    by ``prefix_tallies`` for the permutations, so no two sides of a check are
+    one walk, and by ``tally`` for every other class."""
     if class_name == "permutations":
-        return distribution(generate(class_name, n, predicates), class_name, names).rows
+        generate(class_name, n, predicates)     # refuses the predicates
+        return prefix_tallies(names)(n)
     return tally(class_name, n, predicates, names).rows
 
 

@@ -28,10 +28,13 @@ ROUTE_FILTERS = [(), *((name,) for name in sorted(MATCHING_RULES)),
 COUNTED_NAMES = [("lne", "rne", "comp", "inter", "min", "emb"), ("emb", "min"),
                  ("rne", "comp", "rne")]
 ENUMERATED_NAMES = [("last",), ("rne", "ne"), ("lcr", "comp")]
-# the same for the permutations and the inversion-table walk
+# the same for the permutations: names of the inversion-table walk, of the
+# prefix walk (the conjectures' triples among them), then names neither reads
 COUNTED_PERMUTATION_NAMES = [("asc", "des", "inv", "lmin", "lmax"), ("des", "inv"),
                              ("lmax", "inv", "lmax")]
-ENUMERATED_PERMUTATION_NAMES = [("p",), ("comp", "des"), ("last",)]
+PREFIX_PERMUTATION_NAMES = [("p",), ("comp", "des"), ("p", "comp", "lmin"),
+                            ("p", "lmax", "des")]
+ENUMERATED_PERMUTATION_NAMES = [("last",), ("rmin", "des"), ("dent", "p")]
 
 
 def naive_matchings(n):

@@ -50,6 +50,9 @@ REACH = {
     "conj12_n10": (
         [*CONJ12, "--n-max", "10", "--json"],
         "e09bef4d9a71640062211102bc941de131cd73d4df46575c113b0d95bbd71408", None, 60),
+    "conj12_n12": (
+        [*CONJ12, "--n-max", "12", "--json"],
+        "d0235bc488528d2b1a81b8e51a2b79e94c2d21ccf4b20db006ce75b806fc0413", None, 100),
     "poset_counts_n8": (
         ["verify", *POSET_COUNT_CHECKS, "--n-max", "8", "--json"],
         "c95aff3c61784c2dd5888b19ec8c2cd12c1b42dd535f250618c01b5304938ce4", None, 80),

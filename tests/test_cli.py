@@ -15,13 +15,15 @@ from fishburn import (
     REGISTRY, DistributionTable, catalan, cli, distribution, double_factorial, generate,
 )
 from fishburn.cli import MAX_COUNTED_N, MAX_ENUMERATED_N, main
-from fishburn.enumeration import GENERATORS, PREDICATES, counter
+from fishburn.enumeration import GENERATORS, PREDICATES
+from fishburn.statistics import VOCABULARY
 
 from helpers import (
     COUNTED_NAMES,
     COUNTED_PERMUTATION_NAMES,
     ENUMERATED_NAMES,
     ENUMERATED_PERMUTATION_NAMES,
+    PREFIX_PERMUTATION_NAMES,
     ROUTE_FILTERS,
 )
 
@@ -30,6 +32,7 @@ from helpers import (
 FILTERED_MATCHING_N = MAX_COUNTED_N["matchings", True]
 MATCHING_N = MAX_COUNTED_N["matchings", False]
 PERMUTATION_N = MAX_COUNTED_N["permutations", False]
+PREFIX_N = MAX_COUNTED_N["permutations", "prefix"]
 FACTORIAL_POSET_N = MAX_COUNTED_N["factorial_posets", False]
 
 
@@ -620,11 +623,12 @@ def refuse_to_count(monkeypatch):
 
 class TestPermutationTallies:
     """``distribution`` and ``enumerate --count-only`` of the permutations: the
-    inversion-table walk's names, or a count, up to its bound, and other
-    names by enumeration; each CSV is the enumerated one."""
+    inversion-table walk's names, or a count, up to its bound, the prefix
+    walk's other names up to its own, and other names by enumeration; each
+    CSV is the enumerated one."""
 
-
-    @pytest.mark.parametrize("names", COUNTED_PERMUTATION_NAMES + ENUMERATED_PERMUTATION_NAMES)
+    @pytest.mark.parametrize("names", COUNTED_PERMUTATION_NAMES + PREFIX_PERMUTATION_NAMES
+                             + ENUMERATED_PERMUTATION_NAMES)
     def test_csv_equals_the_enumerated_distribution(self, capsys, names):
         for n in range(7):
             code, out, _ = run_cli(capsys, "distribution", "permutations", str(n),
@@ -649,6 +653,27 @@ class TestPermutationTallies:
         code, out, err = run_cli(capsys, *(a.format(n=PERMUTATION_N + 1) for a in argv))
         assert (code, out) == (2, "")
         assert err == f"error: {what} takes n <= 16, as its memory grows with n\n"
+
+    @pytest.mark.parametrize("names", ["p", "comp,des", "p,comp,lmin,lmax,des,asc,inv"])
+    def test_prefix_walk_refused_past_its_bound(self, capsys, monkeypatch, names):
+        refuse_to_count(monkeypatch)
+        code, out, err = run_cli(capsys, "distribution", "permutations", str(PREFIX_N + 1),
+                                 "--stats", names)
+        assert (code, out) == (2, "")
+        assert err == (f"error: a tally of the permutations by {names} takes n <= 11, "
+                       "as its memory grows with n\n")
+
+    def test_prefix_walk_counted_at_its_bound(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(class_name, n, predicates, names):
+            calls.append((class_name, n, list(predicates), tuple(names)))
+            return DistributionTable(tuple(names), {tuple(0 for _ in names): 1})
+        monkeypatch.setattr(cli, "tally", counted)
+        code, _, _ = run_cli(capsys, "distribution", "permutations", str(PREFIX_N),
+                             "--stats", "p,comp,lmin")
+        assert code == 0
+        assert calls == [("permutations", PREFIX_N, [], ("p", "comp", "lmin"))]
 
 
 POSET_NAMES = "comp,min,pre_n,lev,ip,rne_poset"
@@ -706,8 +731,8 @@ class TestFactorialPosetTallies:
 ENUMERATED_TALLIES = [
     ("matchings", ("--stats", "last")),
     ("matchings", ("--stats", "rne,ne", "--filter", "no_left_nesting")),
-    ("permutations", ("--stats", "p")),
-    ("permutations", ("--stats", "comp,des")),
+    ("permutations", ("--stats", "last")),
+    ("permutations", ("--stats", "dent,p")),
     ("inversion_tables", ("--stats", "dent")),
     ("inversion_tables", ("--count-only", "--filter", "descent_correcting")),
     ("factorial_posets", ("--stats", "lev,rne_poset", "--filter", "condition_one")),
@@ -733,13 +758,15 @@ class TestEnumerationBounds:
         assert {class_name for class_name, _ in ENUMERATED_TALLIES} == set(GENERATORS)
 
     def test_every_counted_route_has_a_bound(self):
-        # (class, filtered) of each count that a counter serves, with no
-        # predicate or with one of the class's own
-        counted = {(class_name, bool(predicates)) for class_name in GENERATORS
+        # the bound's key of each tally that a counter serves, with no
+        # predicate or with one of the class's own, and with no name or one
+        # of the class's statistics
+        counted = {cli._counted_key(class_name, names, predicates)
+                   for class_name in GENERATORS
                    for predicates in [(), *((name,) for name, (classes, _) in PREDICATES.items()
                                            if class_name in classes)]
-                   if counter(class_name, (), predicates) is not None}
-        assert counted == set(MAX_COUNTED_N)
+                   for names in [(), *((name,) for name in VOCABULARY.get(class_name, ()))]}
+        assert counted - {None} == set(MAX_COUNTED_N)
 
     @pytest.mark.parametrize("class_name, args", ENUMERATED_TALLIES)
     def test_refused_past_the_bound(self, capsys, monkeypatch, class_name, args):

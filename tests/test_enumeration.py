@@ -44,7 +44,9 @@ from fishburn.enumeration import (
     RULE_TESTS,
     STEP_TESTS,
     _closer_order,
+    PREFIX_READINGS,
     merged_tallies,
+    prefix_tallies,
     table_tallies,
     tally,
 )
@@ -61,6 +63,7 @@ from helpers import (
     NATURAL_POSET_COUNTS,
     NO_LEFT_NESTING_N3,
     ODD_DOUBLE_FACTORIAL,
+    PREFIX_PERMUTATION_NAMES,
     ROUTE_FILTERS,
     T3_ROWS,
     left_inversion_table,
@@ -446,6 +449,42 @@ def test_table_tallies_refuse_a_class_with_no_readings(class_name, names):
         table_tallies(class_name, names)
 
 
+# every statistic the prefix walk reads, and the permutation triples of conj1, conj2
+PREFIX_ORDER = ("p", "comp", "lmin", "lmax", "des", "asc", "inv")
+CONJECTURE_TRIPLES = [("p", "comp", "lmin"), ("p", "lmax", "des")]
+
+
+class TestPrefixTallies:
+    """The one-line prefix walk against the enumerated permutations."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_name_tuple_equals_the_enumerated_tally(self, n):
+        # each tuple's enumerated tally is a projection of the full records'
+        records = Counter(map(stat_tuple("permutations", PREFIX_ORDER), gen_permutations(n)))
+        tuples = [t for k in range(3) for t in itertools.product(PREFIX_ORDER, repeat=k)]
+        for names in tuples + CONJECTURE_TRIPLES + [PREFIX_ORDER]:
+            where = [PREFIX_ORDER.index(name) for name in names]
+            expected = Counter()
+            for record, count in records.items():
+                expected[tuple(record[i] for i in where)] += count
+            got = prefix_tallies(names)(n)
+            assert got == dict(expected), names
+            assert sum(got.values()) == math.factorial(n), names
+
+    def test_readings_are_the_walk_names(self):
+        assert set(PREFIX_READINGS) == set(PREFIX_ORDER)
+
+    @pytest.mark.parametrize("names", [("last",), ("p", "lne"), ("rmin",), ("dent",), ("lev",)])
+    def test_unknown_names_refused(self, names):
+        with pytest.raises(ValueError):
+            prefix_tallies(names)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0])
+    def test_size_must_be_a_nonnegative_integer(self, n):
+        with pytest.raises(ValueError):
+            prefix_tallies(("p",))(n)
+
+
 def route_only(monkeypatch, counted):
     """Make the route ``tally`` should not take raise: the merged counter, or
     the enumerated ``distribution``."""
@@ -466,7 +505,8 @@ ROUTES = {
     ("matchings", ("no_left_nesting",), ("last",)): False,
     ("permutations", (), ()): True,
     ("permutations", (), ("des",)): True,
-    ("permutations", (), ("p",)): False,
+    ("permutations", (), ("p",)): True,
+    ("permutations", (), ("last",)): False,
     ("factorial_posets", (), ()): True,
     ("factorial_posets", (), ("lev",)): True,
     ("factorial_posets", ("condition_one",), ()): False,
@@ -486,8 +526,9 @@ ROUTES = {
 class TestTallyRoute:
     """``tally`` reads the merged counter for a matching class tallied by its
     names, the inversion-table walk for the unfiltered permutations and
-    factorial posets tallied by their readings, and enumerates any other
-    tally; every route equals ``distribution``."""
+    factorial posets tallied by their readings, the prefix walk for the
+    permutations tallied by its other names, and enumerates any other tally;
+    every route equals ``distribution``."""
 
     @pytest.mark.parametrize("predicates", ROUTE_FILTERS)
     def test_matching_tallies_equal_the_enumerated_distribution(self, monkeypatch, predicates):
@@ -520,6 +561,7 @@ class TestTallyRoute:
             else:
                 patch.setattr(enumeration, "_merged", refuse)
                 patch.setattr(enumeration, "table_tallies", refuse)
+                patch.setattr(enumeration, "_prefix", refuse)
             got = [tally(class_name, n, predicates, names).rows for n in range(6)]
         for n, rows in enumerate(got):
             stream = generate(class_name, n, predicates)
@@ -531,21 +573,39 @@ class TestTallyRoute:
             raise AssertionError("the permutation stream was read")
             yield
         monkeypatch.setitem(enumeration.GENERATORS, "permutations", unread)
-        for names in [(), *COUNTED_PERMUTATION_NAMES]:
+        for names in [(), *COUNTED_PERMUTATION_NAMES, *PREFIX_PERMUTATION_NAMES]:
             for n in range(7):
                 table = tally("permutations", n, (), names)
                 assert table.total == math.factorial(n), (names, n)
+
+    def test_counter_sends_p_to_the_prefix_walk_and_des_inv_to_the_table_walk(
+            self, monkeypatch):
+        # the CLI's ``distribution permutations 8 --stats des,inv`` stays on
+        # the inversion-table walk; p, which it does not read, goes to the
+        # prefix walk
+        walks = []
+        tabled, prefixed = enumeration.table_tallies, enumeration._prefix
+        monkeypatch.setattr(enumeration, "table_tallies", lambda class_name, names: (
+            walks.append(("table", names)) or tabled(class_name, names)))
+        monkeypatch.setattr(enumeration, "_prefix", lambda names: (
+            walks.append(("prefix", names)) or prefixed(names)))
+        for names in [("p",), ("des", "inv")]:
+            assert tally("permutations", 8, (), names) == distribution(
+                gen_permutations(8), "permutations", names), names
+        assert walks == [("prefix", ("p",)), ("table", ("des", "inv"))]
 
     def test_other_permutation_names_enumerate(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the counter was read")
         monkeypatch.setattr(enumeration, "table_tallies", refuse)
+        monkeypatch.setattr(enumeration, "_prefix", refuse)
         for names in ENUMERATED_PERMUTATION_NAMES:
             for n in range(7):
                 assert tally("permutations", n, (), names) == distribution(
                     gen_permutations(n), "permutations", names), (names, n)
 
     @pytest.mark.parametrize("names", [(), *COUNTED_PERMUTATION_NAMES,
+                                       *PREFIX_PERMUTATION_NAMES,
                                        *ENUMERATED_PERMUTATION_NAMES])
     def test_permutation_csv_equals_the_enumerated_distribution(self, names):
         for n in range(7):

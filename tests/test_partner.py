@@ -23,7 +23,6 @@ from fishburn import (
 from fishburn.enumeration import MATCHING_RULES, gen_inversion_tables, gen_matchings
 from fishburn.errors import HasLeftCrossing, HasLeftNesting
 from fishburn.objects import (
-    first_neighbor_pair,
     has_gap2_nesting,
     has_left_crossing,
     has_left_nesting,
@@ -108,14 +107,11 @@ def seeded_preimages(m):
 
 
 def check_neighbor_readers(m, arcs):
-    """The four neighbour tests, :func:`first_neighbor_pair` and
-    :func:`neighbor_counts` of m against the pair-by-pair oracles on its
-    arcs; returns the oracle's counts."""
+    """The four neighbour tests and :func:`neighbor_counts` of m against the
+    pair-by-pair oracles on its arcs; returns the oracle's counts."""
     counts = naive_counts(arcs)
-    for (left, nesting), (rule, test) in NEIGHBOR_TESTS.items():
+    for rule, test in NEIGHBOR_TESTS.values():
         assert test(m) == (counts[rule] > 0), (arcs, rule)
-        assert first_neighbor_pair(m, left, nesting) == \
-            first_neighbor_pair_by_arcs(arcs, left, nesting), (arcs, rule)
     assert neighbor_counts(m) == tuple(counts[k] for k in ("lne", "rne", "lcr", "rcr")), arcs
     return counts
 

@@ -396,9 +396,14 @@ def _set_step_test(rule, test):
     return lambda mp: mp.setitem(enumeration.STEP_TESTS, rule, test)
 
 
-# a fault in the step table, which the search and the merged counter share, or
-# in the table readings of the factorial-poset walk -> (the fault, every check
-# it fails at n <= 5 with the witness it gives)
+def _set_prefix_reading(name, reading):
+    """Replace the reading of ``name`` in the permutations' prefix walk."""
+    return lambda mp: mp.setitem(enumeration.PREFIX_READINGS, name, reading)
+
+
+# a fault in the step table, which the search and the merged counter share, in
+# the table readings of the factorial-poset walk or in the readings of the
+# prefix walk -> (the fault, every check it fails at n <= 5 with its witness)
 STEP_FAULTS = {
     "rne inverted": (
         _set_step_test("rne", lambda p, o, c: 0 < p[c - 1] < o),      # the rcr test
@@ -456,6 +461,15 @@ STEP_FAULTS = {
                               lambda n, i, w, seen, last: w > last),
         {"conj1_equidistribution": {"n": 3, "tuple": [0, 3, 1], "counts": [0, 1, 1]},
          "conj2_equidistribution": {"n": 3, "tuple": [0, 1, 2], "counts": [0, 1, 1]}}),
+    # a p at every ascent a < v with a > 1, wherever a - 1 stands
+    "p with a - 1 anywhere": (
+        _set_prefix_reading("p", lambda used, a, v: 1 < a < v),
+        {"conj1_equidistribution": {"n": 3, "tuple": [0, 3, 1], "counts": [1, 0, 1]},
+         "conj2_equidistribution": {"n": 3, "tuple": [0, 3, 0], "counts": [1, 0, 1]}}),
+    # a cut wherever the value placed is the number placed, whatever came before
+    "comp by the last value": (
+        _set_prefix_reading("comp", lambda used, a, v: v == used.bit_count() + 1),
+        {"conj1_equidistribution": {"n": 2, "tuple": [0, 0, 2], "counts": [0, 1, 0]}}),
 }
 
 
@@ -616,16 +630,14 @@ def _step_fault(fault, check):
 FAULTS = {
     "conj1_equidistribution": _step_fault("rne inverted", "conj1_equidistribution"),
     "conj2_equidistribution": (
-        lambda mp: _break_pass(mp, "permutations", "des",                # counts ascents
-                               lambda pi: (sum(map(int.__lt__, pi, pi[1:])),)),
+        _set_prefix_reading("des", lambda used, a, v: 0 < a < v),       # counts ascents
         {"n": 2, "tuple": [0, 1, 0], "counts": [0, 1, 0]}),
     "conj3_no_2_left_nestings": _step_fault("gap2 off", "conj3_no_2_left_nestings"),
     "conj4_lne_second_order_eulerian": _step_fault(
         "lne two back", "conj4_lne_second_order_eulerian"),
     "cor_mahonian": (
-        lambda mp: _break_pass(mp, "permutations", "inv",                # adjacent pairs only
-                               lambda pi: (sum(map(int.__gt__, pi, pi[1:])),)),
-        {"n": 3, "tuple": [1], "counts": [2, 4, 2]}),
+        _set_prefix_reading("inv", lambda used, a, v: (used >> v - 1).bit_count()),  # and v - 1
+        {"n": 2, "tuple": [0], "counts": [1, 0, 1]}),
     "cor_eulerian": (
         lambda mp: _break_pass(mp, "inversion_tables", "dent",           # misses the entry 0
                                lambda w: (len(set(w) - {0}),)),
@@ -646,7 +658,8 @@ class TestInjectedFaults:
     def clear_caches(self):
         # so nothing computed before the fault is read under it, or after it
         def clear():
-            for cache in (_objects, _tally, enumeration._merged, statistics._compile):
+            for cache in (_objects, _tally, enumeration._merged, enumeration._prefix,
+                          statistics._compile):
                 cache.cache_clear()
         yield clear
         clear()
@@ -749,7 +762,7 @@ class TestDataLayer:
         assert ("natural_posets", ("factorial",)) in read
         assert ("natural_posets", ()) not in read
 
-    def test_streamed_permutation_tallies_equal_the_enumerated_ones(self):
+    def test_permutation_tallies_equal_the_enumerated_ones(self):
         for names in [("p", "comp", "lmin"), ("p", "lmax", "des"), ("inv",), ("des",)]:
             for n in range(7):
                 expected = Counter(map(statistics.stat_tuple("permutations", names),
@@ -758,19 +771,21 @@ class TestDataLayer:
 
     def test_equidistributions_count_the_posets_and_enumerate_the_other_side(
             self, monkeypatch):
-        # no factorial poset is built and the walk is not read for the
-        # permutations, which are enumerated; nor is any class cached, as the
-        # tables of cor_eulerian stream through ``tally``
+        # no factorial poset or permutation is built, and the inversion-table
+        # walk is not read for the permutations, which the prefix walk counts;
+        # nor is any class cached, as the tables of cor_eulerian stream
+        # through ``tally``
         def unread(n):
-            raise AssertionError("the poset stream was read")
+            raise AssertionError("a poset or permutation stream was read")
             yield
         tabled = enumeration.table_tallies
 
         def refusing(class_name, names):
             if class_name == "permutations":
-                raise AssertionError("the permutation counter was read")
+                raise AssertionError("the inversion-table walk was read")
             return tabled(class_name, names)
         monkeypatch.setitem(enumeration.GENERATORS, "factorial_posets", unread)
+        monkeypatch.setitem(enumeration.GENERATORS, "permutations", unread)
         monkeypatch.setattr(enumeration, "table_tallies", refusing)
         read = set()
         cached = verify._objects
