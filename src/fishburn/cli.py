@@ -29,7 +29,7 @@ from .bijections import (
     table_to_poset,
     zero_one_matrix_to_matching,
 )
-from .enumeration import GENERATORS, TABLE_READINGS, counter, generate, tally
+from .enumeration import GENERATORS, counter_route, generate, prunes, tally
 from .errors import FishburnError
 from .statistics import VOCABULARY, stats_for
 
@@ -69,13 +69,18 @@ MAX_COUNTED_N = {("matchings", True): 14, ("matchings", False): 12,
                  ("permutations", False): 16, ("factorial_posets", False): 13,
                  ("permutations", "prefix"): 11}
 
-# class -> the largest n at which they tally it by enumeration: a class with no
-# counter, or names that no counter has.  Each object is built and scored; at
-# each bound the costliest filter and names ran in at most 7.3 s (2-CPU host,
-# Python 3.11), and one more took 12-30 s or did not finish in 45 s.
-MAX_ENUMERATED_N = {"matchings": 7, "permutations": 9, "inversion_tables": 10,
-                    "factorial_posets": 9, "natural_posets": 7, "matrices": 10,
-                    "ascent_sequences": 11}
+# (class, whether ``generate`` prunes its search by a filter given) -> the largest
+# n at which they tally it by enumeration: a class with no counter, or names that
+# no counter has.  Each object is built and scored; at each bound the costliest
+# filter and names ran in at most 8.3 s (2-CPU host, Python 3.11), and one more
+# took 12-30 s or did not finish in 45 s.  A pruned search builds only its class:
+# the matchings with no right-nesting (n!), by all eleven names, took 8.3 s at
+# n = 9, and the 2+2-free natural posets were counted in 4.9 s at n = 8.
+MAX_ENUMERATED_N = {("matchings", False): 7, ("matchings", True): 9,
+                    ("permutations", False): 9, ("inversion_tables", False): 10,
+                    ("factorial_posets", False): 9, ("natural_posets", False): 7,
+                    ("natural_posets", True): 8, ("matrices", False): 10,
+                    ("ascent_sequences", False): 11}
 
 # singular CLI class -> statistics class
 _STAT_CLASS_SINGULAR = {
@@ -113,9 +118,8 @@ def _stat_names(spec: str, stat_class: str) -> list[str]:
 
 def _counted_key(class_name: str, names, filters):
     """The ``MAX_COUNTED_N`` key of a tally's counter, or None if it enumerates."""
-    if counter(class_name, names, filters) is not None:
-        prefix = class_name == "permutations" and set(names) - TABLE_READINGS[class_name].keys()
-        return class_name, "prefix" if prefix else bool(filters)
+    if (route := counter_route(class_name, names, filters)) is not None:
+        return class_name, "prefix" if route == "prefix" else bool(filters)
 
 
 def _tally(args, names: tuple[str, ...]):
@@ -126,7 +130,7 @@ def _tally(args, names: tuple[str, ...]):
     what = (f"a tally of the {class_name} by {','.join(names)}" if names
             else f"a count of the {class_name}")
     if (key := _counted_key(class_name, names, args.filter)) is None:
-        if n > (bound := MAX_ENUMERATED_N[class_name]):
+        if n > (bound := MAX_ENUMERATED_N[class_name, prunes(class_name, args.filter)]):
             _die(f"{what} builds every object, so it takes n <= {bound}")
     elif n > (bound := MAX_COUNTED_N[key]):
         _die(f"{what} takes n <= {bound}, as its memory grows with n")

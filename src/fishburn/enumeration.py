@@ -545,6 +545,13 @@ def generate(class_name: str, n: int, predicates: Sequence[str] = ()) -> Iterato
     return stream
 
 
+def prunes(class_name: str, predicates: Sequence[str]) -> bool:
+    """Does ``generate`` cut its search by one of the predicates: the matchings
+    by one of ``MATCHING_RULES``, or the natural posets by one of ``POSET_CUTS``?"""
+    cuts = {"matchings": MATCHING_RULES, "natural_posets": POSET_CUTS}.get(class_name, ())
+    return any(name in cuts for name in predicates)
+
+
 # ---------------------------------------------------------------------------
 # Class filters
 # ---------------------------------------------------------------------------
@@ -720,20 +727,34 @@ _merged = functools.cache(merged_tallies)       # one memo for every n
 _prefix = functools.cache(prefix_tallies)
 
 
+def counter_route(class_name: str, names: Sequence[str], predicates: Sequence[str]):
+    """Which walk counts the tally of the class by the names under the
+    predicates: "merged" for a matching class tallied by names of
+    ``MERGED_NAMES``, "table" for a class of ``TABLE_READINGS`` with no
+    predicates, tallied by its readings, "prefix" for the permutations tallied
+    by other names that ``PREFIX_READINGS`` has, or None when it enumerates."""
+    names = set(names)
+    if class_name == "matchings" and MERGED_NAMES >= names:
+        return "merged"
+    if (class_name in TABLE_READINGS and not predicates
+            and TABLE_READINGS[class_name].keys() >= names):
+        return "table"
+    if class_name == "permutations" and PREFIX_READINGS.keys() >= names:
+        return "prefix"
+    return None
+
+
 def counter(class_name: str, names: Sequence[str], predicates: Sequence[str]):
     """The function from n to the distribution rows that ``tally`` reads, or
-    None when the tally enumerates: ``merged_tallies`` for a matching class
-    tallied by names of ``MERGED_NAMES``, ``table_tallies`` for a class of
-    ``TABLE_READINGS`` with no predicates, tallied by its readings, and
-    ``prefix_tallies`` for the permutations tallied by other names it reads.
-    The predicates must be the class's own, as ``generate`` checks."""
-    names = tuple(names)
-    if class_name == "matchings" and MERGED_NAMES >= set(names):
+    None when the tally enumerates: ``merged_tallies``, ``table_tallies`` or
+    ``prefix_tallies``, as ``counter_route`` names it.  The predicates must be
+    the class's own, as ``generate`` checks."""
+    names, route = tuple(names), counter_route(class_name, names, predicates)
+    if route == "merged":
         return _merged(frozenset().union(*map(MATCHING_RULES.get, predicates)), names)
-    if (class_name in TABLE_READINGS and not predicates
-            and TABLE_READINGS[class_name].keys() >= set(names)):
+    if route == "table":
         return table_tallies(class_name, names)
-    if class_name == "permutations" and PREFIX_READINGS.keys() >= set(names):
+    if route == "prefix":
         return _prefix(names)
     return None
 

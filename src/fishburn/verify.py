@@ -324,6 +324,29 @@ def _two_plus_two_agreement(n: int):
             return {"n": n, **_obj("poset", Poset.from_pre_masks(masks)), "disagreement": True}
 
 
+def _round_trip(n: int):
+    """poset_to_matching and matching_to_poset undo each other on every factorial
+    poset, and on every matching with no left-nesting, where matching_to_poset
+    also agrees with the inversion table.  Both maps are pure, so a matching m
+    met as the image of a poset p is not sent through them again: the poset
+    sweep found matching_to_poset(m) == p and poset_to_matching(p) == m."""
+    source = dict.fromkeys(_objects("matchings", n, ("no_left_nesting",)))
+    for p in _objects("factorial_posets", n, ()):
+        m = poset_to_matching(p)
+        if matching_to_poset(m) != p:
+            return {"n": n, **_obj("poset", p)}
+        if m in source:
+            source[m] = p
+    for m, p in source.items():
+        if p is None:
+            ok = ((p := matching_to_poset(m)) == table_to_poset(matching_to_table(m))
+                  and poset_to_matching(p) == m)
+        else:
+            ok = p == table_to_poset(matching_to_table(m))
+        if not ok:
+            return {"n": n, **_obj("matching", m)}
+
+
 def _nesting_pair(p) -> list[int] | None:
     """The first arc pair i < j (by closer, 1-based) of the poset's matching
     whose nesting (o_j < o_i < c_i < c_j) disagrees with pre(i) > pre(j)."""
@@ -500,12 +523,10 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
         "condition_one"))),
     # The composite poset-to-matching map round-trips both ways, and its
     # direct inverse (closer of arc i precedes opener of arc j) agrees with
-    # inverting through the inversion table.
-    "thm_poset_matching_round_trip": ("theorem", 6, _facts(
-        _every("factorial_posets", lambda p: matching_to_poset(poset_to_matching(p)) == p),
-        _every("matchings", lambda m: (p := matching_to_poset(m))
-               == table_to_poset(matching_to_table(m)) and poset_to_matching(p) == m,
-               "no_left_nesting"))),
+    # inverting through the inversion table.  One sweep of each class runs
+    # each map once per object: at n = 9, as a CLI child on a 2-CPU host,
+    # 8.4-9.0 s and 185 MB as two sweeps, 6.8-7.0 s and 206 MB as one.
+    "thm_poset_matching_round_trip": ("theorem", 6, _facts(_round_trip)),
     # For the matching of a factorial poset, arcs i < j (by closer) nest
     # exactly when pre(i) > pre(j).
     "prop_nesting_criterion": ("proposition", 6, _facts(_every(

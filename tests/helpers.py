@@ -10,6 +10,7 @@ earlier bodies of the one-pass bijection kernels.
 import itertools
 import random
 
+from fishburn import verify
 from fishburn.enumeration import MATCHING_RULES
 from fishburn.errors import NotTwoPlusTwoFree
 from fishburn.objects import Matching, Poset, is_two_plus_two_free_by_inclusion
@@ -521,3 +522,15 @@ def subset_scan_natural_posets(n):
 
     for masks in extend(()):
         yield Poset.from_pre_masks(masks)
+
+
+# thm_poset_matching_round_trip as two sweeps, its form before the one sweep of
+# each class: every map runs on every poset and again on every matching.  The
+# maps are read from ``verify`` as the facts run, so a fault injected there
+# reaches both forms.
+two_sweep_round_trip = verify._facts(
+    verify._every("factorial_posets",
+                  lambda p: verify.matching_to_poset(verify.poset_to_matching(p)) == p),
+    verify._every("matchings", lambda m: (p := verify.matching_to_poset(m))
+                  == verify.table_to_poset(verify.matching_to_table(m))
+                  and verify.poset_to_matching(p) == m, "no_left_nesting"))

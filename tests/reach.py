@@ -59,6 +59,9 @@ REACH = {
     "unique_labeling_n9": (
         ["verify", "prop_unique_labeling", "--n-max", "9", "--json"],
         "cb21d4ba52a7a91b0a637dab374dd11d8e93982fba67b27b11bd2cfe7db0892f", None, 100),
+    "round_trip_n9": (
+        ["verify", "thm_poset_matching_round_trip", "--n-max", "9", "--json"],
+        "d8b07f1cec50a8ed51f50d4db9d5613c5b6f7b84bb9ad3da10aa5168678fa741", None, 250),
     "registry_n7": (
         ["verify", "--all", "--n-max", "7", "--json"],
         "8f8c5fe29cf86b74c009d01066e58f14542471289692b308bd1064cef6ae50ab", None, 40),

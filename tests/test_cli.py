@@ -12,7 +12,8 @@ import pytest
 
 import fishburn
 from fishburn import (
-    REGISTRY, DistributionTable, catalan, cli, distribution, double_factorial, generate,
+    REGISTRY, DistributionTable, catalan, cli, distribution, double_factorial, enumeration,
+    generate,
 )
 from fishburn.cli import MAX_COUNTED_N, MAX_ENUMERATED_N, main
 from fishburn.enumeration import GENERATORS, PREDICATES
@@ -726,21 +727,28 @@ class TestFactorialPosetTallies:
                           tuple(POSET_NAMES.split(",")))]
 
 
-# class -> the arguments of a tally that enumerates it: names no counter has,
-# a filter, or for a class with no counter, a count
+# (class, whether its search is pruned) -> the arguments of a tally that
+# enumerates it: names no counter has, a filter, or for a class with no
+# counter, a count.  A filter prunes the matchings if it has rules, and the
+# natural posets if it is a hereditary cut.
 ENUMERATED_TALLIES = [
-    ("matchings", ("--stats", "last")),
-    ("matchings", ("--stats", "rne,ne", "--filter", "no_left_nesting")),
-    ("permutations", ("--stats", "last")),
-    ("permutations", ("--stats", "dent,p")),
-    ("inversion_tables", ("--stats", "dent")),
-    ("inversion_tables", ("--count-only", "--filter", "descent_correcting")),
-    ("factorial_posets", ("--stats", "lev,rne_poset", "--filter", "condition_one")),
-    ("factorial_posets", ("--count-only", "--filter", "condition_one")),
-    ("natural_posets", ("--stats", "comp", "--filter", "factorial")),
-    ("natural_posets", ("--count-only", "--filter", "two_plus_two_free")),
-    ("matrices", ("--count-only", "--filter", "zero_one")),
-    ("ascent_sequences", ("--count-only",)),
+    (("matchings", False), ("--stats", "last")),
+    (("matchings", True), ("--stats", "rne,ne", "--filter", "no_left_nesting")),
+    (("matchings", True), ("--stats", "last", "--filter", "no_nesting")),
+    (("permutations", False), ("--stats", "last")),
+    (("permutations", False), ("--stats", "dent,p")),
+    (("inversion_tables", False), ("--stats", "dent")),
+    (("inversion_tables", False), ("--count-only", "--filter", "descent_correcting")),
+    (("factorial_posets", False), ("--stats", "lev,rne_poset", "--filter", "condition_one")),
+    (("factorial_posets", False), ("--count-only", "--filter", "condition_one")),
+    (("natural_posets", False), ("--count-only",)),
+    (("natural_posets", False), ("--count-only", "--filter", "condition_one")),
+    (("natural_posets", True), ("--stats", "comp", "--filter", "factorial")),
+    (("natural_posets", True), ("--stats", "lev", "--filter", "factorial",
+                                "--filter", "condition_one")),
+    (("natural_posets", True), ("--count-only", "--filter", "two_plus_two_free")),
+    (("matrices", False), ("--count-only", "--filter", "zero_one")),
+    (("ascent_sequences", False), ("--count-only",)),
 ]
 
 
@@ -750,12 +758,16 @@ def enumerated_argv(class_name, args, n):
 
 
 class TestEnumerationBounds:
-    """A tally that builds every object exits 2 past its class's bound, before
-    anything is counted, and is counted at the bound."""
+    """A tally that builds every object exits 2 past the bound of its class
+    and pruning, before anything is counted, and is counted at the bound."""
 
     def test_every_class_has_a_bound(self):
-        assert set(MAX_ENUMERATED_N) == set(GENERATORS)
-        assert {class_name for class_name, _ in ENUMERATED_TALLIES} == set(GENERATORS)
+        # the bound's key of each tally, with no filter or one of the class's own
+        keys = {(class_name, enumeration.prunes(class_name, predicates))
+                for class_name in GENERATORS
+                for predicates in [(), *((name,) for name, (classes, _) in PREDICATES.items()
+                                        if class_name in classes)]}
+        assert keys == set(MAX_ENUMERATED_N) == {key for key, _ in ENUMERATED_TALLIES}
 
     def test_every_counted_route_has_a_bound(self):
         # the bound's key of each tally that a counter serves, with no
@@ -768,31 +780,58 @@ class TestEnumerationBounds:
                    for names in [(), *((name,) for name in VOCABULARY.get(class_name, ()))]}
         assert counted - {None} == set(MAX_COUNTED_N)
 
-    @pytest.mark.parametrize("class_name, args", ENUMERATED_TALLIES)
-    def test_refused_past_the_bound(self, capsys, monkeypatch, class_name, args):
+    @pytest.mark.parametrize("class_name", sorted(GENERATORS))
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_the_counted_key_names_the_counters_walk(self, class_name, filtered):
+        # every single name, or none, with no filter or with each of the class's
+        # own: the key of a counted tally is that of the walk the counter returns
+        filters = [(name,) for name, (classes, _) in PREDICATES.items() if class_name in classes]
+        for predicates in filters if filtered else [()]:
+            for names in [(), *((name,) for name in VOCABULARY.get(class_name, ()))]:
+                count = enumeration.counter(class_name, names, predicates)
+                walk = count and count.__wrapped__.__qualname__.split(".")[0]
+                assert cli._counted_key(class_name, names, predicates) == {
+                    None: None,
+                    "merged_tallies": (class_name, bool(predicates)),
+                    "table_tallies": (class_name, bool(predicates)),
+                    "prefix_tallies": (class_name, "prefix")}[walk]
+
+    @pytest.mark.parametrize("key, args", ENUMERATED_TALLIES)
+    def test_refused_past_the_bound(self, capsys, monkeypatch, key, args):
         refuse_to_count(monkeypatch)
-        bound = MAX_ENUMERATED_N[class_name]
+        class_name, bound = key[0], MAX_ENUMERATED_N[key]
         code, out, err = run_cli(capsys, *enumerated_argv(class_name, args, bound + 1))
         names = args[1] if args[0] == "--stats" else ""
         what = f"tally of the {class_name} by {names}" if names else f"count of the {class_name}"
         assert (code, out) == (2, "")
         assert err == f"error: a {what} builds every object, so it takes n <= {bound}\n"
 
-    @pytest.mark.parametrize("class_name, args", ENUMERATED_TALLIES)
-    def test_counted_at_the_bound(self, capsys, monkeypatch, class_name, args):
+    @pytest.mark.parametrize("key, args", ENUMERATED_TALLIES)
+    def test_counted_at_the_bound(self, capsys, monkeypatch, key, args):
         calls = []
 
         def counted(class_name, n, predicates, names):
             calls.append((class_name, n, list(predicates), tuple(names)))
             return DistributionTable(tuple(names), {tuple(0 for _ in names): 1})
         monkeypatch.setattr(cli, "tally", counted)
-        bound = MAX_ENUMERATED_N[class_name]
+        class_name, bound = key[0], MAX_ENUMERATED_N[key]
         code, out, _ = run_cli(capsys, *enumerated_argv(class_name, args, bound))
         filters = [args[i + 1] for i, arg in enumerate(args) if arg == "--filter"]
         names = tuple(args[1].split(",")) if args[0] == "--stats" else ()
         assert calls == [(class_name, bound, filters, names)]
         assert (code, out) == (0, "1\n" if not names else DistributionTable(
             names, {(0,) * len(names): 1}).to_csv())
+
+    @pytest.mark.parametrize("argv, total", [
+        (("distribution", "matchings", "8", "--stats", "last", "--filter", "no_nesting"),
+         catalan(8)),
+        (("distribution", "natural_posets", "8", "--stats", "lev", "--filter", "factorial"),
+         math.factorial(8)),
+    ])
+    def test_a_small_pruned_class_is_tallied_past_the_unpruned_bound(self, capsys, argv, total):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert sum(int(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]) == total
 
 
 class TestVerify:

@@ -43,6 +43,8 @@ from fishburn.objects import (
 )
 from fishburn.verify import _objects, _tally
 
+from helpers import two_sweep_round_trip
+
 
 class TestRegistry:
     def test_size(self):
@@ -473,12 +475,17 @@ STEP_FAULTS = {
 }
 
 
-_insert, _preimage, _matching_to_poset, _poset_to_matrix = (
-    bijections._insert, bijections._preimage, verify.matching_to_poset, verify.poset_to_matrix)
+_insert, _preimage, _matching_to_poset, _poset_to_matrix, _matching_to_table = (
+    bijections._insert, bijections._preimage, verify.matching_to_poset, verify.poset_to_matrix,
+    verify.matching_to_table)
 
 
 def _crossfree_poset_to_matching(p):
     return bijections.table_to_crossfree_matching(poset_to_table(p))
+
+
+def _crossfree_matching_to_poset(m):
+    return table_to_poset(bijections.crossfree_matching_to_table(m))
 
 
 def _set_predicate(name, test):
@@ -592,6 +599,23 @@ KERNEL_FAULTS = {
                               "arcs (1, 4) and (2, 3)"},
          "prop_nesting_criterion": {
              "n": 2, "class": "poset", "object": {"n": 2, "less": []}, "arcs": [1, 2]}}),
+    # two maps that undo each other on every poset, through the matchings with
+    # no left-crossing: the round trip reaches its matchings with no poset
+    "consistent crossing-free pair": (
+        lambda mp: (mp.setattr(verify, "poset_to_matching", _crossfree_poset_to_matching),
+                    mp.setattr(verify, "matching_to_poset", _crossfree_matching_to_poset)),
+        {"prop_factorial_dually_factorial_catalan": {
+            "n": 2, "class": "poset", "object": {"n": 2, "less": []}},
+         "thm_poset_matching_round_trip": {
+             "n": 2, "error": "HasLeftCrossing: matching has a left-crossing: "
+                              "arcs (1, 3) and (2, 4)"},
+         "prop_nesting_criterion": {
+             "n": 2, "class": "poset", "object": {"n": 2, "less": []}, "arcs": [1, 2]}}),
+    # fails only where a matching is read back to its table, after its poset
+    "matching_to_table reversed": (
+        lambda mp: mp.setattr(verify, "matching_to_table", lambda m: _matching_to_table(m)[::-1]),
+        {"thm_poset_matching_round_trip": {
+            "n": 2, "class": "matching", "object": {"n": 2, "arcs": [[1, 2], [3, 4]]}}}),
     # a cut that is not hereditary over-prunes the natural-poset search
     "condition_one as a cut": (
         lambda mp: mp.setattr(enumeration, "POSET_CUTS",
@@ -697,6 +721,41 @@ class TestInjectedFaults:
     def test_kernel_fault_fails_exactly_these_checks(self, monkeypatch, clear_caches, fault):
         inject, failures = KERNEL_FAULTS[fault]
         assert self.failures_under(monkeypatch, clear_caches, inject) == failures
+
+    @pytest.mark.parametrize("table, fault", [
+        (None, None), *(("kernel", fault) for fault in sorted(KERNEL_FAULTS)),
+        *(("step", fault) for fault in sorted(STEP_FAULTS)),
+        *(("check", check) for check in sorted(FAULTS))])
+    def test_the_round_trip_sweep_equals_its_two_sweeps(
+            self, monkeypatch, clear_caches, table, fault):
+        clear_caches()
+        if table is not None:
+            faults = {"kernel": KERNEL_FAULTS, "step": STEP_FAULTS, "check": FAULTS}[table]
+            faults[fault][0](monkeypatch)
+        fused = REGISTRY["thm_poset_matching_round_trip"][2](6)
+        assert fused == two_sweep_round_trip(6)
+        if table is None:
+            assert fused == (True, None, None)
+
+    @pytest.mark.parametrize("check, calls", [
+        (REGISTRY["thm_poset_matching_round_trip"][2], (874, 874, 874)),
+        (two_sweep_round_trip, (1748, 1748, 874))])
+    def test_the_round_trip_runs_each_map_once_per_object(self, monkeypatch, check, calls):
+        # 874 = 0! + 1! + ... + 6!, the posets or the matchings at n <= 6
+        counts = Counter()
+
+        def counted(name):
+            kernel = getattr(verify, name)
+
+            def call(x):
+                counts[name] += 1
+                return kernel(x)
+            monkeypatch.setattr(verify, name, call)
+        names = ("poset_to_matching", "matching_to_poset", "matching_to_table")
+        for name in names:
+            counted(name)
+        assert check(6) == (True, None, None)
+        assert tuple(counts[name] for name in names) == calls
 
     def test_every_check_fails_under_some_fault(self):
         swept = {**STEP_FAULTS, **KERNEL_FAULTS}.values()
