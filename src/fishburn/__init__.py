@@ -46,8 +46,7 @@ from .enumeration import (
 )
 
 # The check registry loads when one of its names is first read (PEP 562).
-_VERIFY_NAMES = ("CheckReport", "REGISTRY", "check_equidistribution", "run_all",
-                 "run_check")
+_VERIFY_NAMES = ("CheckReport", "REGISTRY", "run_all", "run_check")
 
 
 def __getattr__(name: str):

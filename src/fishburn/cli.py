@@ -48,10 +48,11 @@ _TABLE_MAPS = {
     "no_left_crossing": (crossfree_matching_to_table, table_to_crossfree_matching),
 }
 
-# (class, whether a filter is given) -> the largest n at which ``distribution``
-# and ``enumerate --count-only`` tally a class through its ``counter``.
-# Enumeration takes flat memory, but each counter's memo or levels grow with n
-# (2-CPU host, Python 3.11):
+# (class, its tally's ``counter_route``, whether ``generate`` prunes its search by
+# a filter given) -> the largest n at which ``distribution`` and ``enumerate
+# --count-only`` tally it.  Every bound was measured on a 2-CPU host, Python 3.11.
+#
+# Enumeration takes flat memory, but each counter's memo or levels grow with n:
 # - the matchings, by the merged counter: with all six of its names it peaks at
 #   241 MB at n = 14 for the costliest filtered class (no_2_left_nesting; 565 MB
 #   at n = 15), and at 509 MB at n = 12 for all matchings, which no rule prunes
@@ -63,24 +64,24 @@ _TABLE_MAPS = {
 # - the factorial posets by comp, min, pre_n, lev, ip and rne_poset, by the same
 #   walk, which grows most with ip and pre_n: all six names peak at 132 MB in
 #   ≈8 s at n = 13 (277 MB and 15 s at n = 14);
-# - the permutations by p or comp, by the prefix walk, keyed "prefix": all seven
-#   of its names peak at 387 MB in ≈7.6 s at n = 11 (1.15 GB and 49 s at n = 12).
-MAX_COUNTED_N = {("matchings", True): 14, ("matchings", False): 12,
-                 ("permutations", False): 16, ("factorial_posets", False): 13,
-                 ("permutations", "prefix"): 11}
-
-# (class, whether ``generate`` prunes its search by a filter given) -> the largest
-# n at which they tally it by enumeration: a class with no counter, or names that
-# no counter has.  Each object is built and scored; at each bound the costliest
-# filter and names ran in at most 8.3 s (2-CPU host, Python 3.11), and one more
-# took 12-30 s or did not finish in 45 s.  A pruned search builds only its class:
-# the matchings with no right-nesting (n!), by all eleven names, took 8.3 s at
-# n = 9, and the 2+2-free natural posets were counted in 4.9 s at n = 8.
-MAX_ENUMERATED_N = {("matchings", False): 7, ("matchings", True): 9,
-                    ("permutations", False): 9, ("inversion_tables", False): 10,
-                    ("factorial_posets", False): 9, ("natural_posets", False): 7,
-                    ("natural_posets", True): 8, ("matrices", False): 10,
-                    ("ascent_sequences", False): 11}
+# - the permutations by p or comp, by the prefix walk: all seven of its names
+#   peak at 387 MB in ≈7.6 s at n = 11 (1.15 GB and 49 s at n = 12).
+#
+# A tally by enumeration (route None: a class with no counter, or names that no
+# counter has) builds and scores each object; at each bound the costliest filter
+# and names ran in at most 8.3 s, and one more took 12-30 s or did not finish in
+# 45 s.  A pruned search builds only its class: the matchings with no
+# right-nesting (n!), by all eleven names, took 8.3 s at n = 9, and the 2+2-free
+# natural posets were counted in 4.9 s at n = 8.
+MAX_TALLIED_N = {("matchings", "merged", True): 14, ("matchings", "merged", False): 12,
+                 ("permutations", "table", False): 16,
+                 ("factorial_posets", "table", False): 13,
+                 ("permutations", "prefix", False): 11,
+                 ("matchings", None, False): 7, ("matchings", None, True): 9,
+                 ("permutations", None, False): 9, ("inversion_tables", None, False): 10,
+                 ("factorial_posets", None, False): 9, ("natural_posets", None, False): 7,
+                 ("natural_posets", None, True): 8, ("matrices", None, False): 10,
+                 ("ascent_sequences", None, False): 11}
 
 # singular CLI class -> statistics class
 _STAT_CLASS_SINGULAR = {
@@ -116,12 +117,6 @@ def _stat_names(spec: str, stat_class: str) -> list[str]:
     return names
 
 
-def _counted_key(class_name: str, names, filters):
-    """The ``MAX_COUNTED_N`` key of a tally's counter, or None if it enumerates."""
-    if (route := counter_route(class_name, names, filters)) is not None:
-        return class_name, "prefix" if route == "prefix" else bool(filters)
-
-
 def _tally(args, names: tuple[str, ...]):
     """``tally`` of the class, n and filters given; past the size bound of its
     route it exits 2 before anything is counted, and after a foreign filter."""
@@ -129,11 +124,10 @@ def _tally(args, names: tuple[str, ...]):
     generate(class_name, n, args.filter)        # refuses the filters
     what = (f"a tally of the {class_name} by {','.join(names)}" if names
             else f"a count of the {class_name}")
-    if (key := _counted_key(class_name, names, args.filter)) is None:
-        if n > (bound := MAX_ENUMERATED_N[class_name, prunes(class_name, args.filter)]):
-            _die(f"{what} builds every object, so it takes n <= {bound}")
-    elif n > (bound := MAX_COUNTED_N[key]):
-        _die(f"{what} takes n <= {bound}, as its memory grows with n")
+    route = counter_route(class_name, names, args.filter)
+    if n > (bound := MAX_TALLIED_N[class_name, route, prunes(class_name, args.filter)]):
+        _die(f"{what} builds every object, so it takes n <= {bound}" if route is None
+             else f"{what} takes n <= {bound}, as its memory grows with n")
     return tally(class_name, n, args.filter, names)
 
 

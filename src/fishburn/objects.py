@@ -9,9 +9,9 @@ All types are immutable value objects; every operation here is a pure
 function, so objects can be shared and evaluated in parallel freely.
 Matchings and posets are slotted, with no per-object ``__dict__``, and each
 keeps one slot: a matching its ``partner`` tuple, indexed by position, and a
-poset its predecessor masks.  Every other view of either (arcs, openers and
-closers; relations, successor masks and counts) is built from that slot on
-each read, and the kernels that run on every object scan the slot itself.
+poset its predecessor masks.  Every other view of either (its arcs; the
+relation, successor masks and counts) is built from that slot on each read,
+and the kernels that run on every object scan the slot itself.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ class Matching(FrozenValue):
 
     ``partner[x]`` is the other end of the arc at x, and 0 at positions 0
     and 2n + 1; it is the one slot, compared and hashed.  The arcs sorted
-    by closer, the openers and the closers are views built from it on each
-    read.
+    by closer are a view built from it on each read.
 
     >>> Matching.from_pairs([[1, 3], [2, 7], [4, 6], [5, 8]]).arcs
     ((1, 3), (4, 6), (2, 7), (5, 8))
@@ -143,18 +142,6 @@ class Matching(FrozenValue):
     @property
     def n(self) -> int:
         return len(self.partner) // 2 - 1
-
-    @property
-    def closers(self) -> tuple[int, ...]:
-        """The closers in increasing order, built on each read."""
-        p = self.partner
-        return tuple([x for x in range(1, len(p) - 1) if p[x] < x])
-
-    @property
-    def openers(self) -> tuple[int, ...]:
-        """The openers in increasing order, built on each read."""
-        p = self.partner
-        return tuple([x for x in range(1, len(p) - 1) if p[x] > x])
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -492,21 +479,6 @@ class Poset(FrozenValue):
                 mask ^= low
         return tuple(masks)
 
-    def _index(self, j: int) -> int:
-        """j - 1 for an element j; IndexError unless 1 <= j <= n."""
-        if not 1 <= j <= len(self.pre_masks):
-            raise IndexError(f"element {j!r} outside [1, {self.n}]")
-        return j - 1
-
-    def pre(self, j: int) -> int:
-        """The number of elements below j."""
-        return self.pre_masks[self._index(j)].bit_count()
-
-    def suc(self, j: int) -> int:
-        """The number of predecessor masks that hold bit j - 1."""
-        i = self._index(j)
-        return sum([mask >> i & 1 for mask in self.pre_masks])
-
     @property
     def pre_vector(self) -> tuple[int, ...]:
         """(pre(1), ..., pre(n)), built on each read."""
@@ -569,12 +541,6 @@ def is_two_plus_two_free(p: Poset) -> bool:
                 return False
             rest ^= low
     return True
-
-
-def is_two_plus_two_free_by_inclusion(p: Poset) -> bool:
-    """Equivalent criterion: predecessor sets linearly ordered by inclusion."""
-    masks = sorted(set(p.pre_masks), key=lambda m: m.bit_count())
-    return all(a & ~b == 0 for a, b in zip(masks, masks[1:]))
 
 
 def is_three_plus_one_free(p: Poset) -> bool:

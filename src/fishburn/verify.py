@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import jsonio
 from .bijections import (
@@ -50,7 +50,6 @@ from .bijections import (
 from .enumeration import (
     catalan,
     class_predicate,
-    distribution,
     double_factorial,
     down_set_walk,
     eulerian_triangle_row,
@@ -85,12 +84,11 @@ from .statistics import stat_tuple
 class CheckReport(Value):
     """Outcome of one registered check over n = 0..n_max: ``kind`` is theorem,
     proposition, corollary or conjecture, ``verdict`` "pass" or "fail",
-    ``elapsed`` in seconds, and ``n_max`` None for ad hoc comparisons with
-    external streams."""
+    and ``elapsed`` in seconds."""
 
     __slots__ = _fields = ("check", "kind", "n_max", "verdict", "witness", "elapsed", "detail")
 
-    def __init__(self, check: str, kind: str, n_max: int | None, verdict: str,
+    def __init__(self, check: str, kind: str, n_max: int, verdict: str,
                  witness: object | None, elapsed: float, detail: str | None = None):
         self._init(check, kind, n_max, verdict, witness, elapsed, detail)
 
@@ -600,15 +598,6 @@ REGISTRY: dict[str, tuple[str, int, object]] = {
 }
 
 
-def _timed_report(check: str, kind: str, n_max: int | None, fn, *args) -> CheckReport:
-    """The report of ``fn(*args)``, which returns (ok, witness, detail), with
-    the seconds it took."""
-    start = time.perf_counter()
-    ok, witness, detail = fn(*args)
-    return CheckReport(check, kind, n_max, "pass" if ok else "fail", witness,
-                       time.perf_counter() - start, detail)
-
-
 def run_check(name: str, n_max: int | None = None) -> CheckReport:
     """Execute one registered check for all n up to n_max (or its default);
     ValueError unless n_max is None or a nonnegative integer."""
@@ -616,31 +605,13 @@ def run_check(name: str, n_max: int | None = None) -> CheckReport:
         raise UnknownCheck(f"unknown check {name!r}")
     kind, default_n, fn = REGISTRY[name]
     limit = validate_size(default_n if n_max is None else n_max)
-    return _timed_report(name, kind, limit, fn, limit)
+    start = time.perf_counter()
+    ok, witness, detail = fn(limit)
+    return CheckReport(name, kind, limit, "pass" if ok else "fail", witness,
+                       time.perf_counter() - start, detail)
 
 
 def run_all(n_max: int | None = None) -> list[CheckReport]:
     """Run every registered check in registry order."""
     return [run_check(name, n_max) for name in REGISTRY]
 
-
-def check_equidistribution(
-    classes: Sequence[tuple[str, Iterable, Sequence[str]]],
-) -> CheckReport:
-    """Compare statistic-tuple distributions across two or more classes.
-
-    ``classes`` holds (class_name, object stream, statistic names) triples;
-    all tuples must have the same arity.  The witness on failure is the
-    lexicographically smallest tuple whose counts differ.
-    """
-    if len(classes) < 2:
-        raise ValueError("need at least two classes to compare")
-    arities = {len(names) for _, _, names in classes}
-    if len(arities) != 1:
-        raise ValueError(f"statistic tuples have mixed arities: {sorted(arities)}")
-
-    def compare():
-        diff = _first_difference([distribution(stream, class_name, names).rows
-                                  for class_name, stream, names in classes])
-        return diff is None, diff, None
-    return _timed_report("equidistribution", "proposition", None, compare)

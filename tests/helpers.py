@@ -13,7 +13,7 @@ import random
 from fishburn import verify
 from fishburn.enumeration import MATCHING_RULES
 from fishburn.errors import NotTwoPlusTwoFree
-from fishburn.objects import Matching, Poset, is_two_plus_two_free_by_inclusion
+from fishburn.objects import Matching, Poset
 
 # first values of the counting sequences the classes must follow
 FISHBURN = [1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240]
@@ -140,11 +140,21 @@ def is_factorial_by_counts(p):
     return all(mask == (1 << mask.bit_count()) - 1 for mask in p.pre_masks)
 
 
+def pre_count(p, j):
+    """The number of elements below j, read from its predecessor mask."""
+    return p.pre_masks[j - 1].bit_count()
+
+
+def suc_count(p, j):
+    """The number of predecessor masks that hold bit j - 1."""
+    return sum(mask >> (j - 1) & 1 for mask in p.pre_masks)
+
+
 def condition_one_by_counts(p):
     """The rule of condition_one read element by element: pre(i) <= pre(i+1)
     or suc(i) > suc(i+1) for every i in [n-1], four counts per i."""
     return all(
-        p.pre(i) <= p.pre(i + 1) or p.suc(i) > p.suc(i + 1)
+        pre_count(p, i) <= pre_count(p, i + 1) or suc_count(p, i) > suc_count(p, i + 1)
         for i in range(1, p.n)
     )
 
@@ -154,6 +164,18 @@ def pairwise_incomparable(p):
     less = p.less
     return sum(1 for i, j in itertools.combinations(range(1, p.n + 1), 2)
                if (i, j) not in less and (j, i) not in less)
+
+
+def opener_positions(m):
+    """The openers of a matching in increasing order, read from its partner tuple."""
+    p = m.partner
+    return tuple(x for x in range(1, len(p) - 1) if p[x] > x)
+
+
+def closer_positions(m):
+    """The closers of a matching in increasing order, read from its partner tuple."""
+    p = m.partner
+    return tuple(x for x in range(1, len(p) - 1) if p[x] < x)
 
 
 def opener_intervals_by_index(openers):
@@ -187,7 +209,8 @@ def rne_poset_by_successors(p):
     """Neighbours x, x + 1 with pre(x) > pre(x + 1) and the same successor
     mask, the masks compared whole."""
     return sum(1 for x in range(1, p.n)
-               if p.pre(x) > p.pre(x + 1) and p.suc_masks[x - 1] == p.suc_masks[x])
+               if pre_count(p, x) > pre_count(p, x + 1)
+               and p.suc_masks[x - 1] == p.suc_masks[x])
 
 
 def rebuilt(m):
@@ -198,10 +221,9 @@ def rebuilt(m):
 
 
 def same_fields(m, oracle):
-    """Whether two matchings agree in their partner tuple and in every view
-    built from it, not only in their arcs."""
-    return ((m.arcs, m.openers, m.closers, m.partner)
-            == (oracle.arcs, oracle.openers, oracle.closers, oracle.partner))
+    """Whether two matchings agree in their partner tuple and in the arcs
+    built from it."""
+    return (m.arcs, m.partner) == (oracle.arcs, oracle.partner)
 
 
 def raw_table(arcs):
@@ -266,10 +288,10 @@ def quadratic_ascent_correcting(w):
 
 
 def shape_by_views(m):
-    """(comp, min, last, inter, emb) from the arc, opener and closer views,
+    """(comp, min, last, inter, emb) from the arcs, openers and closers,
     one definition each, as the statistic passes read them before they
     scanned the partner tuple."""
-    arcs, openers, closers, n = m.arcs, m.openers, m.closers, m.n
+    arcs, openers, closers, n = m.arcs, opener_positions(m), closer_positions(m), m.n
     comp = sum(1 for k, c in enumerate(closers, start=1) if c == 2 * k)
     least = closers[0] - 1 if n else 0
     last = sum(1 for c in closers if c < arcs[-1][0]) if n else 0
@@ -281,7 +303,7 @@ def quadratic_matching_to_poset(m):
     """The poset of a matching with no left-nesting by its definition: with
     arcs ordered by closer, i is below j when arc i's closer precedes arc j's
     opener, every pair of arcs compared."""
-    closers = m.closers
+    closers = closer_positions(m)
     return Poset.from_pre_masks(tuple(
         sum(1 << i for i, c in enumerate(closers) if c < o) for o, _ in m.arcs))
 
@@ -301,12 +323,18 @@ def pairwise_two_plus_two_free(p):
     return True
 
 
+def is_two_plus_two_free_by_inclusion(p):
+    """Equivalent criterion: predecessor sets linearly ordered by inclusion."""
+    masks = sorted(set(p.pre_masks), key=lambda m: m.bit_count())
+    return all(a & ~b == 0 for a, b in zip(masks, masks[1:]))
+
+
 def canonical_labels_by_counts(p):
     """The canonical labels sorted by (-suc(x), pre(x), x), each count read
     from the poset per key, on the domain checked by the inclusion chain."""
     if not is_two_plus_two_free_by_inclusion(p):
         raise NotTwoPlusTwoFree(f"poset on [{p.n}] contains an induced two-plus-two")
-    order = sorted(range(1, p.n + 1), key=lambda x: (-p.suc(x), p.pre(x), x))
+    order = sorted(range(1, p.n + 1), key=lambda x: (-suc_count(p, x), pre_count(p, x), x))
     sigma = [0] * p.n
     for new_label, x in enumerate(order, start=1):
         sigma[x - 1] = new_label

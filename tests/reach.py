@@ -1,9 +1,9 @@
 """Reach smoke runs of the command line, one table row each.
 
 A row runs one ``python -m fishburn.cli`` child on this checkout's ``src``
-and checks what the row pins: the SHA-256 of the child's stdout, that the
-counts of its distribution CSV sum to N!, and that its peak RSS stays under
-a limit.  pytest does not collect this file; run it as
+and checks what the row pins: the SHA-256 of the child's stdout, and where
+the row says so, that the counts of its distribution CSV sum to N! and that
+its peak RSS stays under a limit.  pytest does not collect this file; run it as
 
     python tests/reach.py ROW [ROW ...]     # exit 1 if any row fails
     python tests/reach.py --list
@@ -22,13 +22,24 @@ MATCHING_CHECKS = ["conj1_equidistribution", "conj2_equidistribution",
                    "conj3_no_2_left_nestings", "conj4_lne_second_order_eulerian",
                    "thm_no_left_nesting_count", "thm_poset_matching_round_trip"]
 CONJ12 = ["verify", "conj1_equidistribution", "conj2_equidistribution"]
+MATRIX_CHECKS = ["thm_matrix_map_no_neighbor_nesting", "thm_matrix_map_no_neighbor_crossing",
+                 "thm_matrix_map_surjective", "prop_zero_one_matrices"]
 POSET_COUNT_CHECKS = ["thm_factorial_poset_count", "prop_condition_one_fishburn",
                       "prop_factorial_dually_factorial_catalan",
                       "cor_fishburn_class_agreement", "cor_catalan_class_agreement"]
 
-# row -> (CLI arguments, SHA-256 of stdout or None, N whose N! the CSV counts
-# sum to or None, the child's peak RSS limit in MB or None)
+# row -> (CLI arguments, SHA-256 of stdout, N whose N! the CSV counts sum to or
+# None, the child's peak RSS limit in MB or None)
 REACH = {
+    "registry_default": (
+        ["verify", "--all", "--json"],
+        "98d8d66c26074a3dff436e5dd887175273091b53cda15f1a4bd5bf7417777a95", None, None),
+    "conj4_n15": (
+        ["verify", "conj4_lne_second_order_eulerian", "--n-max", "15", "--json"],
+        "2ce341d7974df85da3728b33f5b15a86cfab01ed766ffdb273afc57a97799e7e", None, None),
+    "conj3_n15": (
+        ["verify", "conj3_no_2_left_nestings", "--n-max", "15", "--json"],
+        "e0727a1edb69ebf1a3fccbde84aea438e4cd6b67619ef09c5f68d9ca754f8b38", None, None),
     "matchings_n14": (
         ["distribution", "matchings", "14", "--stats", "rne,comp,min",
          "--filter", "no_left_nesting"],
@@ -43,7 +54,14 @@ REACH = {
         ["distribution", "factorial_posets", "13", "--stats", "comp,min,pre_n,lev,ip,rne_poset"],
         "57c90b85b8fac50035e4c77293a626b157ca98b4abc94ae591afa5f2443ce254", 13, 200),
     "matching_checks_n8": (
-        ["verify", *MATCHING_CHECKS, "--n-max", "8", "--json"], None, None, 70),
+        ["verify", *MATCHING_CHECKS, "--n-max", "8", "--json"],
+        "e39fc93e73168e8fd80fbc160115425c8b06156610e9746bf35ae8cf1fd3b284", None, 70),
+    "corollaries_n8": (
+        ["verify", "cor_mahonian", "cor_eulerian", "--n-max", "8", "--json"],
+        "52fa4744a972bdcf33d6277036a678749a0cc9259037acc456c80efb8f0f6f02", None, None),
+    "matrix_checks_n8": (
+        ["verify", *MATRIX_CHECKS, "--n-max", "8", "--json"],
+        "ae945d825d1b59cec1f2b6c3f749e6ddea48eb12ccbcae52caf3407f368de641", None, 60),
     "conj12_n9": (
         [*CONJ12, "--n-max", "9", "--json"],
         "38ec91cc9677aa287a40813985879603a3e9ee8f37159bc34eb95e79c700281b", None, 60),
@@ -91,7 +109,7 @@ def run(row: str) -> list[str]:
     got = sha.hexdigest()
     print(f"{row}: exit {child.returncode}, sha256 of stdout {got}")
     failed = [f"exit code {child.returncode}"] if child.returncode else []
-    if digest is not None and got != digest:
+    if got != digest:
         failed.append(f"sha256 {got}, expected {digest}")
     if n is not None:
         print(f"{row}: counts sum to {total}")

@@ -15,7 +15,7 @@ from fishburn import (
     REGISTRY, DistributionTable, catalan, cli, distribution, double_factorial, enumeration,
     generate,
 )
-from fishburn.cli import MAX_COUNTED_N, MAX_ENUMERATED_N, main
+from fishburn.cli import MAX_TALLIED_N, main
 from fishburn.enumeration import GENERATORS, PREDICATES
 from fishburn.statistics import VOCABULARY
 
@@ -30,11 +30,11 @@ from helpers import (
 
 
 # the bound of each counted route
-FILTERED_MATCHING_N = MAX_COUNTED_N["matchings", True]
-MATCHING_N = MAX_COUNTED_N["matchings", False]
-PERMUTATION_N = MAX_COUNTED_N["permutations", False]
-PREFIX_N = MAX_COUNTED_N["permutations", "prefix"]
-FACTORIAL_POSET_N = MAX_COUNTED_N["factorial_posets", False]
+FILTERED_MATCHING_N = MAX_TALLIED_N["matchings", "merged", True]
+MATCHING_N = MAX_TALLIED_N["matchings", "merged", False]
+PERMUTATION_N = MAX_TALLIED_N["permutations", "table", False]
+PREFIX_N = MAX_TALLIED_N["permutations", "prefix", False]
+FACTORIAL_POSET_N = MAX_TALLIED_N["factorial_posets", "table", False]
 
 
 def package_env() -> dict:
@@ -162,7 +162,6 @@ class TestStartup:
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)}
         assert len(set(fishburn.__all__)) == len(fishburn.__all__)
         assert set(fishburn.__all__) == public | {"CheckReport", "REGISTRY",
-                                                  "check_equidistribution",
                                                   "run_all", "run_check"}
         namespace = {}
         exec("from fishburn import *", namespace)
@@ -727,28 +726,29 @@ class TestFactorialPosetTallies:
                           tuple(POSET_NAMES.split(",")))]
 
 
-# (class, whether its search is pruned) -> the arguments of a tally that
-# enumerates it: names no counter has, a filter, or for a class with no
+# (class, route None, whether its search is pruned) -> the arguments of a tally
+# that enumerates it: names no counter has, a filter, or for a class with no
 # counter, a count.  A filter prunes the matchings if it has rules, and the
 # natural posets if it is a hereditary cut.
 ENUMERATED_TALLIES = [
-    (("matchings", False), ("--stats", "last")),
-    (("matchings", True), ("--stats", "rne,ne", "--filter", "no_left_nesting")),
-    (("matchings", True), ("--stats", "last", "--filter", "no_nesting")),
-    (("permutations", False), ("--stats", "last")),
-    (("permutations", False), ("--stats", "dent,p")),
-    (("inversion_tables", False), ("--stats", "dent")),
-    (("inversion_tables", False), ("--count-only", "--filter", "descent_correcting")),
-    (("factorial_posets", False), ("--stats", "lev,rne_poset", "--filter", "condition_one")),
-    (("factorial_posets", False), ("--count-only", "--filter", "condition_one")),
-    (("natural_posets", False), ("--count-only",)),
-    (("natural_posets", False), ("--count-only", "--filter", "condition_one")),
-    (("natural_posets", True), ("--stats", "comp", "--filter", "factorial")),
-    (("natural_posets", True), ("--stats", "lev", "--filter", "factorial",
-                                "--filter", "condition_one")),
-    (("natural_posets", True), ("--count-only", "--filter", "two_plus_two_free")),
-    (("matrices", False), ("--count-only", "--filter", "zero_one")),
-    (("ascent_sequences", False), ("--count-only",)),
+    (("matchings", None, False), ("--stats", "last")),
+    (("matchings", None, True), ("--stats", "rne,ne", "--filter", "no_left_nesting")),
+    (("matchings", None, True), ("--stats", "last", "--filter", "no_nesting")),
+    (("permutations", None, False), ("--stats", "last")),
+    (("permutations", None, False), ("--stats", "dent,p")),
+    (("inversion_tables", None, False), ("--stats", "dent")),
+    (("inversion_tables", None, False), ("--count-only", "--filter", "descent_correcting")),
+    (("factorial_posets", None, False), ("--stats", "lev,rne_poset", "--filter",
+                                         "condition_one")),
+    (("factorial_posets", None, False), ("--count-only", "--filter", "condition_one")),
+    (("natural_posets", None, False), ("--count-only",)),
+    (("natural_posets", None, False), ("--count-only", "--filter", "condition_one")),
+    (("natural_posets", None, True), ("--stats", "comp", "--filter", "factorial")),
+    (("natural_posets", None, True), ("--stats", "lev", "--filter", "factorial",
+                                      "--filter", "condition_one")),
+    (("natural_posets", None, True), ("--count-only", "--filter", "two_plus_two_free")),
+    (("matrices", None, False), ("--count-only", "--filter", "zero_one")),
+    (("ascent_sequences", None, False), ("--count-only",)),
 ]
 
 
@@ -761,45 +761,42 @@ class TestEnumerationBounds:
     """A tally that builds every object exits 2 past the bound of its class
     and pruning, before anything is counted, and is counted at the bound."""
 
-    def test_every_class_has_a_bound(self):
-        # the bound's key of each tally, with no filter or one of the class's own
-        keys = {(class_name, enumeration.prunes(class_name, predicates))
+    @staticmethod
+    def reachable_keys():
+        # the bound's key of each tally, with no filter or one of the class's
+        # own, and with no name or one of the class's statistics
+        return {(class_name, enumeration.counter_route(class_name, names, predicates),
+                 enumeration.prunes(class_name, predicates))
                 for class_name in GENERATORS
                 for predicates in [(), *((name,) for name, (classes, _) in PREDICATES.items()
-                                        if class_name in classes)]}
-        assert keys == set(MAX_ENUMERATED_N) == {key for key, _ in ENUMERATED_TALLIES}
+                                        if class_name in classes)]
+                for names in [(), *((name,) for name in VOCABULARY.get(class_name, ()))]}
 
-    def test_every_counted_route_has_a_bound(self):
-        # the bound's key of each tally that a counter serves, with no
-        # predicate or with one of the class's own, and with no name or one
-        # of the class's statistics
-        counted = {cli._counted_key(class_name, names, predicates)
-                   for class_name in GENERATORS
-                   for predicates in [(), *((name,) for name, (classes, _) in PREDICATES.items()
-                                           if class_name in classes)]
-                   for names in [(), *((name,) for name in VOCABULARY.get(class_name, ()))]}
-        assert counted - {None} == set(MAX_COUNTED_N)
+    def test_every_tally_key_has_a_bound(self):
+        assert self.reachable_keys() == set(MAX_TALLIED_N)
+
+    def test_every_enumerated_key_has_a_refusal_case(self):
+        enumerated = {key for key in self.reachable_keys() if key[1] is None}
+        assert enumerated == {key for key, _ in ENUMERATED_TALLIES}
 
     @pytest.mark.parametrize("class_name", sorted(GENERATORS))
     @pytest.mark.parametrize("filtered", [False, True])
-    def test_the_counted_key_names_the_counters_walk(self, class_name, filtered):
+    def test_the_route_names_the_counters_walk(self, class_name, filtered):
         # every single name, or none, with no filter or with each of the class's
-        # own: the key of a counted tally is that of the walk the counter returns
+        # own: the route of a tally is the walk its counter returns
         filters = [(name,) for name, (classes, _) in PREDICATES.items() if class_name in classes]
         for predicates in filters if filtered else [()]:
             for names in [(), *((name,) for name in VOCABULARY.get(class_name, ()))]:
                 count = enumeration.counter(class_name, names, predicates)
                 walk = count and count.__wrapped__.__qualname__.split(".")[0]
-                assert cli._counted_key(class_name, names, predicates) == {
-                    None: None,
-                    "merged_tallies": (class_name, bool(predicates)),
-                    "table_tallies": (class_name, bool(predicates)),
-                    "prefix_tallies": (class_name, "prefix")}[walk]
+                assert enumeration.counter_route(class_name, names, predicates) == {
+                    None: None, "merged_tallies": "merged", "table_tallies": "table",
+                    "prefix_tallies": "prefix"}[walk]
 
     @pytest.mark.parametrize("key, args", ENUMERATED_TALLIES)
     def test_refused_past_the_bound(self, capsys, monkeypatch, key, args):
         refuse_to_count(monkeypatch)
-        class_name, bound = key[0], MAX_ENUMERATED_N[key]
+        class_name, bound = key[0], MAX_TALLIED_N[key]
         code, out, err = run_cli(capsys, *enumerated_argv(class_name, args, bound + 1))
         names = args[1] if args[0] == "--stats" else ""
         what = f"tally of the {class_name} by {names}" if names else f"count of the {class_name}"
@@ -814,7 +811,7 @@ class TestEnumerationBounds:
             calls.append((class_name, n, list(predicates), tuple(names)))
             return DistributionTable(tuple(names), {tuple(0 for _ in names): 1})
         monkeypatch.setattr(cli, "tally", counted)
-        class_name, bound = key[0], MAX_ENUMERATED_N[key]
+        class_name, bound = key[0], MAX_TALLIED_N[key]
         code, out, _ = run_cli(capsys, *enumerated_argv(class_name, args, bound))
         filters = [args[i + 1] for i, arg in enumerate(args) if arg == "--filter"]
         names = tuple(args[1].split(",")) if args[0] == "--stats" else ()

@@ -259,8 +259,7 @@ class TestCloserOrderSearch:
         for m in gen_matchings(n, MATCHING_RULES["no_left_nesting"] if n % 2 else ()):
             fresh = Matching(m.arcs)
             assert m == fresh and hash(m) == hash(fresh)
-            assert (m.partner, m.openers, m.closers) == (
-                fresh.partner, fresh.openers, fresh.closers)
+            assert (m.partner, m.arcs) == (fresh.partner, fresh.arcs)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):

@@ -51,7 +51,6 @@ from fishburn.objects import (
     is_descent_correcting,
     is_factorial,
     is_two_plus_two_free,
-    is_two_plus_two_free_by_inclusion,
     neighbor_counts,
     nestings_and_crossings,
 )
@@ -66,11 +65,14 @@ from fishburn.jsonio import encode
 
 from helpers import (
     condition_one_by_counts,
+    is_two_plus_two_free_by_inclusion,
     naive_counts,
     naive_matchings,
     naive_natural_posets_by_filter,
+    pre_count,
     quadratic_ascent_correcting,
     quadratic_descent_correcting,
+    suc_count,
 )
 
 
@@ -218,8 +220,6 @@ class TestSlottedMatching:
             old_partner = {o: c for o, c in arcs} | {c: o for o, c in arcs}
             assert len(m.partner) == 2 * n + 2 and m.partner[0] == m.partner[-1] == 0
             assert all(m.partner[x] == y for x, y in old_partner.items())
-            assert m.openers == tuple(sorted(o for o, _ in arcs))
-            assert m.closers == tuple(c for _, c in m.arcs)
 
     def test_partner_is_the_one_slot(self):
         assert Matching.__slots__ == Matching._fields == ("partner",)
@@ -392,18 +392,16 @@ class TestPoset:
         assert p.pre_vector == (0, 1, 2)
         assert p.pre_masks == (0b000, 0b001, 0b011)
         assert p.suc_masks == (0b110, 0b100, 0b000)
-        assert (p.suc(1), p.pre(3)) == (2, 2)
 
     @pytest.mark.parametrize("n", range(4))
-    def test_pre_suc_take_elements_1_to_n(self, n):
-        # 0 and -1 must not wrap round to the last mask, nor n + 1 count no mask
+    def test_chain_masks_count_elements_1_to_n(self, n):
+        # element j of the chain 1 < ... < n has j - 1 elements below it and
+        # n - j above, read from the masks alone
         p = Poset.from_relations(n, [(i, i + 1) for i in range(1, n)])
-        assert [p.pre(j) for j in range(1, n + 1)] == list(range(n))
-        assert [p.suc(j) for j in range(1, n + 1)] == list(range(n - 1, -1, -1))
-        for j in (0, n + 1, -1):
-            for count in (p.pre, p.suc):
-                with pytest.raises(IndexError, match=rf"element {j} outside \[1, {n}\]"):
-                    count(j)
+        assert p.pre_vector == tuple(range(n))
+        assert [pre_count(p, j) for j in range(1, n + 1)] == list(range(n))
+        assert [suc_count(p, j) for j in range(1, n + 1)] == list(range(n - 1, -1, -1))
+        assert [mask.bit_count() for mask in p.suc_masks] == list(range(n - 1, -1, -1))
 
     def test_predecessor_masks_are_the_one_slot(self):
         p = Poset.from_relations(3, [(1, 2), (2, 3)])
@@ -570,8 +568,8 @@ class TestPosetPredicates:
             assert condition_one(p) == condition_one_var(p)
 
     def test_successor_views_against_counts_and_relations(self):
-        # condition_one, suc(j) and suc_masks against the body condition_one
-        # replaced, and against successor masks rebuilt from less
+        # condition_one against the body it replaced, and suc_masks against
+        # successor masks rebuilt from less
         values = set()
         for n in range(7):
             for p in gen_natural_posets(n):
@@ -579,8 +577,6 @@ class TestPosetPredicates:
                 for i, j in p.less:
                     suc[i - 1] |= 1 << (j - 1)
                 assert p.suc_masks == tuple(suc), p.pre_masks
-                assert [p.suc(j) for j in range(1, n + 1)] == [
-                    mask.bit_count() for mask in suc], p.pre_masks
                 values.add(condition_one(p))
                 assert condition_one(p) == condition_one_by_counts(p), p.pre_masks
         assert values == {True, False}

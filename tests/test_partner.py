@@ -214,8 +214,6 @@ class TestPartnerScanReaders:
     def test_views(self, matchings):
         for m, arcs in matchings:
             assert m.arcs == arcs and m.n == len(arcs)
-            assert m.openers == tuple(sorted(o for o, _ in arcs))
-            assert m.closers == tuple(c for _, c in arcs)
 
 
 class TestLargeNeighborReaders:

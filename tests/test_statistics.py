@@ -39,6 +39,7 @@ from helpers import (
     min_by_scan,
     naive_counts,
     opener_intervals_by_index,
+    opener_positions,
     pairwise_asc_des,
     pairwise_incomparable,
     quadratic_emb,
@@ -447,13 +448,13 @@ class TestKernelsAgainstOracles:
     def test_opener_intervals_on_every_small_matching(self, n):
         inter = stat_tuple("matchings", ("inter",))
         for m in gen_matchings(n):
-            assert inter(m) == (opener_intervals_by_index(m.openers),), m.arcs
+            assert inter(m) == (opener_intervals_by_index(opener_positions(m)),), m.arcs
 
     def test_opener_intervals_on_table_and_random_matchings(self):
         inter = stat_tuple("matchings", ("inter",))
         matchings = [table_to_matching(w) for w in gen_inversion_tables(7)]
         for m in matchings + random_matchings(20163):
-            assert inter(m) == (opener_intervals_by_index(m.openers),), m.arcs
+            assert inter(m) == (opener_intervals_by_index(opener_positions(m)),), m.arcs
 
 
 class TestStatTuple:

@@ -14,7 +14,6 @@ from fishburn import (
     UnknownClass,
     UnknownPredicate,
     UnknownStatistic,
-    check_equidistribution,
     matching_to_matrix,
     matching_to_table,
     matrix_to_matching_no_neighbor_crossing,
@@ -38,12 +37,11 @@ from fishburn.objects import (
     has_right_nesting,
     is_natural,
     is_two_plus_two_free,
-    is_two_plus_two_free_by_inclusion,
     validate_permutation,
 )
 from fishburn.verify import _objects, _tally
 
-from helpers import two_sweep_round_trip
+from helpers import is_two_plus_two_free_by_inclusion, two_sweep_round_trip
 
 
 class TestRegistry:
@@ -115,34 +113,25 @@ class TestRunAll:
         assert first == second
 
 
-class TestEquidistribution:
+class TestEquidistributed:
+    """The fact of the equidistribution rows: the first statistic tuple whose
+    counts differ, or None."""
+
     def test_matching_distributions_pass(self):
-        report = check_equidistribution([
-            ("factorial_posets", gen_factorial_posets(3), ("ip",)),
-            ("permutations", gen_permutations(3), ("inv",)),
-        ])
-        assert report.verdict == "pass"
+        fact = verify._equidistributed(("factorial_posets", (), ("ip",)),
+                                       ("permutations", (), ("inv",)))
+        assert fact(3) is None
 
     def test_differing_distributions_fail_with_witness(self):
-        report = check_equidistribution([
-            ("permutations", gen_permutations(3), ("inv",)),
-            ("permutations", gen_permutations(3), ("des",)),
-        ])
-        assert report.verdict == "fail"
-        assert report.witness == {"tuple": [1], "counts": [2, 4]}
+        fact = verify._equidistributed(("permutations", (), ("inv",)),
+                                       ("permutations", (), ("des",)))
+        assert fact(3) == {"n": 3, "tuple": [1], "counts": [2, 4]}
 
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            check_equidistribution([
-                ("permutations", gen_permutations(2), ("inv", "des")),
-                ("permutations", gen_permutations(2), ("inv",)),
-            ])
-
-    def test_too_few_classes(self):
-        with pytest.raises(ValueError):
-            check_equidistribution([
-                ("permutations", gen_permutations(2), ("inv",)),
-            ])
+    def test_a_shift_moves_every_tuple_of_its_row(self):
+        # inv + 1 tallies no permutation at 0, so the least tuple differs
+        fact = verify._equidistributed(("permutations", (), ("inv",)),
+                                       ("permutations", (), ("inv",), (1,)))
+        assert fact(3) == {"n": 3, "tuple": [0], "counts": [1, 0]}
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
