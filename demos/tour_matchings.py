@@ -8,13 +8,13 @@ in this library.
 """
 
 from fishburn import (
+    Matching,
     arc_statistics,
     crossfree_matching_to_table,
-    gen_matchings,
+    generate,
     matching_to_table,
     table_to_crossfree_matching,
     table_to_matching,
-    validate_matching,
 )
 
 
@@ -27,7 +27,7 @@ def draw(m):
     return " ".join(cells)
 
 
-m = validate_matching([(1, 3), (2, 7), (4, 6), (5, 8)])
+m = Matching.from_pairs([(1, 3), (2, 7), (4, 6), (5, 8)])
 print("matching:", m.arcs)
 print("layout:  ", draw(m))
 print("pair statistics:", arc_statistics(m))
@@ -48,7 +48,7 @@ print("read back:", crossfree_matching_to_table(nested))
 print()
 
 # Both images sweep out exactly n! matchings.  For n = 3:
-no_lne = [m for m in gen_matchings(3) if arc_statistics(m).lne == 0]
+no_lne = list(generate("matchings", 3, ("no_left_nesting",)))
 print(f"matchings on [6] with no left-nesting: {len(no_lne)}")
 for m in no_lne:
     print("  ", m.arcs)

@@ -10,7 +10,7 @@ right-crossing.
 """
 
 from fishburn import (
-    arc_statistics,
+    TriangularMatrix,
     gen_matchings,
     gen_matrices,
     matching_to_matrix,
@@ -18,22 +18,22 @@ from fishburn import (
     matrix_is_nonnesting_image,
     matrix_to_matching_no_neighbor_crossing,
     matrix_to_matching_no_neighbor_nesting,
-    validate_matrix,
+    stats_for,
     zero_one_matrix_to_matching,
 )
 
-t = validate_matrix([[1, 1], [0, 1]])
+t = TriangularMatrix.from_rows([[1, 1], [0, 1]])
 print("target matrix:", t.rows)
 family = [m for m in gen_matchings(3) if matching_to_matrix(m) == t]
 print(f"its {len(family)} preimages:")
 for m in family:
-    rec = arc_statistics(m)
+    rec = stats_for("matchings", m, ("lne", "rne", "lcr", "rcr"))
     tags = []
-    if rec.lne == 0 and rec.rne == 0:
+    if rec["lne"] == 0 and rec["rne"] == 0:
         tags.append("no neighbor nesting")
-    if rec.lcr == 0 and rec.rcr == 0:
+    if rec["lcr"] == 0 and rec["rcr"] == 0:
         tags.append("no neighbor crossing")
-    if rec.lne == 0 and rec.rcr == 0:
+    if rec["lne"] == 0 and rec["rcr"] == 0:
         tags.append("zero-one preimage")
     print(f"  {m.arcs}  {', '.join(tags) if tags else ''}")
 print()

@@ -13,11 +13,11 @@ from fishburn import (
     canonical_labels,
     gen_factorial_posets,
     matching_to_poset,
-    poset_stats,
     poset_to_matching,
     poset_to_table,
     relabel_poset,
     rne_poset,
+    stats_for,
 )
 from fishburn.enumeration import PREDICATES
 
@@ -25,7 +25,7 @@ p = Poset.from_relations(4, [(1, 2), (1, 4)])
 print("poset relations:", sorted(p.less))
 print("predecessor counts:", poset_to_table(p))
 print("as a matching:", poset_to_matching(p).arcs)
-print("statistics:", poset_stats(p))
+print("statistics:", stats_for("factorial_posets", p))
 print()
 
 # Predicates separate the interesting subfamilies; the poset ones are the

@@ -29,7 +29,7 @@ from .bijections import (
     table_to_poset,
     zero_one_matrix_to_matching,
 )
-from .enumeration import GENERATORS, counter_route, generate, prunes, tally
+from .enumeration import GENERATORS, counter, generate, prunes, tally
 from .errors import FishburnError
 from .statistics import VOCABULARY, stats_for
 
@@ -48,9 +48,9 @@ _TABLE_MAPS = {
     "no_left_crossing": (crossfree_matching_to_table, table_to_crossfree_matching),
 }
 
-# (class, its tally's ``counter_route``, whether ``generate`` prunes its search by
-# a filter given) -> the largest n at which ``distribution`` and ``enumerate
-# --count-only`` tally it.  Every bound was measured on a 2-CPU host, Python 3.11.
+# (class, the route ``counter`` gives its tally, whether ``generate`` prunes its
+# search by a filter given) -> the largest n at which ``distribution`` and
+# ``enumerate --count-only`` tally it.  Each was measured on a 2-CPU host, Python 3.11.
 #
 # Enumeration takes flat memory, but each counter's memo or levels grow with n:
 # - the matchings, by the merged counter: with all six of its names it peaks at
@@ -124,7 +124,7 @@ def _tally(args, names: tuple[str, ...]):
     generate(class_name, n, args.filter)        # refuses the filters
     what = (f"a tally of the {class_name} by {','.join(names)}" if names
             else f"a count of the {class_name}")
-    route = counter_route(class_name, names, args.filter)
+    route = counter(class_name, names, args.filter)[0]
     if n > (bound := MAX_TALLIED_N[class_name, route, prunes(class_name, args.filter)]):
         _die(f"{what} builds every object, so it takes n <= {bound}" if route is None
              else f"{what} takes n <= {bound}, as its memory grows with n")

@@ -724,39 +724,26 @@ def distribution(stream: Iterable, class_name: str,
 
 
 _merged = functools.cache(merged_tallies)       # one memo for every n
-_prefix = functools.cache(prefix_tallies)
-
-
-def counter_route(class_name: str, names: Sequence[str], predicates: Sequence[str]):
-    """Which walk counts the tally of the class by the names under the
-    predicates: "merged" for a matching class tallied by names of
-    ``MERGED_NAMES``, "table" for a class of ``TABLE_READINGS`` with no
-    predicates, tallied by its readings, "prefix" for the permutations tallied
-    by other names that ``PREFIX_READINGS`` has, or None when it enumerates."""
-    names = set(names)
-    if class_name == "matchings" and MERGED_NAMES >= names:
-        return "merged"
-    if (class_name in TABLE_READINGS and not predicates
-            and TABLE_READINGS[class_name].keys() >= names):
-        return "table"
-    if class_name == "permutations" and PREFIX_READINGS.keys() >= names:
-        return "prefix"
-    return None
 
 
 def counter(class_name: str, names: Sequence[str], predicates: Sequence[str]):
-    """The function from n to the distribution rows that ``tally`` reads, or
-    None when the tally enumerates: ``merged_tallies``, ``table_tallies`` or
-    ``prefix_tallies``, as ``counter_route`` names it.  The predicates must be
-    the class's own, as ``generate`` checks."""
-    names, route = tuple(names), counter_route(class_name, names, predicates)
-    if route == "merged":
-        return _merged(frozenset().union(*map(MATCHING_RULES.get, predicates)), names)
-    if route == "table":
-        return table_tallies(class_name, names)
-    if route == "prefix":
-        return _prefix(names)
-    return None
+    """The route of the tally of the class by the names under the predicates
+    and the function from n to the distribution rows that ``tally`` reads:
+    "merged", ``merged_tallies`` for a matching class tallied by names of
+    ``MERGED_NAMES``; "table", ``table_tallies`` for a class of
+    ``TABLE_READINGS`` with no predicates, tallied by its readings; "prefix",
+    ``prefix_tallies`` for the permutations tallied by other names that
+    ``PREFIX_READINGS`` has; or (None, None) when the tally enumerates.  The
+    predicates must be the class's own, as ``generate`` checks."""
+    names, wanted = tuple(names), set(names)
+    if class_name == "matchings" and MERGED_NAMES >= wanted:
+        return "merged", _merged(frozenset().union(*map(MATCHING_RULES.get, predicates)), names)
+    if (class_name in TABLE_READINGS and not predicates
+            and TABLE_READINGS[class_name].keys() >= wanted):
+        return "table", table_tallies(class_name, names)
+    if class_name == "permutations" and PREFIX_READINGS.keys() >= wanted:
+        return "prefix", prefix_tallies(names)
+    return None, None
 
 
 def tally(class_name: str, n: int, predicates: Sequence[str] = (),
@@ -771,7 +758,7 @@ def tally(class_name: str, n: int, predicates: Sequence[str] = (),
     {(0,): 5, (1,): 1}
     """
     stream, names = generate(class_name, n, predicates), tuple(names)
-    if count := counter(class_name, names, predicates):
+    if count := counter(class_name, names, predicates)[1]:
         return DistributionTable(names, count(n))
     if not names:       # a count: no statistic pass, nor its class check
         return DistributionTable((), {(): sum(1 for _ in stream)})

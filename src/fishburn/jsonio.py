@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from .errors import InvalidObject
 from .objects import (
+    Matching,
     Poset,
     TriangularMatrix,
     _bits,
     _is_int,
-    validate_matching,
     validate_permutation,
     validate_table,
 )
@@ -60,7 +60,7 @@ def decode(class_name: str, data) -> object:
         if class_name == "matching":
             if isinstance(data, dict):
                 data = _sized(data, "n", "arcs")
-            return validate_matching(data)
+            return Matching.from_pairs(data)
         if class_name == "inversion_table":
             return validate_table(data)
         if class_name == "permutation":

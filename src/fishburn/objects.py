@@ -177,11 +177,6 @@ class Matching(FrozenValue):
         return cls.from_partner(tuple(partner))
 
 
-def validate_matching(raw_pairs: Iterable[Sequence[int]]) -> Matching:
-    """Alias of :meth:`Matching.from_pairs` for symmetry with other validators."""
-    return Matching.from_pairs(raw_pairs)
-
-
 class NestCrossRecord(FrozenValue):
     """Counts of nestings/crossings and their neighbor variants.
 
@@ -643,11 +638,6 @@ class TriangularMatrix(FrozenValue):
             if not any(column):
                 raise ZeroRowOrColumn(f"column {j + 1} is all zeros")
         return cls(t)
-
-
-def validate_matrix(rows: Iterable[Sequence[int]]) -> TriangularMatrix:
-    """Alias of :meth:`TriangularMatrix.from_rows`."""
-    return TriangularMatrix.from_rows(rows)
 
 
 def is_zero_one(t: TriangularMatrix) -> bool:

@@ -324,7 +324,14 @@ def _compile(class_name: str, names: tuple[str, ...]) -> Callable[[object], tupl
         if pass_of[name] not in chosen:
             chosen.append(pass_of[name])
     computed = tuple(name for pass_names, _ in chosen for name in pass_names)
-    values = _concatenation(tuple(compute for _, compute in chosen))
+    computes = tuple(compute for _, compute in chosen)
+
+    def values(obj) -> tuple[int, ...]:
+        out: tuple[int, ...] = ()
+        for compute in computes:
+            out += compute(obj)
+        return out
+
     if computed == names:
         return values
     where = tuple(map(computed.index, names))
@@ -333,21 +340,6 @@ def _compile(class_name: str, names: tuple[str, ...]) -> Callable[[object], tupl
     else:
         pick = itemgetter(*where)
     return lambda obj: pick(values(obj))
-
-
-def _concatenation(computes: tuple[Callable, ...]) -> Callable[[object], tuple[int, ...]]:
-    """The function from an object to the concatenated tuples of the passes;
-    a lone pass is that function itself."""
-    if len(computes) == 1:
-        return computes[0]
-
-    def values(obj) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
-        for compute in computes:
-            out += compute(obj)
-        return out
-
-    return values
 
 
 def stats_for(class_name: str, obj, names: Sequence[str] | None = None) -> dict[str, int]:

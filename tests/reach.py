@@ -1,9 +1,10 @@
 """Reach smoke runs of the command line, one table row each.
 
-A row runs one ``python -m fishburn.cli`` child on this checkout's ``src``
-and checks what the row pins: the SHA-256 of the child's stdout, and where
-the row says so, that the counts of its distribution CSV sum to N! and that
-its peak RSS stays under a limit.  pytest does not collect this file; run it as
+A row runs one ``python -m fishburn.cli`` child on this checkout's ``src``,
+prints its wall seconds and checks what the row pins: the SHA-256 of the
+child's stdout, and where the row says so, that the counts of its
+distribution CSV sum to N! and that its peak RSS stays under a limit.  pytest
+does not collect this file; run it as
 
     python tests/reach.py ROW [ROW ...]     # exit 1 if any row fails
     python tests/reach.py --list
@@ -14,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -47,6 +49,9 @@ REACH = {
     "permutations_n14": (
         ["distribution", "permutations", "14", "--stats", "des,inv"],
         "8332e6ed53035bbd1582cae057775c43f4c05057665b0a49a67b37376e838f82", 14, None),
+    "permutations_prefix_n11": (
+        ["distribution", "permutations", "11", "--stats", "p,comp,lmin"],
+        "687edbdf4b96484a3171533b40cc1b091264058d7dbeb33240e154d8dc846ef2", 11, 60),
     "permutations_n16": (
         ["distribution", "permutations", "16", "--stats", "asc,des,inv,lmin,lmax"],
         "56eec0c56277cc7daa0bcd11e6185ea5568c16a2f37795c73c17856a732f2bb7", 16, 100),
@@ -94,6 +99,7 @@ def run(row: str) -> list[str]:
     argv, digest, n, limit_mb = REACH[row]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
     child = subprocess.Popen([sys.executable, "-m", "fishburn.cli", *argv],
                              stdout=subprocess.PIPE, env=env)
     # read line by line, so that this process stays small: a child forked
@@ -105,9 +111,10 @@ def run(row: str) -> list[str]:
             total += int(line.rsplit(b",", 1)[1])
     child.stdout.close()
     _, status, usage = os.wait4(child.pid, 0)
+    wall_s = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
     got = sha.hexdigest()
-    print(f"{row}: exit {child.returncode}, sha256 of stdout {got}")
+    print(f"{row}: exit {child.returncode} in {wall_s:.2f} s, sha256 of stdout {got}")
     failed = [f"exit code {child.returncode}"] if child.returncode else []
     if got != digest:
         failed.append(f"sha256 {got}, expected {digest}")

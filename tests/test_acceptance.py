@@ -51,9 +51,9 @@ from fishburn import (
     table_to_matching,
     table_to_permutation,
     table_to_poset,
-    validate_matrix,
     zero_one_matrix_to_matching,
     Poset,
+    TriangularMatrix,
 )
 from fishburn.objects import (
     condition_one,
@@ -189,7 +189,7 @@ def test_criterion_05_worked_examples():
     start = time.perf_counter()
     ok = table_to_matching((0, 1, 0, 1)).arcs == ((1, 3), (4, 6), (2, 7), (5, 8))
 
-    target = validate_matrix([[1, 1], [0, 1]])
+    target = TriangularMatrix.from_rows([[1, 1], [0, 1]])
     family = [m for m in matchings(3) if matching_to_matrix(m) == target]
     ok &= len(family) == 4
     records = [naive_counts(m.arcs) for m in family]

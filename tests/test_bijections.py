@@ -8,11 +8,13 @@ import pytest
 from fishburn import (
     HasLeftCrossing,
     HasLeftNesting,
+    Matching,
     NotAPermutation,
     NotFactorial,
     NotTwoPlusTwoFree,
     NotZeroOne,
     Poset,
+    TriangularMatrix,
     canonical_labeling,
     canonical_labels,
     crossfree_matching_to_table,
@@ -32,8 +34,6 @@ from fishburn import (
     table_to_matching,
     table_to_permutation,
     table_to_poset,
-    validate_matching,
-    validate_matrix,
     zero_one_matrix_to_matching,
 )
 from fishburn.enumeration import (
@@ -87,15 +87,15 @@ class TestTableMatching:
         assert arcset(table_to_matching((0, 1, 2))) == {(1, 2), (3, 4), (5, 6)}
 
     def test_inverse_worked_example(self):
-        m = validate_matching([(1, 3), (2, 7), (4, 6), (5, 8)])
+        m = Matching.from_pairs([(1, 3), (2, 7), (4, 6), (5, 8)])
         assert matching_to_table(m) == (0, 1, 0, 1)
 
     def test_empty(self):
         assert table_to_matching(()).n == 0
-        assert matching_to_table(validate_matching([])) == ()
+        assert matching_to_table(Matching.from_pairs([])) == ()
 
     def test_left_nesting_rejected(self):
-        m = validate_matching([(2, 3), (1, 4)])
+        m = Matching.from_pairs([(2, 3), (1, 4)])
         with pytest.raises(HasLeftNesting) as info:
             matching_to_table(m)
         assert info.value.arcs == ((1, 4), (2, 3))
@@ -119,7 +119,7 @@ class TestTableCrossfreeMatching:
         assert arcset(table_to_crossfree_matching((0, 1, 2))) == {(1, 2), (3, 4), (5, 6)}
 
     def test_left_crossing_rejected(self):
-        m = validate_matching([(1, 3), (2, 4)])
+        m = Matching.from_pairs([(1, 3), (2, 4)])
         with pytest.raises(HasLeftCrossing) as info:
             crossfree_matching_to_table(m)
         assert info.value.arcs == ((1, 3), (2, 4))
@@ -175,7 +175,7 @@ class TestPosetMatching:
         assert arcset(poset_to_matching(p)) == {(1, 4), (2, 5), (3, 6)}
 
     def test_inverse_chain(self):
-        m = validate_matching([(1, 2), (3, 4), (5, 6)])
+        m = Matching.from_pairs([(1, 2), (3, 4), (5, 6)])
         assert matching_to_poset(m) == Poset.from_relations(3, [(1, 2), (2, 3)])
 
     @pytest.mark.parametrize("n", range(6))
@@ -219,19 +219,19 @@ class TestPermutationTable:
 
 class TestIntervalMatrixMap:
     def test_worked_example(self):
-        m = validate_matching([(1, 3), (2, 5), (4, 6)])
+        m = Matching.from_pairs([(1, 3), (2, 5), (4, 6)])
         assert matching_to_matrix(m).rows == ((1, 1), (0, 1))
 
     def test_identity_image(self):
-        m = validate_matching([(1, 2), (3, 4), (5, 6)])
+        m = Matching.from_pairs([(1, 2), (3, 4), (5, 6)])
         assert matching_to_matrix(m).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_single_block(self):
-        m = validate_matching([(1, 4), (2, 5), (3, 6)])
+        m = Matching.from_pairs([(1, 4), (2, 5), (3, 6)])
         assert matching_to_matrix(m).rows == ((3,),)
 
     def test_empty(self):
-        assert matching_to_matrix(validate_matching([])).k == 0
+        assert matching_to_matrix(Matching.from_pairs([])).k == 0
 
     @pytest.mark.parametrize("n", range(8))
     def test_against_naive_oracle(self, n):
@@ -244,7 +244,7 @@ class TestIntervalMatrixMap:
             assert matching_to_matrix(m).rows == naive_interval_matrix(m.arcs)
 
     def test_preimage_family(self):
-        target = validate_matrix([[1, 1], [0, 1]])
+        target = TriangularMatrix.from_rows([[1, 1], [0, 1]])
         family = {
             arcset(m) for m in gen_matchings(3) if matching_to_matrix(m) == target
         }
@@ -325,7 +325,7 @@ class TestSurjectivityFromNoLeftNesting:
 
     @staticmethod
     def check_repairing(m):
-        r = validate_matching(repaired(m.arcs))
+        r = Matching.from_pairs(repaired(m.arcs))
         assert naive_counts(r.arcs)["lne"] == 0 and not has_left_nesting(r)
         assert naive_interval_matrix(r.arcs) == naive_interval_matrix(m.arcs)
         assert matching_to_matrix(r) == matching_to_matrix(m)
@@ -342,39 +342,39 @@ class TestSurjectivityFromNoLeftNesting:
         for _ in range(40):
             points = list(range(1, 2 * rng.randint(20, 60) + 1))
             rng.shuffle(points)
-            m = validate_matching(zip(points[::2], points[1::2]))
+            m = Matching.from_pairs(zip(points[::2], points[1::2]))
             assert naive_counts(m.arcs)["lne"] > 0
             self.check_repairing(m)
 
 
 class TestMatrixPreimages:
     def test_no_neighbor_nesting_example(self):
-        t = validate_matrix([[1, 1], [0, 1]])
+        t = TriangularMatrix.from_rows([[1, 1], [0, 1]])
         assert arcset(matrix_to_matching_no_neighbor_nesting(t)) == {(1, 3), (2, 5), (4, 6)}
 
     def test_no_neighbor_crossing_example(self):
-        t = validate_matrix([[1, 1], [0, 1]])
+        t = TriangularMatrix.from_rows([[1, 1], [0, 1]])
         assert arcset(matrix_to_matching_no_neighbor_crossing(t)) == {(1, 6), (2, 3), (4, 5)}
 
     def test_zero_one_example(self):
-        t = validate_matrix([[1, 1], [0, 1]])
+        t = TriangularMatrix.from_rows([[1, 1], [0, 1]])
         assert arcset(zero_one_matrix_to_matching(t)) == {(1, 3), (2, 6), (4, 5)}
 
     def test_identity_maps_to_disjoint(self):
-        t = validate_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        t = TriangularMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         expected = {(1, 2), (3, 4), (5, 6)}
         assert arcset(matrix_to_matching_no_neighbor_nesting(t)) == expected
         assert arcset(matrix_to_matching_no_neighbor_crossing(t)) == expected
         assert arcset(zero_one_matrix_to_matching(t)) == expected
 
     def test_single_block(self):
-        t = validate_matrix([[3]])
+        t = TriangularMatrix.from_rows([[3]])
         assert arcset(matrix_to_matching_no_neighbor_nesting(t)) == {(1, 4), (2, 5), (3, 6)}
         assert arcset(matrix_to_matching_no_neighbor_crossing(t)) == {(3, 4), (2, 5), (1, 6)}
 
     def test_zero_one_rejects_larger_entries(self):
         with pytest.raises(NotZeroOne):
-            zero_one_matrix_to_matching(validate_matrix([[2]]))
+            zero_one_matrix_to_matching(TriangularMatrix.from_rows([[2]]))
 
     @pytest.mark.parametrize("n", range(5))
     def test_round_trips_over_all_matrices(self, n):
@@ -432,7 +432,7 @@ class TestAgainstRawArcOracles:
     def test_rejection_names_first_pair_by_opener(self, inverse, error, kind, n):
         for arcs in naive_matchings(n):
             bad = first_raw_left_pair(arcs, kind)
-            m = validate_matching(arcs)
+            m = Matching.from_pairs(arcs)
             if bad is None:
                 assert inverse(m) == raw_table(arcs)
             else:
@@ -453,7 +453,7 @@ class TestAgainstRawArcOracles:
             if all(record[name] == 0 for name in counts):
                 by_matrix.setdefault(naive_interval_matrix(arcs), []).append(arcs)
         for rows in naive_matrices(n):
-            t = validate_matrix(rows)
+            t = TriangularMatrix.from_rows(rows)
             if preimage is zero_one_matrix_to_matching and not is_zero_one(t):
                 assert rows not in by_matrix
                 with pytest.raises(NotZeroOne):
@@ -501,7 +501,7 @@ class TestLargeRandomMatrices:
 
     @staticmethod
     def round_trip(rows, preimage, counts):
-        t = validate_matrix(rows)
+        t = TriangularMatrix.from_rows(rows)
         m = preimage(t)
         assert m.n == t.total
         record = naive_counts(m.arcs)
@@ -517,7 +517,7 @@ class TestLargeRandomMatrices:
     def test_zero_one_matrices_round_trip_through_all_three(self):
         preimages = self.PREIMAGES + [(zero_one_matrix_to_matching, ("lne", "rcr"))]
         for rows in random_matrices(20112, zero_one=True):
-            assert is_zero_one(validate_matrix(rows))
+            assert is_zero_one(TriangularMatrix.from_rows(rows))
             for preimage, counts in preimages:
                 self.round_trip(rows, preimage, counts)
 
@@ -531,21 +531,21 @@ class TestLargeRandomMatrices:
 
 class TestMatrixImagePredicates:
     def test_small_examples(self):
-        assert matrix_is_nonnesting_image(validate_matrix([[1, 1], [0, 1]]))
-        assert matrix_is_noncrossing_image(validate_matrix([[1, 1], [0, 1]]))
-        assert matrix_is_nonnesting_image(validate_matrix([[3]]))
-        assert matrix_is_noncrossing_image(validate_matrix([[3]]))
+        assert matrix_is_nonnesting_image(TriangularMatrix.from_rows([[1, 1], [0, 1]]))
+        assert matrix_is_noncrossing_image(TriangularMatrix.from_rows([[1, 1], [0, 1]]))
+        assert matrix_is_nonnesting_image(TriangularMatrix.from_rows([[3]]))
+        assert matrix_is_noncrossing_image(TriangularMatrix.from_rows([[3]]))
         # the identity is the image of the disjoint matching, which neither
         # nests nor crosses, so it satisfies both predicates
-        ident = validate_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        ident = TriangularMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert matrix_is_nonnesting_image(ident)
         assert matrix_is_noncrossing_image(ident)
 
     def test_forbidden_patterns(self):
         assert not matrix_is_nonnesting_image(
-            validate_matrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+            TriangularMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
         assert not matrix_is_noncrossing_image(
-            validate_matrix([[1, 1, 0], [0, 0, 1], [0, 0, 1]]))
+            TriangularMatrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 1]]))
 
     @pytest.mark.parametrize("n", range(5))
     def test_predicates_match_image_sets(self, n):

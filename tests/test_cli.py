@@ -765,7 +765,7 @@ class TestEnumerationBounds:
     def reachable_keys():
         # the bound's key of each tally, with no filter or one of the class's
         # own, and with no name or one of the class's statistics
-        return {(class_name, enumeration.counter_route(class_name, names, predicates),
+        return {(class_name, enumeration.counter(class_name, names, predicates)[0],
                  enumeration.prunes(class_name, predicates))
                 for class_name in GENERATORS
                 for predicates in [(), *((name,) for name, (classes, _) in PREDICATES.items()
@@ -783,13 +783,13 @@ class TestEnumerationBounds:
     @pytest.mark.parametrize("filtered", [False, True])
     def test_the_route_names_the_counters_walk(self, class_name, filtered):
         # every single name, or none, with no filter or with each of the class's
-        # own: the route of a tally is the walk its counter returns
+        # own: the route of a tally names the walk of the count it comes with
         filters = [(name,) for name, (classes, _) in PREDICATES.items() if class_name in classes]
         for predicates in filters if filtered else [()]:
             for names in [(), *((name,) for name in VOCABULARY.get(class_name, ()))]:
-                count = enumeration.counter(class_name, names, predicates)
+                route, count = enumeration.counter(class_name, names, predicates)
                 walk = count and count.__wrapped__.__qualname__.split(".")[0]
-                assert enumeration.counter_route(class_name, names, predicates) == {
+                assert route == {
                     None: None, "merged_tallies": "merged", "table_tallies": "table",
                     "prefix_tallies": "prefix"}[walk]
 

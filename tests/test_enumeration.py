@@ -50,7 +50,7 @@ from fishburn.enumeration import (
     table_tallies,
     tally,
 )
-from fishburn.objects import Matching, Poset, is_factorial, validate_matrix
+from fishburn.objects import Matching, Poset, TriangularMatrix, is_factorial
 from fishburn.statistics import perm_stats, stat_tuple
 
 from helpers import (
@@ -154,7 +154,7 @@ class TestGenerators:
     @pytest.mark.parametrize("n", range(8))
     def test_matrices_revalidate(self, n):
         for t in gen_matrices(n):
-            assert validate_matrix(t.rows) == t
+            assert TriangularMatrix.from_rows(t.rows) == t
 
     def test_t3_exactly(self):
         assert {t.rows for t in gen_matrices(3)} == T3_ROWS
@@ -546,7 +546,8 @@ class TestTallyRoute:
     @pytest.mark.parametrize("class_name, predicates, names", sorted(ROUTES))
     def test_counter_decides_the_route(self, monkeypatch, class_name, predicates, names):
         counted = ROUTES[class_name, predicates, names]
-        assert (enumeration.counter(class_name, names, predicates) is not None) == counted
+        route, count = enumeration.counter(class_name, names, predicates)
+        assert (route is not None) == (count is not None) == counted
 
         def refuse(*args):
             raise AssertionError("the other route was taken")
@@ -560,7 +561,7 @@ class TestTallyRoute:
             else:
                 patch.setattr(enumeration, "_merged", refuse)
                 patch.setattr(enumeration, "table_tallies", refuse)
-                patch.setattr(enumeration, "_prefix", refuse)
+                patch.setattr(enumeration, "prefix_tallies", refuse)
             got = [tally(class_name, n, predicates, names).rows for n in range(6)]
         for n, rows in enumerate(got):
             stream = generate(class_name, n, predicates)
@@ -583,10 +584,10 @@ class TestTallyRoute:
         # the inversion-table walk; p, which it does not read, goes to the
         # prefix walk
         walks = []
-        tabled, prefixed = enumeration.table_tallies, enumeration._prefix
+        tabled, prefixed = enumeration.table_tallies, enumeration.prefix_tallies
         monkeypatch.setattr(enumeration, "table_tallies", lambda class_name, names: (
             walks.append(("table", names)) or tabled(class_name, names)))
-        monkeypatch.setattr(enumeration, "_prefix", lambda names: (
+        monkeypatch.setattr(enumeration, "prefix_tallies", lambda names: (
             walks.append(("prefix", names)) or prefixed(names)))
         for names in [("p",), ("des", "inv")]:
             assert tally("permutations", 8, (), names) == distribution(
@@ -597,7 +598,7 @@ class TestTallyRoute:
         def refuse(*args):
             raise AssertionError("the counter was read")
         monkeypatch.setattr(enumeration, "table_tallies", refuse)
-        monkeypatch.setattr(enumeration, "_prefix", refuse)
+        monkeypatch.setattr(enumeration, "prefix_tallies", refuse)
         for names in ENUMERATED_PERMUTATION_NAMES:
             for n in range(7):
                 assert tally("permutations", n, (), names) == distribution(
@@ -746,7 +747,7 @@ def random_class_members(seed):
                  matrix_to_matching_no_neighbor_crossing(t)]
     for rows in random_matrices(seed, count=40, zero_one=True):
         if 12 <= sum(map(sum, rows)) <= 20:
-            pool.append(zero_one_matrix_to_matching(validate_matrix(rows)))
+            pool.append(zero_one_matrix_to_matching(TriangularMatrix.from_rows(rows)))
     return pool
 
 

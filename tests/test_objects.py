@@ -34,8 +34,6 @@ from fishburn import (
     relabel_poset,
     rne_poset,
     table_to_poset,
-    validate_matching,
-    validate_matrix,
     validate_table,
 )
 from fishburn.objects import (
@@ -78,54 +76,54 @@ from helpers import (
 
 class TestValidateMatching:
     def test_canonical_order_by_closer(self):
-        m = validate_matching([[1, 3], [2, 7], [4, 6], [5, 8]])
+        m = Matching.from_pairs([[1, 3], [2, 7], [4, 6], [5, 8]])
         assert m.arcs == ((1, 3), (4, 6), (2, 7), (5, 8))
         assert m.n == 4
 
     def test_pairs_reoriented(self):
-        m = validate_matching([(4, 1), (3, 2)])
+        m = Matching.from_pairs([(4, 1), (3, 2)])
         assert m.arcs == ((2, 3), (1, 4))
 
     def test_empty(self):
-        m = validate_matching([])
+        m = Matching.from_pairs([])
         assert m.n == 0 and m.arcs == ()
 
     def test_duplicate_endpoint(self):
         with pytest.raises(DuplicateEndpoint):
-            validate_matching([[1, 2], [2, 3]])
+            Matching.from_pairs([[1, 2], [2, 3]])
         with pytest.raises(DuplicateEndpoint):
-            validate_matching([[1, 1]])
+            Matching.from_pairs([[1, 1]])
 
     def test_out_of_range(self):
         with pytest.raises(EndpointOutOfRange):
-            validate_matching([[0, 3], [1, 2]])
+            Matching.from_pairs([[0, 3], [1, 2]])
         with pytest.raises(EndpointOutOfRange):
-            validate_matching([[1, 5]])
+            Matching.from_pairs([[1, 5]])
 
     def test_malformed(self):
         with pytest.raises(NotAPerfectMatching):
-            validate_matching([[1, 2, 3]])
+            Matching.from_pairs([[1, 2, 3]])
         with pytest.raises(NotAPerfectMatching):
-            validate_matching([["a", "b"]])
+            Matching.from_pairs([["a", "b"]])
 
 
 class TestArcStatistics:
     def test_single_right_nesting(self):
-        rec = arc_statistics(validate_matching([(1, 3), (2, 7), (4, 6), (5, 8)]))
+        rec = arc_statistics(Matching.from_pairs([(1, 3), (2, 7), (4, 6), (5, 8)]))
         assert (rec.ne, rec.lne, rec.rne) == (1, 0, 1)
 
     def test_disjoint_arcs(self):
-        rec = arc_statistics(validate_matching([(1, 2), (3, 4)]))
+        rec = arc_statistics(Matching.from_pairs([(1, 2), (3, 4)]))
         assert rec == type(rec)(0, 0, 0, 0, 0, 0)
 
     def test_triple_crossing(self):
-        rec = arc_statistics(validate_matching([(1, 4), (2, 5), (3, 6)]))
+        rec = arc_statistics(Matching.from_pairs([(1, 4), (2, 5), (3, 6)]))
         assert (rec.cr, rec.ne, rec.lcr, rec.rcr) == (3, 0, 2, 2)
 
     @pytest.mark.parametrize("n", range(5))
     def test_against_naive_oracle(self, n):
         for arcs in naive_matchings(n):
-            rec = arc_statistics(validate_matching(arcs))
+            rec = arc_statistics(Matching.from_pairs(arcs))
             expected = naive_counts(arcs)
             assert (rec.ne, rec.cr, rec.lne, rec.rne, rec.lcr, rec.rcr) == (
                 expected["ne"], expected["cr"], expected["lne"],
@@ -302,7 +300,7 @@ class TestNeighbourScanners:
         scanners = {"lne": has_left_nesting, "lcr": has_left_crossing,
                     "rne": has_right_nesting, "rcr": has_right_crossing}
         for arcs in naive_matchings(n):
-            m = validate_matching(arcs)
+            m = Matching.from_pairs(arcs)
             expected = naive_counts(arcs)
             for name, scanner in scanners.items():
                 assert scanner(m) == (expected[name] > 0), (arcs, name)
@@ -310,11 +308,11 @@ class TestNeighbourScanners:
 
 class TestGapNestings:
     def test_no_left_nesting_example(self):
-        m = validate_matching([(1, 3), (2, 7), (4, 6), (5, 8)])
+        m = Matching.from_pairs([(1, 3), (2, 7), (4, 6), (5, 8)])
         assert count_gap_nestings(m, 1) == 0
 
     def test_gap_two(self):
-        m = validate_matching([(1, 6), (3, 4), (2, 5)])
+        m = Matching.from_pairs([(1, 6), (3, 4), (2, 5)])
         assert count_gap_nestings(m, 2) == 3
 
     @pytest.mark.parametrize("n", range(7))
@@ -615,36 +613,36 @@ class TestPosetPredicates:
 
 class TestTriangularMatrix:
     def test_valid(self):
-        t = validate_matrix([[1, 1], [0, 1]])
+        t = TriangularMatrix.from_rows([[1, 1], [0, 1]])
         assert t.k == 2 and t.total == 3
         assert is_zero_one(t)
 
     def test_single_cell(self):
-        t = validate_matrix([[3]])
+        t = TriangularMatrix.from_rows([[3]])
         assert t.total == 3
         assert not is_zero_one(t)
 
     def test_zero_column(self):
         with pytest.raises(ZeroRowOrColumn):
-            validate_matrix([[0, 1], [0, 1]])
+            TriangularMatrix.from_rows([[0, 1], [0, 1]])
 
     def test_zero_row(self):
         with pytest.raises(ZeroRowOrColumn):
-            validate_matrix([[1, 0], [0, 0]])
+            TriangularMatrix.from_rows([[1, 0], [0, 0]])
 
     def test_not_upper_triangular(self):
         with pytest.raises(NotUpperTriangular):
-            validate_matrix([[1, 0], [1, 1]])
+            TriangularMatrix.from_rows([[1, 0], [1, 1]])
 
     def test_negative(self):
         with pytest.raises(NegativeEntry):
-            validate_matrix([[1, -1], [0, 1]])
+            TriangularMatrix.from_rows([[1, -1], [0, 1]])
 
     def test_not_square(self):
         with pytest.raises(InvalidMatrix):
-            validate_matrix([[1, 1], [0]])
+            TriangularMatrix.from_rows([[1, 1], [0]])
         with pytest.raises(InvalidMatrix):
-            validate_matrix([[1, "x"], [0, 1]])
+            TriangularMatrix.from_rows([[1, "x"], [0, 1]])
 
     def test_empty(self):
         t = TriangularMatrix(())
@@ -652,19 +650,19 @@ class TestTriangularMatrix:
 
     def test_entries_are_integers_but_not_booleans(self):
         with pytest.raises(InvalidMatrix, match=r"entry \(1,1\) = True not an integer"):
-            validate_matrix([[True]])
+            TriangularMatrix.from_rows([[True]])
         with pytest.raises(InvalidMatrix, match=r"entry \(1,2\) = 1.0 not an integer"):
-            validate_matrix([[1, 1.0], [0, 1]])
+            TriangularMatrix.from_rows([[1, 1.0], [0, 1]])
 
         class Count(int):
             pass
-        assert validate_matrix([[Count(2)]]).total == 2
+        assert TriangularMatrix.from_rows([[Count(2)]]).total == 2
 
     def test_first_fault_in_reading_order(self):
         # entries in row-major order, then zero rows, then zero columns
         with pytest.raises(NegativeEntry, match=r"\(1,2\)"):
-            validate_matrix([[0, -1], [1, "x"]])
+            TriangularMatrix.from_rows([[0, -1], [1, "x"]])
         with pytest.raises(ZeroRowOrColumn, match="row 2 is all zeros"):
-            validate_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+            TriangularMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 1]])
         with pytest.raises(ZeroRowOrColumn, match="column 2 is all zeros"):
-            validate_matrix([[1, 0, 1], [0, 0, 1], [0, 0, 1]])
+            TriangularMatrix.from_rows([[1, 0, 1], [0, 0, 1], [0, 0, 1]])

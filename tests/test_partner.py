@@ -8,6 +8,7 @@ import pytest
 
 from fishburn import (
     Matching,
+    TriangularMatrix,
     crossfree_matching_to_table,
     jsonio,
     matching_to_matrix,
@@ -17,7 +18,6 @@ from fishburn import (
     matrix_to_matching_no_neighbor_nesting,
     table_to_crossfree_matching,
     table_to_matching,
-    validate_matrix,
     zero_one_matrix_to_matching,
 )
 from fishburn.enumeration import MATCHING_RULES, gen_inversion_tables, gen_matchings
@@ -99,7 +99,7 @@ def seeded_preimages(m):
     the matrix of m; the zero-one preimage reads that matrix with every
     entry cut to 1, which keeps its shape."""
     t = matching_to_matrix(m)
-    ones = validate_matrix([[min(v, 1) for v in row] for row in t.rows])
+    ones = TriangularMatrix.from_rows([[min(v, 1) for v in row] for row in t.rows])
     return [(name, rules, source, PREIMAGES[name](source))
             for name, rules, source in (("nesting", ("lne", "rne"), t),
                                         ("crossing", ("lcr", "rcr"), t),
@@ -144,7 +144,7 @@ class TestConstructorsAgree:
         assert {rows for rows, name in oracle if name == "nesting"} == \
             {rows for rows, name in oracle if name == "crossing"}
         for (rows, name), arcs in oracle.items():
-            assert PREIMAGES[name](validate_matrix(rows)).partner == derived(arcs)
+            assert PREIMAGES[name](TriangularMatrix.from_rows(rows)).partner == derived(arcs)
 
     def test_seeded_large_tables(self):
         for w in seeded_tables(20191):

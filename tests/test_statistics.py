@@ -21,7 +21,6 @@ from fishburn import (
     table_to_matching,
     table_to_permutation,
     table_to_poset,
-    validate_matching,
 )
 from fishburn.enumeration import (
     gen_factorial_posets,
@@ -166,20 +165,20 @@ class TestPosetStats:
 
 class TestMatchingStats:
     def test_two_components(self):
-        rec = matching_stats(validate_matching([(1, 2), (3, 5), (4, 6)]))
+        rec = matching_stats(Matching.from_pairs([(1, 2), (3, 5), (4, 6)]))
         assert rec["comp"] == 2
         assert rec["min"] == 1
 
     def test_embraced_closers(self):
-        rec = matching_stats(validate_matching([(1, 4), (2, 5), (3, 6)]))
+        rec = matching_stats(Matching.from_pairs([(1, 4), (2, 5), (3, 6)]))
         assert rec["emb"] == 3
 
     def test_disjoint(self):
-        rec = matching_stats(validate_matching([(1, 2), (3, 4), (5, 6)]))
+        rec = matching_stats(Matching.from_pairs([(1, 2), (3, 4), (5, 6)]))
         assert (rec["comp"], rec["inter"], rec["emb"], rec["last"]) == (3, 3, 0, 2)
 
     def test_empty(self):
-        rec = matching_stats(validate_matching([]))
+        rec = matching_stats(Matching.from_pairs([]))
         assert rec["comp"] == 0 and rec["min"] == 0 and rec["inter"] == 0
 
 

@@ -671,8 +671,7 @@ class TestInjectedFaults:
     def clear_caches(self):
         # so nothing computed before the fault is read under it, or after it
         def clear():
-            for cache in (_objects, _tally, enumeration._merged, enumeration._prefix,
-                          statistics._compile):
+            for cache in (_objects, _tally, enumeration._merged, statistics._compile):
                 cache.cache_clear()
         yield clear
         clear()
