@@ -83,6 +83,12 @@ MAX_TALLIED_N = {("matchings", "merged", True): 14, ("matchings", "merged", Fals
                  ("natural_posets", None, True): 8, ("matrices", None, False): 10,
                  ("ascent_sequences", None, False): 11}
 
+# class -> the largest n that ``enumerate`` streams (2-CPU host, Python 3.11):
+# past it, a stack frame per arc or entry (RecursionError at n = 990), 2^(n-1)
+# down sets (232 MB at n = 23), n(n+1)/2 ints, or a 512-line block of ≈6n bytes
+MAX_STREAMED_N = {"matchings": 900, "ascent_sequences": 900, "natural_posets": 22,
+                  "inversion_tables": 3000, "factorial_posets": 3000, "permutations": 10000}
+
 # singular CLI class -> statistics class
 _STAT_CLASS_SINGULAR = {
     "matching": "matchings",
@@ -140,6 +146,8 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(_tally(args, ()).total)
         return 0
+    if args.n > (bound := MAX_STREAMED_N.get(args.object_class, args.n)):
+        _die(f"a stream of the {args.object_class} takes n <= {bound}")
     singular = jsonio.SINGULAR[args.object_class]
     lines = (json.dumps(jsonio.encode(singular, obj)) + "\n"
              for obj in generate(args.object_class, args.n, args.filter))

@@ -426,29 +426,26 @@ def gen_natural_posets(n: int, cuts: Sequence = ()) -> Iterator[Poset]:
     order, as its predecessor set: each poset once, 1, 1, 2, 7, 40, 357, 4824,
     96428 of them.  Its down sets: the old d, then d | bit(k+1) if d & s == s.
     """
-    def expand(masks: tuple[int, ...], _):
+    def expand(masks: tuple[int, ...]):
         last = len(masks) == n - 1
         return lambda s: last or all(cut(Poset.from_pre_masks(masks + (s,))) for cut in cuts)
 
-    return (Poset.from_pre_masks(masks) for masks, _ in down_set_walk(n, expand, True))
+    return map(Poset.from_pre_masks, down_set_walk(n, expand))
 
 
-def down_set_walk(n: int, expand, root) -> Iterator[tuple[tuple[int, ...], object]]:
-    """Each leaf's masks and state, in the order of ``gen_natural_posets(n)``.
-    At each node, the masks of a poset on [k < n] and its state, ``expand``
-    gives the test of a child's down set s: the child's state, or a false one
-    to cut the child and every poset above it."""
-    def extend(state, masks: tuple[int, ...], downs: list[int]):
-        step, bit = expand(masks, state), 1 << len(masks)
-        for s in downs:
-            child = step(s)
-            if child and len(masks) == n - 1:   # the last element needs no down sets
-                yield masks + (s,), child
-            elif child:
-                yield from extend(child, masks + (s,),
-                                  downs + [d | bit for d in downs if d & s == s])
+def down_set_walk(n: int, expand) -> Iterator[tuple[int, ...]]:
+    """Each leaf's masks, in the order of ``gen_natural_posets(n)``.  At each
+    node, the masks of a poset on [k < n], ``expand`` gives the test of a
+    child's down set s: a false one cuts the child and every poset above it."""
+    def extend(masks: tuple[int, ...], downs: list[int]):
+        bit = 1 << len(masks)
+        for s in filter(expand(masks), downs):
+            if len(masks) == n - 1:             # the last element needs no down sets
+                yield masks + (s,)
+            else:
+                yield from extend(masks + (s,), downs + [d | bit for d in downs if d & s == s])
 
-    return extend(root, (), [0]) if n else iter([((), root)])
+    return extend((), [0]) if n else iter([()])
 
 
 @_sized

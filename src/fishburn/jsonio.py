@@ -26,8 +26,9 @@ from .objects import (
     validate_table,
 )
 
-# a 1,000-element chain decodes in about half a second on a 2-CPU x86 host;
-# the objects the tests, demos and benchmark decode have n <= 50
+# a 1,000-element chain decodes in about 0.07 s from its 999 covers, in either
+# label order, and in about 0.7 s from the 499,500 pairs of its encoding, on a
+# 2-CPU x86 host; the objects the tests, demos and benchmark decode have n <= 50
 MAX_DECODED_SIZE = 1000
 
 

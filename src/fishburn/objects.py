@@ -439,17 +439,9 @@ class Poset(FrozenValue):
             if not (1 <= i <= n and 1 <= j <= n):
                 raise NotAPartialOrder(f"element outside [1, {n}] in ({i}, {j})")
             below[j] |= 1 << (i - 1)
-        # closure by iterating to a fixed point; n is tiny
-        changed = True
-        while changed:
-            changed = False
-            for j in range(1, n + 1):
-                acc = below[j]
-                for i in _bits(below[j]):
-                    acc |= below[i + 1]
-                if acc != below[j]:
-                    below[j] = acc
-                    changed = True
+        for k in range(1, n + 1):               # Warshall: add the paths through k
+            bit, row = 1 << (k - 1), below[k]
+            below = [mask | row if mask & bit else mask for mask in below]
         for j in range(1, n + 1):
             if below[j] >> (j - 1) & 1:
                 raise NotAPartialOrder(f"cycle through element {j}")

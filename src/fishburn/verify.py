@@ -309,17 +309,17 @@ def _keeps_inclusion_chain(pre: Sequence[int]):
 
 def _two_plus_two_agreement(n: int):
     """The direct search for an induced 2+2 and the inclusion chain agree on
-    every natural poset on [n], both read along the down-set search: a poset keeps
-    its parent's 2+2s and lost chain; a node that lost both, or a leaf that agrees, is cut."""
-    def expand(masks, kept):
-        adds = kept[0] and _adds_two_plus_two(masks)
-        fits = kept[1] and _keeps_inclusion_chain(masks)
-        keep = bool.__ne__ if len(masks) == n - 1 else bool.__or__
-        return lambda s: both if keep(*(both := (adds and not adds(s), fits and fits(s)))) else ()
+    every natural poset on [n], both read along the down-set search.  A poset
+    keeps its parent's 2+2s and lost chain, so the search walks only posets
+    where both verdicts hold, and yields the leaves where they disagree."""
+    def expand(masks):
+        adds, fits = _adds_two_plus_two(masks), _keeps_inclusion_chain(masks)
+        if len(masks) == n - 1:
+            return lambda s: adds(s) == fits(s)
+        return lambda s: not adds(s) and fits(s)
 
-    for masks, (free, chain) in down_set_walk(n, expand, (True, True)):
-        if free != chain:
-            return {"n": n, **_obj("poset", Poset.from_pre_masks(masks)), "disagreement": True}
+    for masks in down_set_walk(n, expand) if n else ():
+        return {"n": n, **_obj("poset", Poset.from_pre_masks(masks)), "disagreement": True}
 
 
 def _round_trip(n: int):

@@ -360,6 +360,15 @@ def naive_characteristic_matrix(p):
                  for d in downs)
 
 
+def naive_closure(pairs):
+    """The transitive closure of a relation, a set of pairs (i, j), by composing
+    it with itself until no pair is new; a cycle closes to pairs (j, j)."""
+    closed = set(map(tuple, pairs))
+    while new := {(a, d) for a, b in closed for c, d in closed if b == c} - closed:
+        closed |= new
+    return frozenset(closed)
+
+
 def random_natural_posets(seed, count=25):
     """Seeded naturally labeled posets on 20 to 60 elements, the transitive
     closure of a few random up-relations; most contain an induced 2+2."""

@@ -79,6 +79,9 @@ REACH = {
     "poset_counts_n8": (
         ["verify", *POSET_COUNT_CHECKS, "--n-max", "8", "--json"],
         "c95aff3c61784c2dd5888b19ec8c2cd12c1b42dd535f250618c01b5304938ce4", None, 80),
+    "two_plus_two_n8": (
+        ["verify", "prop_factorial_posets_two_plus_two_free", "--n-max", "8", "--json"],
+        "1fc4a24db845847ef0a79f799b21645974ab785bc29e1b2571ba61a3f017ef10", None, 40),
     "unique_labeling_n9": (
         ["verify", "prop_unique_labeling", "--n-max", "9", "--json"],
         "cb21d4ba52a7a91b0a637dab374dd11d8e93982fba67b27b11bd2cfe7db0892f", None, 100),

@@ -15,7 +15,7 @@ from fishburn import (
     REGISTRY, DistributionTable, catalan, cli, distribution, double_factorial, enumeration,
     generate,
 )
-from fishburn.cli import MAX_TALLIED_N, main
+from fishburn.cli import MAX_STREAMED_N, MAX_TALLIED_N, main
 from fishburn.enumeration import GENERATORS, PREDICATES
 from fishburn.statistics import VOCABULARY
 
@@ -829,6 +829,34 @@ class TestEnumerationBounds:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert sum(int(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]) == total
+
+
+class TestStreamBounds:
+    """``enumerate`` without --count-only exits 2 past the bound of its class,
+    before anything is generated, and streams at the bound."""
+
+    def test_only_the_matrices_stream_with_no_bound(self):
+        assert set(GENERATORS) - set(MAX_STREAMED_N) == {"matrices"}
+
+    @pytest.mark.parametrize("class_name, bound", sorted(MAX_STREAMED_N.items()))
+    def test_refused_past_the_bound(self, capsys, monkeypatch, class_name, bound):
+        def refused(*args):
+            raise AssertionError("generated past the bound")
+        monkeypatch.setattr(cli, "generate", refused)
+        code, out, err = run_cli(capsys, "enumerate", class_name, str(bound + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: a stream of the {class_name} takes n <= {bound}\n"
+
+    @pytest.mark.parametrize("class_name, bound", sorted(MAX_STREAMED_N.items()))
+    def test_streamed_at_the_bound(self, capsys, monkeypatch, class_name, bound):
+        calls = []
+
+        def nothing(*args):
+            calls.append(args)
+            return iter(())
+        monkeypatch.setattr(cli, "generate", nothing)
+        code, out, _ = run_cli(capsys, "enumerate", class_name, str(bound))
+        assert (calls, code, out) == ([(class_name, bound, [])], 0, "")
 
 
 class TestVerify:

@@ -64,6 +64,7 @@ from fishburn.jsonio import encode
 from helpers import (
     condition_one_by_counts,
     is_two_plus_two_free_by_inclusion,
+    naive_closure,
     naive_counts,
     naive_matchings,
     naive_natural_posets_by_filter,
@@ -408,6 +409,40 @@ class TestPoset:
         assert p == Poset.from_pre_masks(p.pre_masks)
         with pytest.raises(AttributeError):
             p.pre_masks = ()
+
+    def test_closure_equals_the_naive_closure_under_relabelings(self):
+        # seeded up-relations under random relabelings, and the chain given
+        # against its label order (n below n - 1 ... below 1), pairs either way
+        rng = random.Random(37)
+        cases = [(30, [(i + 1, i) for i in range(1, 30)]),
+                 (30, [(i + 1, i) for i in range(29, 0, -1)])]
+        for _ in range(60):
+            n = rng.randint(2, 20)
+            pairs = [sorted(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, 2 * n))]
+            sigma = rng.sample(range(1, n + 1), n)
+            cases.append((n, [(sigma[i - 1], sigma[j - 1]) for i, j in pairs]))
+        for n, pairs in cases:
+            assert Poset.from_relations(n, pairs).less == naive_closure(pairs), (n, pairs)
+
+    def test_a_long_chain_against_its_label_order_is_closed(self):
+        n = 1000
+        p = Poset.from_relations(n, [(i + 1, i) for i in range(1, n)])
+        assert p.pre_masks == tuple((1 << n) - (1 << j) for j in range(1, n + 1))
+
+    def test_a_relabeled_cycle_names_its_least_element(self):
+        # a cycle under a random relabeling, among random pairs: the error names
+        # the least element that the naive closure puts below itself
+        rng = random.Random(41)
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            cycle = rng.sample(range(1, n + 1), rng.randint(2, n))
+            pairs = [*zip(cycle, cycle[1:] + cycle[:1]),
+                     *(rng.sample(range(1, n + 1), 2) for _ in range(rng.randint(0, n)))]
+            rng.shuffle(pairs)
+            least = min(i for i, j in naive_closure(pairs) if i == j)
+            with pytest.raises(NotAPartialOrder) as info:
+                Poset.from_relations(n, pairs)
+            assert str(info.value) == f"cycle through element {least}"
 
     @pytest.mark.parametrize("n,pairs,error,message", [
         ("three", [], InvalidObject, "poset size 'three' is not a nonnegative integer"),

@@ -331,7 +331,9 @@ class TestTwoPlusTwoWalk:
         # [k] for 1 <= k <= 7, from both verdicts to none
         checked = Counter()
 
-        def expand(masks, verdicts):
+        def expand(masks):
+            parent = Poset.from_pre_masks(masks)
+            verdicts = (is_two_plus_two_free(parent), is_two_plus_two_free_by_inclusion(parent))
             adds, fits = verify._adds_two_plus_two(masks), verify._keeps_inclusion_chain(masks)
 
             def step(s):
@@ -340,10 +342,10 @@ class TestTwoPlusTwoWalk:
                 assert kept == (is_two_plus_two_free(p), is_two_plus_two_free_by_inclusion(p)), \
                     p.pre_masks
                 checked[p.n, kept] += 1
-                return kept
+                return True
             return step
 
-        leaves = [masks for masks, _ in enumeration.down_set_walk(7, expand, (True, True))]
+        leaves = list(enumeration.down_set_walk(7, expand))
         assert leaves == [p.pre_masks for p in generate("natural_posets", 7)]
         assert [checked[n, (True, True)] + checked[n, (False, False)] for n in range(1, 8)] == \
             [1, 2, 7, 40, 357, 4824, 96428]
@@ -355,9 +357,9 @@ class TestTwoPlusTwoWalk:
         leaves = []
         real = enumeration.down_set_walk
 
-        def recording(n, expand, root):
-            walked = list(real(n, expand, root))
-            leaves.extend(masks for masks, _ in walked)
+        def recording(n, expand):
+            walked = list(real(n, expand))
+            leaves.extend(walked)
             return iter(walked)
 
         monkeypatch.setattr(verify, "down_set_walk", recording)
@@ -367,6 +369,20 @@ class TestTwoPlusTwoWalk:
         assert verify._two_plus_two_agreement(4) is not None
         assert leaves == [p.pre_masks for p in generate("natural_posets", 4)
                           if not is_two_plus_two_free(p)]
+
+    def test_the_agreement_expands_exactly_the_two_plus_two_free_posets(self, monkeypatch):
+        # both verdicts hold on every node the search expands, and on no other
+        expanded = []
+        real = enumeration.down_set_walk
+
+        def recording(n, expand):
+            return real(n, lambda masks: expanded.append(masks) or expand(masks))
+
+        monkeypatch.setattr(verify, "down_set_walk", recording)
+        assert verify._two_plus_two_agreement(7) is None
+        for k in range(7):
+            assert [masks for masks in expanded if len(masks) == k] == \
+                [p.pre_masks for p in generate("natural_posets", k, ("two_plus_two_free",))], k
 
     def test_the_agreement_builds_no_poset_without_a_witness(self, monkeypatch):
         def refused(*args):
