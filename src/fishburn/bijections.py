@@ -224,7 +224,7 @@ def matching_to_matrix(m: Matching) -> TriangularMatrix:
     t = [[0] * k for _ in range(k)]
     for i, j in cells:
         t[i][j] += 1
-    return TriangularMatrix.from_rows(t)
+    return TriangularMatrix(tuple(map(tuple, t)))   # valid by construction
 
 
 def poset_to_matrix(p: Poset) -> TriangularMatrix:
@@ -257,6 +257,7 @@ def _preimage(t: TriangularMatrix, openers_cross: bool, closers_cross: bool) -> 
     |C_j| = column sum j.  Crossing openers serve their columns in ascending
     order and nesting openers in descending order; crossing closers serve
     their rows in ascending order and nesting closers in descending order.
+    Only nonzero blocks are laid out; each closer block pairs as it is placed.
     Inside a block the arcs pair crosswise when both rules cross and nested
     when both nest.  Under mixed rules a block holds at most one arc, so the
     matrix must be 0-1; raises NotZeroOne otherwise.
@@ -264,19 +265,20 @@ def _preimage(t: TriangularMatrix, openers_cross: bool, closers_cross: bool) -> 
     if openers_cross != closers_cross and not is_zero_one(t):
         raise NotZeroOne(f"matrix has an entry larger than 1: {t.rows}")
     k, rows = t.k, t.rows
-    openers, closers = {}, {}
-    pos = 1
-    for a in range(k):
-        for j in range(a, k) if openers_cross else range(k - 1, a - 1, -1):
-            openers[a, j] = range(pos, pos + rows[a][j])
-            pos += rows[a][j]
-        for i in range(a + 1) if closers_cross else range(a, -1, -1):
-            closers[i, a] = range(pos, pos + rows[i][a])
-            pos += rows[i][a]
-    partner = [0] * (pos + 1)           # positions 0 to 2n + 1, as pos is 2n + 1
-    for block, xs in openers.items():
-        for o, c in zip(xs, closers[block] if openers_cross else reversed(closers[block])):
-            partner[o], partner[c] = c, o
+    partner = [0] * (2 * t.total + 2)
+    opened, pos = {}, 1                 # opened[i, j]: the first opener of block (i, j)
+    for a, (row, col) in enumerate(zip(rows, zip(*rows))):
+        js = list(itertools.compress(range(k), row))
+        for j in js if openers_cross else reversed(js):
+            opened[a, j] = pos
+            pos += row[j]
+        ids = list(itertools.compress(range(a + 1), col))
+        for i in ids if closers_cross else reversed(ids):
+            o, v = opened[i, a], col[i]
+            for c in range(pos, pos + v) if openers_cross else range(pos + v - 1, pos - 1, -1):
+                partner[o], partner[c] = c, o
+                o += 1
+            pos += v
     return Matching.from_partner(tuple(partner))
 
 

@@ -8,9 +8,10 @@ Formats (class name -> shape):
   poset            {"n": N, "less": [[i, j], ...]}   closed, lexicographic
   matrix           {"k": K, "rows": [[...], ...]}
 
-A decoded poset's n and a decoded matrix's entry sum (the size of the
-matchings it encodes) may not exceed MAX_DECODED_SIZE: both cost memory and
-time in that size, not in the length of the JSON text.
+The size of a decoded object may not exceed MAX_DECODED_SIZE: a matching's
+n, a table's or permutation's length, a poset's n, a matrix's entry sum (the
+size of its matchings).  What is made from an object costs memory and time in
+that size, not in the length of the JSON text (a poset has n(n - 1)/2 pairs).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .objects import (
     Matching,
     Poset,
     TriangularMatrix,
-    _bits,
     _is_int,
     validate_permutation,
     validate_table,
@@ -39,8 +39,8 @@ def encode(class_name: str, obj) -> object:
         return list(obj)
     if class_name == "poset":
         # read in order, the successor masks give the pairs sorted lexicographically
-        return {"n": obj.n, "less": [[i + 1, j + 1] for i, mask in enumerate(obj.suc_masks)
-                                     for j in _bits(mask)]}
+        return {"n": obj.n, "less": [[i, j] for i, mask in enumerate(obj.suc_masks, 1) if mask
+                                     for j, b in enumerate(bin(mask)[:1:-1], 1) if b == "1"]}
     if class_name == "matrix":
         return {"k": obj.k, "rows": [list(row) for row in obj.rows]}
     raise ValueError(f"no JSON encoding for class {class_name!r}")
@@ -58,9 +58,13 @@ def _sized(data: dict, size_key: str, items_key: str) -> list:
 def decode(class_name: str, data) -> object:
     """Parse and re-validate; input is never trusted to be well formed."""
     try:
+        if class_name == "matching" and isinstance(data, dict):
+            data = _sized(data, "n", "arcs")
+        if class_name in ("matching", "inversion_table", "permutation"):
+            data = list(data)       # a scalar raises the TypeError of iterating it
+            if len(data) > MAX_DECODED_SIZE:
+                raise InvalidObject(f"{class_name} size {len(data)} exceeds {MAX_DECODED_SIZE}")
         if class_name == "matching":
-            if isinstance(data, dict):
-                data = _sized(data, "n", "arcs")
             return Matching.from_pairs(data)
         if class_name == "inversion_table":
             return validate_table(data)

@@ -432,7 +432,7 @@ class Poset(FrozenValue):
                 i, j = pair
             except (TypeError, ValueError):
                 raise InvalidObject(f"relation {pair!r} is not a pair") from None
-            if not (_is_int(i) and _is_int(j)):
+            if not (i.__class__ is j.__class__ is int or _is_int(i) and _is_int(j)):
                 raise InvalidObject(f"pair ({i!r}, {j!r}) has a non-integer element")
             if i == j:
                 raise NotAPartialOrder(f"reflexive pair ({i}, {j})")
@@ -449,9 +449,10 @@ class Poset(FrozenValue):
 
     @property
     def less(self) -> frozenset[tuple[int, int]]:
-        """Every pair (i, j) with i below j, built afresh on each read."""
-        return frozenset(
-            (i + 1, j + 1) for j, mask in enumerate(self.pre_masks) for i in _bits(mask))
+        """Every pair (i, j) with i below j, built afresh on each read; the set
+        bits of each mask are read from one ``bin`` string, lowest first."""
+        return frozenset((i, j) for j, mask in enumerate(self.pre_masks, 1) if mask
+                         for i, b in enumerate(bin(mask)[:1:-1], 1) if b == "1")
 
     @property
     def suc_masks(self) -> tuple[int, ...]:

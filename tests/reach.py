@@ -11,6 +11,7 @@ does not collect this file; run it as
 """
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -94,6 +95,11 @@ REACH = {
     "registry_n8": (
         ["verify", "--all", "--n-max", "8", "--json"],
         "620d3d17a2cc81fa6907eaf2fa7c8fd96c024542d0f4d9ff8d909a5d245413e9", None, 100),
+    # the largest conversion the decode bound admits: the chain on 1,000
+    # elements, whose encoding holds all 499,500 pairs
+    "convert_chain_n1000": (
+        ["convert", "inversion_table", "poset", json.dumps(list(range(1000)))],
+        "e288e44e76e71c2d1268bf3375b8e18430eab712ec3d5076338eb40ffbbe5d99", None, 120),
 }
 
 

@@ -44,6 +44,7 @@ from fishburn.enumeration import (
     gen_permutations,
     generate,
 )
+from fishburn.jsonio import encode
 from fishburn.objects import (
     condition_one,
     has_left_crossing,
@@ -241,7 +242,9 @@ class TestIntervalMatrixMap:
             matchings += map(table_to_matching, tables)
             matchings += map(table_to_crossfree_matching, tables)
         for m in matchings:
-            assert matching_to_matrix(m).rows == naive_interval_matrix(m.arcs)
+            t = matching_to_matrix(m)       # built unchecked: from_rows must accept it
+            assert t.rows == naive_interval_matrix(m.arcs)
+            assert TriangularMatrix.from_rows(t.rows) == t
 
     def test_preimage_family(self):
         target = TriangularMatrix.from_rows([[1, 1], [0, 1]])
@@ -521,6 +524,17 @@ class TestLargeRandomMatrices:
             for preimage, counts in preimages:
                 self.round_trip(rows, preimage, counts)
 
+    def test_images_of_large_tables_round_trip(self):
+        # seeded n = 20-60: matrices up to 30 x 30 with at most n nonzero
+        # cells, the rest zero blocks that take no position
+        zero_one = self.PREIMAGES + [(zero_one_matrix_to_matching, ("lne", "rcr"))]
+        images = [matching_to_matrix(forward(w)) for w in random_tables(20139)
+                  for forward in (table_to_matching, table_to_crossfree_matching)]
+        assert 0 < sum(map(is_zero_one, images)) < len(images)
+        for t in images:
+            for preimage, counts in zero_one if is_zero_one(t) else self.PREIMAGES:
+                self.round_trip(t.rows, preimage, counts)
+
     def test_draws_cover_sizes_and_shapes(self):
         drawn = random_matrices(20111) + random_matrices(20112, zero_one=True)
         totals = {sum(map(sum, rows)) for rows in drawn}
@@ -679,6 +693,22 @@ class TestKernelOracles:
         assert {pairwise_two_plus_two_free(p) for p in posets} == {True, False}
         for p in posets + sparse_relabeled_factorial_posets(20134):
             assert is_two_plus_two_free(p) == pairwise_two_plus_two_free(p)
+
+    def test_relation_and_its_encoding_against_a_pair_scan(self, natural_posets_sample):
+        # sparse relabeled posets, and seeded dense factorial posets on 30-50
+        # elements, whose masks have up to 49 set bits, as given and relabeled
+        rng = random.Random(20140)
+        dense = [table_to_poset([rng.randint(0, i) for i in range(rng.randint(30, 50))])
+                 for _ in range(12)]
+        dense += [relabel_poset(p, rng.sample(range(1, p.n + 1), p.n)) for p in dense]
+        below_1 = Poset.from_relations(3, [(2, 1), (3, 1)])    # masks equal to 1
+        for p in natural_posets_sample + sparse_relabeled_factorial_posets(20141) + dense \
+                + [below_1]:
+            masks = p.pre_masks
+            pairs = [(i, j) for i in range(1, p.n + 1) for j in range(1, p.n + 1)
+                     if masks[j - 1] >> (i - 1) & 1]
+            assert p.less == set(pairs)
+            assert encode("poset", p) == {"n": p.n, "less": [list(pair) for pair in pairs]}
 
     def test_canonical_labels_against_counts(self, natural_posets_sample):
         rng = random.Random(20135)

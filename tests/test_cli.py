@@ -372,6 +372,13 @@ class TestConvert:
         assert out == ""
         assert "InvalidObject" in err
 
+    def test_oversized_table_rejected_before_anything_is_written(self, capsys):
+        # the chain table of length 1,001 would write n(n - 1)/2 = 500,500 pairs
+        code, out, err = run_cli(
+            capsys, "convert", "inversion_table", "poset", json.dumps(list(range(1001))))
+        assert (code, out) == (2, "")
+        assert err == "error: InvalidObject: inversion_table size 1001 exceeds 1000\n"
+
     @pytest.mark.parametrize("src, dst, via, preimage", CONVERT_ROUTES)
     def test_every_route_pinned(self, capsys, src, dst, via, preimage):
         expected = next(CONVERT_RESULTS[key] for key in (

@@ -58,6 +58,10 @@ class TestMalformedInput:
         ("poset", {"n": 1001, "less": []}),
         ("matrix", {"k": 1, "rows": [[1001]]}),
         ("matrix", [[500, 1], [0, 500]]),
+        ("matching", [[2 * i + 1, 2 * i + 2] for i in range(1001)]),
+        ("matching", {"n": 1001, "arcs": [[2 * i + 1, 2 * i + 2] for i in range(1001)]}),
+        ("inversion_table", list(range(1001))),
+        ("permutation", list(range(1, 1002))),
     ])
     def test_size_above_limit_rejected(self, class_name, data):
         with pytest.raises(InvalidObject, match="exceeds 1000"):
@@ -66,6 +70,16 @@ class TestMalformedInput:
     def test_matrix_at_limit_accepted(self):
         assert MAX_DECODED_SIZE == 1000
         assert decode("matrix", [[1000]]).total == MAX_DECODED_SIZE
+
+    @pytest.mark.parametrize("class_name,data", [
+        ("matching", {"n": 1000, "arcs": [[2 * i + 1, 2 * i + 2] for i in range(1000)]}),
+        ("inversion_table", list(range(1000))),
+        ("permutation", list(range(1000, 0, -1))),
+        ("poset", {"n": 1000, "less": [[i, i + 1] for i in range(1, 1000)]}),
+    ])
+    def test_size_at_limit_accepted(self, class_name, data):
+        obj = decode(class_name, data)
+        assert (obj.n if class_name in ("matching", "poset") else len(obj)) == MAX_DECODED_SIZE
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):

@@ -444,6 +444,15 @@ class TestPoset:
                 Poset.from_relations(n, pairs)
             assert str(info.value) == f"cycle through element {least}"
 
+    def test_int_subclasses_pass_and_bools_fail_at_either_end(self):
+        class Label(int):
+            pass
+        p = Poset.from_relations(3, [(Label(1), Label(2)), (Label(2), 3), (1, Label(3))])
+        assert p == Poset.from_relations(3, [(1, 2), (2, 3)])
+        for pair in [(1, True), (Label(1), 2.0)]:
+            with pytest.raises(InvalidObject, match="has a non-integer element"):
+                Poset.from_relations(3, [(1, 2), pair])
+
     @pytest.mark.parametrize("n,pairs,error,message", [
         ("three", [], InvalidObject, "poset size 'three' is not a nonnegative integer"),
         (True, [], InvalidObject, "poset size True is not a nonnegative integer"),
